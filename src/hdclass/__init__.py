@@ -7,6 +7,7 @@ from .core import (
     bind,
     bundle,
     cosine_similarity,
+    similarity_matrix,
     similarity_scores,
 )
 from .data import Dataset, synth_blobs
@@ -26,7 +27,7 @@ from .serialize import load_model, save_model
 
 __all__ = [
     "ClassModel", "DimensionError", "Encoder", "bind", "bundle",
-    "cosine_similarity", "similarity_scores", "Dataset", "synth_blobs",
+    "cosine_similarity", "similarity_matrix", "similarity_scores", "Dataset", "synth_blobs",
     "Outcome", "OutcomeTriage", "TrainConfig", "TrainReport",
     "adaptive_fit_epoch", "effective_dimensionality", "predict", "top_k",
     "train", "triage", "load_model", "save_model",

@@ -11,20 +11,20 @@ go to stderr).  Exit codes: 0 success, 1 config error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import logging
 import os
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import data as dio
 from . import metrics, robustness
+from .core import similarity_matrix
 from .learner import TrainConfig, train
-from .serialize import load_model, save_model, write_json_atomic
+from .serialize import (load_model, save_model, write_csv_atomic, write_json_atomic,
+                        write_text_atomic)
 
 log = logging.getLogger("hdclass")
 
@@ -90,7 +90,7 @@ def parse_config_file(path: str) -> dict:
 
 def write_config_echo(path: str, resolved: dict) -> None:
     lines = [f"{k} = {resolved[k]}" for k in sorted(resolved)]
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _coerce(value, like):
@@ -186,24 +186,9 @@ def _check_finite(*arrays) -> None:
             raise NumericalError("non-finite values detected in model state")
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _evaluate(encoder, model, ds: dio.Dataset, k_list) -> dict:
     encoded = encoder.encode_batch(ds.features)
-    from .learner import _score_matrix
-
-    preds = np.argmax(_score_matrix(model, encoded), axis=1)
+    preds = np.argmax(similarity_matrix(model, encoded), axis=1)
     cm = metrics.confusion_matrix(preds, ds.labels, model.n_classes)
     per_class = {}
     for c in range(model.n_classes):
@@ -268,7 +253,7 @@ def cmd_train(args) -> int:
     _check_finite(model.classes, encoder.base, encoder.phase)
 
     save_model(os.path.join(out, "model.json"), encoder, model)
-    _write_text_atomic(os.path.join(out, "report.jsonl"), report.to_jsonl())
+    write_text_atomic(os.path.join(out, "report.jsonl"), report.to_jsonl())
     write_json_atomic(os.path.join(out, "labels.json"),
                       {"names": train_ds.names})
     if spec is not None:
@@ -318,17 +303,10 @@ def cmd_eval(args) -> int:
 
 def _sweep_point(point, cfg_base, train_ds, valid_ds, test_ds):
     alpha, beta, theta = point
-    cfg = TrainConfig(
-        dim=cfg_base.dim, eta=cfg_base.eta, alpha=alpha, beta=beta, theta=theta,
-        regen_rate=cfg_base.regen_rate, max_iters=cfg_base.max_iters,
-        patience=cfg_base.patience, min_delta=cfg_base.min_delta,
-        mode=cfg_base.mode, seed=cfg_base.seed, shuffle=cfg_base.shuffle,
-        n_formula=cfg_base.n_formula)
+    cfg = dataclasses.replace(cfg_base, alpha=alpha, beta=beta, theta=theta)
     encoder, model, _ = train(cfg, train_ds, valid_ds)
     encoded = encoder.encode_batch(test_ds.features)
-    from .learner import _score_matrix
-
-    preds = np.argmax(_score_matrix(model, encoded), axis=1)
+    preds = np.argmax(similarity_matrix(model, encoded), axis=1)
     cm = metrics.confusion_matrix(preds, test_ds.labels, model.n_classes)
     sens, spec = [], []
     for c in range(model.n_classes):
@@ -385,15 +363,7 @@ def cmd_sweep_weights(args) -> int:
     _, train_ds, (valid_ds, test_ds) = _normalize(
         train_ds, [valid_ds, test_ds], resolved["data.normalize"])
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = [_sweep_point(p, cfg_base, train_ds, valid_ds, test_ds)
-                   for p in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda p: _sweep_point(p, cfg_base, train_ds, valid_ds, test_ds),
-                grid))
+    results = [_sweep_point(p, cfg_base, train_ds, valid_ds, test_ds) for p in grid]
 
     rows = []
     for i, res in enumerate(results):
@@ -404,7 +374,7 @@ def cmd_sweep_weights(args) -> int:
             _write_roc_csv(os.path.join(out, f"roc_point{i}_class{cls}.csv"), curve)
     header = ["alpha", "beta", "theta", "accuracy", "macro_sensitivity",
               "macro_specificity", "auc"]
-    _write_csv_atomic(os.path.join(out, "sweep.csv"), header, rows)
+    write_csv_atomic(os.path.join(out, "sweep.csv"), header, rows)
     return EXIT_OK
 
 
@@ -481,17 +451,7 @@ def cmd_roc(args) -> int:
 
 def _write_roc_csv(path: str, curve) -> None:
     rows = [[repr(fpr), repr(tpr)] for fpr, tpr in curve.points]
-    _write_csv_atomic(path, ["fpr", "tpr"], rows)
-
-
-def _write_csv_atomic(path: str, header, rows) -> None:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text_atomic(path, buf.getvalue())
+    write_csv_atomic(path, ["fpr", "tpr"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", required=True)
     p.add_argument("--betas", required=True)
     p.add_argument("--thetas", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep_weights)

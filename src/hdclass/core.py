@@ -202,30 +202,32 @@ def cosine_similarity(a, b) -> float:
 
 def similarity_scores(model: ClassModel, h) -> np.ndarray:
     """Cosine similarity of a hypervector against every class prototype."""
-    hv = _as_float_vector(h, "h")
-    if hv.shape[0] != model.dim:
-        raise DimensionError(
-            f"hypervector length {hv.shape[0]} != model dimensionality {model.dim}")
-    hn = np.linalg.norm(hv)
-    if hn == 0.0:
-        return np.zeros(model.n_classes)
-    dots = model.classes @ hv
-    scores = np.zeros(model.n_classes)
-    nz = model.norms > 0.0
-    scores[nz] = dots[nz] / (model.norms[nz] * hn)
-    return scores
+    return similarity_matrix(model, _as_float_vector(h, "h")[None, :])[0]
 
 
 def similarity_matrix(model: ClassModel, encoded: np.ndarray) -> np.ndarray:
-    """m x k cosine similarities, rows matching ``similarity_scores``."""
+    """m x k cosine similarities: the one scoring kernel of the package.
+
+    One matrix product scaled by the row norms and the cached prototype
+    norms; zero rows and zero prototypes carry no evidence and score 0.
+    A single row goes through the matrix-vector kernel, so 1-row calls are
+    bit-identical to ``model.classes @ h / (model.norms * norm(h))``.
+    """
     H = np.asarray(encoded, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != model.dim:
         raise DimensionError(
             f"encoded batch must be m x {model.dim}, got shape {H.shape}")
-    out = np.empty((H.shape[0], model.n_classes))
-    for j in range(H.shape[0]):
-        out[j] = similarity_scores(model, H[j])
-    return out
+    denom = np.sqrt(np.vecdot(H, H))[:, None] * model.norms
+    # Where the denominator is 0 the output keeps it, so those score 0.
+    return np.divide(H @ model.classes.T, denom, out=denom, where=denom != 0.0)
+
+
+def ranking(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k best classes per row, ties to the lowest class index.
+
+    ``ranking(S, 1)[..., 0]`` equals ``np.argmax(S, axis=-1)``.
+    """
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 
 def bundle(hypervectors) -> np.ndarray:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import regen
-from .core import ClassModel, DimensionError, Encoder, similarity_scores
+from .core import (ClassModel, DimensionError, Encoder, ranking, similarity_matrix,
+                   similarity_scores)
 
 DYNAMIC = "dynamic"
 STATIC = "static"
@@ -142,29 +143,21 @@ def _check_labels(model: ClassModel, labels) -> np.ndarray:
 
 def predict(model: ClassModel, h) -> int:
     """Most similar class; ties resolved toward the lowest class index."""
-    scores = similarity_scores(model, h)
-    return int(np.argmax(scores))
+    return int(np.argmax(similarity_scores(model, h)))
 
 
 def top_k(model: ClassModel, h, k: int) -> list[int]:
     """Class indices by descending similarity, ties by ascending index."""
     if not 1 <= k <= model.n_classes:
         raise ValueError(f"k must be in [1, {model.n_classes}], got {k}")
-    scores = similarity_scores(model, h)
-    order = np.lexsort((np.arange(model.n_classes), -scores))
-    return [int(i) for i in order[:k]]
-
-
-def _top2_from_scores(scores: np.ndarray) -> tuple[int, int]:
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return int(order[0]), int(order[1])
+    return ranking(similarity_scores(model, h), k).tolist()
 
 
 def triage(model: ClassModel, h, true_label: int) -> OutcomeTriage:
     """Categorize a sample by the rank of its true label in the top 2."""
     if not 0 <= true_label < model.n_classes:
         raise ValueError(f"unknown class label {true_label}")
-    first, second = _top2_from_scores(similarity_scores(model, h))
+    first, second = top_k(model, h, 2)
     if true_label == first:
         return OutcomeTriage(Outcome.CORRECT, true_label)
     if true_label == second:
@@ -192,7 +185,7 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
         raise ValueError(f"learning rate must be positive, got {eta}")
     for j in range(H.shape[0]):
         h = H[j]
-        scores = similarity_scores(model, h)
+        scores = similarity_matrix(model, H[j:j + 1])[0]
         pred = int(np.argmax(scores))
         true = int(y[j])
         if pred == true:
@@ -208,12 +201,9 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.where(norms == 0.0, 1.0, norms)
 
 
-def _score_matrix(model: ClassModel, encoded: np.ndarray) -> np.ndarray:
-    """m x k cosine similarities; row j equals ``similarity_scores(model, encoded[j])``."""
-    scores = _unit_rows(encoded) @ _unit_rows(model.classes).T
-    # Zero prototypes and zero hypervectors carry no evidence; their
-    # normalized rows are zero already, so no masking is needed.
-    return scores
+# The benchmark's tracer binds its ``learner.score`` span to this name, so
+# the batch scoring calls of this module go through it.
+_score_matrix = similarity_matrix
 
 
 def _accuracy(model: ClassModel, encoded: np.ndarray, labels: np.ndarray) -> float:
@@ -239,30 +229,26 @@ def _build_distance_rows(model: ClassModel, encoded: np.ndarray,
                          labels: np.ndarray, cfg: TrainConfig):
     """Triage every sample and emit the M (partial) and N (incorrect) rows.
 
+    Each side is one matrix, rows in sample order; the row formulas are
+    elementwise, so every row is what a per-sample call would give.
+
     Rows are computed on unit-normalized hypervectors and prototypes so the
     per-dimension distance terms compare directions, not magnitudes;
     otherwise prototype growth over training swamps the signal and the
     intersection of the two sides goes empty.
     """
-    scores = _score_matrix(model, encoded)
-    # Stable descending sort reproduces the lexsort tie rule of ``top_k``:
-    # equal scores keep ascending class-index order.
-    order = np.argsort(-scores, axis=1, kind="stable")
-    top1 = order[:, 0]
-    top2 = order[:, 1]
+    top1, top2 = ranking(_score_matrix(model, encoded), 2).T
     Hn = _unit_rows(encoded)
     Cn = _unit_rows(model.classes)
-    partial_rows = []
-    incorrect_rows = []
-    for j in np.flatnonzero(top1 != labels):
-        true = int(labels[j])
-        if top2[j] == true:
-            partial_rows.append(regen.partial_row(
-                Hn[j], Cn[true], Cn[top1[j]], cfg.alpha, cfg.beta))
-        else:
-            incorrect_rows.append(regen.incorrect_row(
-                Hn[j], Cn[true], Cn[top1[j]], Cn[top2[j]],
-                cfg.alpha, cfg.beta, cfg.theta, formula=cfg.n_formula))
+    wrong = top1 != labels
+    partial = wrong & (top2 == labels)
+    incorrect = wrong & ~partial
+    partial_rows = regen.partial_row(
+        Hn[partial], Cn[labels[partial]], Cn[top1[partial]], cfg.alpha, cfg.beta)
+    incorrect_rows = regen.incorrect_row(
+        Hn[incorrect], Cn[labels[incorrect]], Cn[top1[incorrect]],
+        Cn[top2[incorrect]], cfg.alpha, cfg.beta, cfg.theta,
+        formula=cfg.n_formula)
     return partial_rows, incorrect_rows
 
 
@@ -290,6 +276,8 @@ def train(config: TrainConfig, train_set, valid_set,
     y_valid = np.asarray(valid_set.labels, dtype=np.intp)
     if X_train.shape[0] == 0:
         raise ValueError("training set is empty")
+    if X_valid.shape[0] == 0:
+        raise ValueError("validation set is empty")
     if X_valid.ndim != 2 or X_valid.shape[1] != X_train.shape[1]:
         raise ValueError("train and validation splits disagree on feature count")
     k = int(y_train.max()) + 1
@@ -298,7 +286,6 @@ def train(config: TrainConfig, train_set, valid_set,
     if y_valid.size and y_valid.max() >= k:
         raise ValueError("validation labels outside the training label universe")
 
-    root = np.random.SeedSequence(config.seed)
     encoder_seed = int(np.random.SeedSequence(
         entropy=(config.seed, STREAM_ENCODER)).generate_state(1)[0])
     encoder = Encoder.create(X_train.shape[1], config.dim, encoder_seed)
@@ -307,7 +294,6 @@ def train(config: TrainConfig, train_set, valid_set,
     encoder.input_scale = 1.0 / np.sqrt(X_train.shape[1])
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(config.seed, STREAM_SHUFFLE)))
-    del root
 
     model = ClassModel.zeros(k, config.dim)
     report = TrainReport()

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassModel
-from .learner import top_k
+from .core import ClassModel, ranking, similarity_matrix
 
 
 def accuracy(pred, truth) -> float:
@@ -30,10 +29,10 @@ def top_k_accuracy(model: ClassModel, encoded, truth, k: int) -> float:
         raise ValueError(f"{H.shape[0]} samples but {t.shape[0]} labels")
     if H.shape[0] == 0:
         raise ValueError("cannot compute accuracy of an empty set")
-    hits = 0
-    for j in range(H.shape[0]):
-        if int(t[j]) in top_k(model, H[j], k):
-            hits += 1
+    if not 1 <= k <= model.n_classes:
+        raise ValueError(f"k must be in [1, {model.n_classes}], got {k}")
+    top = ranking(similarity_matrix(model, H), k)
+    hits = int(np.count_nonzero((top == t[:, None]).any(axis=1)))
     return hits / H.shape[0]
 
 
@@ -133,8 +132,6 @@ def roc_curve(scores, truth) -> RocCurve:
 
 def margin_scores(model: ClassModel, encoded, target: int) -> np.ndarray:
     """Per-sample one-vs-rest score: own-class similarity minus best other."""
-    from .core import similarity_matrix
-
     sims = similarity_matrix(model, encoded)
     if not 0 <= target < model.n_classes:
         raise ValueError(f"class index {target} outside [0, {model.n_classes})")
@@ -145,8 +142,6 @@ def margin_scores(model: ClassModel, encoded, target: int) -> np.ndarray:
 
 def raw_scores(model: ClassModel, encoded, target: int) -> np.ndarray:
     """Per-sample similarity to the target class alone."""
-    from .core import similarity_matrix
-
     sims = similarity_matrix(model, encoded)
     if not 0 <= target < model.n_classes:
         raise ValueError(f"class index {target} outside [0, {model.n_classes})")

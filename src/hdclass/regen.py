@@ -10,12 +10,12 @@ regenerated.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import DimensionError
+from .serialize import write_csv_atomic
 
 #: Row formulas for the incorrect-sample matrix.  "prose" rewards
 #: dimensions far from the true class and near both wrong classes with a
@@ -133,13 +133,11 @@ class RegenDump:
 
 
 def write_dump_csv(path: str, dumps: list[RegenDump]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "dimension", "m_aggregate", "n_aggregate",
-                         "selected"])
-        for d in dumps:
-            chosen = set(d.selected)
-            for j in range(d.m_aggregate.shape[0]):
-                writer.writerow([d.iteration, j, repr(float(d.m_aggregate[j])),
-                                 repr(float(d.n_aggregate[j])),
-                                 int(j in chosen)])
+    rows = []
+    for d in dumps:
+        chosen = set(d.selected)
+        rows.extend([d.iteration, j, repr(float(d.m_aggregate[j])),
+                     repr(float(d.n_aggregate[j])), int(j in chosen)]
+                    for j in range(d.m_aggregate.shape[0]))
+    write_csv_atomic(path, ["iteration", "dimension", "m_aggregate", "n_aggregate",
+                            "selected"], rows)

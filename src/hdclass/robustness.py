@@ -10,12 +10,12 @@ can target any single bit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassModel
+from .core import ClassModel, similarity_matrix
+from .serialize import write_csv_atomic
 
 SUPPORTED_BITS = (1, 2, 4, 8)
 
@@ -96,9 +96,7 @@ def hamming_distance(a: QuantizedModel, b: QuantizedModel) -> int:
 
 def _model_accuracy(model: ClassModel, encoded: np.ndarray,
                     labels: np.ndarray) -> float:
-    from .learner import _score_matrix
-
-    preds = np.argmax(_score_matrix(model, encoded), axis=1)
+    preds = np.argmax(similarity_matrix(model, encoded), axis=1)
     return float(np.mean(preds == np.asarray(labels)))
 
 
@@ -148,12 +146,9 @@ def noise_sweep(models_by_dim: dict, grid, trials: int, seed: int) -> list[Sweep
 
 
 def write_sweep_csv(path: str, cells: list[SweepCell]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dim", "bits", "rate", "trials", "mean_loss", "std_loss"])
-        for c in cells:
-            writer.writerow([c.dim, c.bits, repr(c.rate), c.trials,
-                             repr(c.mean_loss), repr(c.std_loss)])
+    write_csv_atomic(path, ["dim", "bits", "rate", "trials", "mean_loss", "std_loss"],
+                     [[c.dim, c.bits, repr(c.rate), c.trials, repr(c.mean_loss),
+                       repr(c.std_loss)] for c in cells])
 
 
 def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:

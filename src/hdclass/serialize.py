@@ -3,11 +3,14 @@
 Floats are emitted with Python's shortest-roundtrip repr, so the
 decimal-to-binary round trip is lossless for 64-bit values.  The encoder's
 RNG state rides along so regeneration continues identically after a
-save/load cycle.
+save/load cycle.  The atomic text, JSON and CSV writers behind the CLI's
+result files live here too.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -64,19 +67,30 @@ def load_model(path: str) -> tuple[Encoder, ClassModel]:
         return model_from_dict(json.load(fh))
 
 
-def write_json_atomic(path: str, doc) -> None:
-    """Serialize to a temp file in the target directory, then rename."""
+def write_text_atomic(path: str, text: str) -> None:
+    """Write to a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, doc) -> None:
+    write_text_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
+
+
+def write_csv_atomic(path: str, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text_atomic(path, buf.getvalue())
 
 
 def _jsonable_rng_state(state: dict) -> dict:

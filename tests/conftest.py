@@ -10,8 +10,9 @@ and the generator emits samples grouped by class.
 import numpy as np
 import pytest
 
+from hdclass.core import similarity_matrix
 from hdclass.data import Dataset, apply_normalizer, fit_normalizer, split, synth_blobs
-from hdclass.learner import TrainConfig, train, _score_matrix
+from hdclass.learner import TrainConfig, train
 
 # Separation whose nearest-pair Gaussian overlap coefficient is 30%.
 OVERLAP30_SEPARATION = 2.0731
@@ -36,7 +37,7 @@ def make_benchmark(seed: int, n_features=6, k_classes=4, per_class=1000,
 
 def eval_accuracy(encoder, model, test_ds) -> float:
     encoded = encoder.encode_batch(test_ds.features)
-    preds = np.argmax(_score_matrix(model, encoded), axis=1)
+    preds = np.argmax(similarity_matrix(model, encoded), axis=1)
     return float(np.mean(preds == test_ds.labels))
 
 

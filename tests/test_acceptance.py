@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from hdclass.cli import EXIT_OK, main
-from hdclass.core import ClassModel, Encoder
+from hdclass.core import ClassModel, Encoder, similarity_matrix
 from hdclass.data import apply_normalizer, fit_normalizer, load_csv, split, synth_blobs
 from hdclass.learner import (
     TrainConfig,
     adaptive_fit_epoch,
     effective_dimensionality,
     train,
-    _score_matrix,
 )
 from hdclass.metrics import (
     confusion_matrix,
@@ -153,7 +152,7 @@ def test_criterion_9_alpha_increases_sensitivity():
                             theta=0.5, regen_rate=40.0, max_iters=40,
                             patience=40, min_delta=0.0, seed=seed), tr, va)
             preds = np.argmax(
-                _score_matrix(model, encoder.encode_batch(te.features)), axis=1)
+                similarity_matrix(model, encoder.encode_batch(te.features)), axis=1)
             cm = confusion_matrix(preds, te.labels, 3)
             sens[alpha] = np.mean([sensitivity_specificity(cm, c).sensitivity
                                    for c in range(3)])

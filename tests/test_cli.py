@@ -83,6 +83,13 @@ class TestTrain:
         assert run("train", "--data", blobs_csv, "--theta", "2.0",
                    "--out", str(tmp_path / "t5")) == EXIT_CONFIG
 
+    def test_empty_validation_split_is_config_error(self, tmp_path, blobs_csv,
+                                                     caplog):
+        assert run("train", "--data", blobs_csv, "--dim", "16",
+                   "--max-iters", "2", "--fractions", "1.0,0.0,0.0",
+                   "--out", str(tmp_path / "t7")) == EXIT_CONFIG
+        assert any("validation set is empty" in r.message for r in caplog.records)
+
     def test_dump_regen(self, tmp_path, blobs_csv):
         out = tmp_path / "t6"
         assert run("train", "--data", blobs_csv, "--dim", "32",
@@ -165,17 +172,6 @@ class TestSweepWeights:
         rows = list(csv.reader(open(out / "sweep.csv")))
         assert len(rows) == 3  # header + 2 grid points
         assert rows[0][0] == "alpha"
-
-    def test_jobs_do_not_change_results(self, tmp_path, blobs_csv):
-        outs = []
-        for tag, jobs in (("j1", "1"), ("j2", "2")):
-            out = tmp_path / tag
-            assert run("sweep-weights", "--data", blobs_csv,
-                       "--alphas", "1.0,2.0", "--betas", "1.0",
-                       "--thetas", "0.5", "--dim", "32", "--max-iters", "2",
-                       "--jobs", jobs, "--out", str(out)) == EXIT_OK
-            outs.append((out / "sweep.csv").read_bytes())
-        assert outs[0] == outs[1]
 
     def test_invalid_grid_lists_offenders(self, tmp_path, blobs_csv, caplog):
         assert run("sweep-weights", "--data", blobs_csv,

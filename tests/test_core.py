@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdclass.core import (
     ClassModel,
@@ -13,6 +15,18 @@ from hdclass.core import (
     similarity_matrix,
     similarity_scores,
 )
+
+
+def rowwise_similarity(model, H):
+    """Reference oracle: one matrix-vector product per row, zeros masked."""
+    out = np.zeros((H.shape[0], model.n_classes))
+    nz = model.norms > 0.0
+    for j, h in enumerate(H):
+        hn = np.linalg.norm(h)
+        if hn == 0.0:
+            continue
+        out[j, nz] = (model.classes @ h)[nz] / (model.norms[nz] * hn)
+    return out
 
 
 class TestEncoderCreation:
@@ -190,13 +204,50 @@ class TestSimilarity:
         assert scores[1] == 0.0
         assert scores[0] == pytest.approx(1.0)
 
-    def test_matrix_matches_rows(self):
-        rng = np.random.default_rng(5)
-        m = ClassModel(rng.normal(size=(3, 8)))
-        H = rng.normal(size=(6, 8))
-        mat = similarity_matrix(m, H)
-        for j in range(6):
-            assert np.array_equal(mat[j], similarity_scores(m, H[j]))
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 40), k=st.integers(2, 8), dim=st.integers(1, 160),
+           zero_rows=st.integers(0, 3), zero_classes=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matrix_matches_rows(self, m, k, dim, zero_rows, zero_classes, seed):
+        # A gemm sums each dot product in its own order, so rows agree with
+        # the per-row product up to the reordering bound of a length-D dot
+        # product of unit vectors; zero rows and prototypes score exactly 0.
+        rng = np.random.default_rng(seed)
+        classes = rng.normal(size=(k, dim))
+        classes[rng.choice(k, size=min(zero_classes, k - 1), replace=False)] = 0.0
+        H = rng.normal(size=(m, dim))
+        H[rng.choice(m, size=min(zero_rows, m), replace=False)] = 0.0
+        model = ClassModel(classes)
+        mat = similarity_matrix(model, H)
+        expected = rowwise_similarity(model, H)
+        assert mat.shape == (m, k)
+        np.testing.assert_allclose(mat, expected, rtol=0,
+                                   atol=dim * np.finfo(float).eps)
+        assert np.all(mat[np.linalg.norm(H, axis=1) == 0.0] == 0.0)
+        assert np.all(mat[:, model.norms == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("k,dim", [(2, 1), (4, 128), (26, 500), (5, 617)])
+    def test_scores_bitwise_equal_single_row_formula(self, k, dim):
+        # Training scores one sample at a time; its arithmetic must stay
+        # exactly ``C @ h / (norms * |h|)`` so trained models do not drift.
+        rng = np.random.default_rng(dim)
+        classes = rng.normal(size=(k, dim))
+        classes[-1] = 0.0
+        m = ClassModel(classes)
+        for h in rng.normal(size=(50, dim)):
+            with np.errstate(invalid="ignore"):
+                expected = m.classes @ h / (m.norms * np.linalg.norm(h))
+            expected[-1] = 0.0
+            assert np.array_equal(similarity_scores(m, h), expected)
+            assert np.array_equal(similarity_scores(m, h),
+                                  rowwise_similarity(m, h[None, :])[0])
+
+    def test_matrix_rejects_wrong_width(self):
+        m = ClassModel(np.ones((3, 8)))
+        with pytest.raises(DimensionError):
+            similarity_matrix(m, np.ones((2, 7)))
+        with pytest.raises(DimensionError):
+            similarity_scores(m, np.ones(7))
 
 
 class TestBundleBind:

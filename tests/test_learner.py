@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hdclass import regen
 from hdclass.core import ClassModel, Encoder
 from hdclass.learner import (
     Outcome,
@@ -14,6 +15,7 @@ from hdclass.learner import (
     top_k,
     train,
     triage,
+    _build_distance_rows,
 )
 from conftest import make_benchmark, eval_accuracy
 
@@ -134,6 +136,55 @@ class TestTriage:
             OutcomeTriage(Outcome.INCORRECT, 0, top1=1)
 
 
+class TestDistanceRows:
+    @staticmethod
+    def per_sample_rows(model, H, y, cfg):
+        """Reference oracle: triage and one row-formula call per sample."""
+        def unit(a):
+            norms = np.linalg.norm(a, axis=1, keepdims=True)
+            return a / np.where(norms == 0.0, 1.0, norms)
+
+        Hn, Cn = unit(H), unit(model.classes)
+        partial, incorrect = [], []
+        for j in range(H.shape[0]):
+            t = triage(model, H[j], int(y[j]))
+            if t.outcome is Outcome.PARTIALLY_CORRECT:
+                partial.append(regen.partial_row(
+                    Hn[j], Cn[t.true_label], Cn[t.top1], cfg.alpha, cfg.beta))
+            elif t.outcome is Outcome.INCORRECT:
+                incorrect.append(regen.incorrect_row(
+                    Hn[j], Cn[t.true_label], Cn[t.top1], Cn[t.top2], cfg.alpha,
+                    cfg.beta, cfg.theta, formula=cfg.n_formula))
+        dim = H.shape[1]
+        return (np.array(partial).reshape(-1, dim),
+                np.array(incorrect).reshape(-1, dim))
+
+    @pytest.mark.parametrize("n_formula", ["prose", "listing"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_vectorized_rows_equal_per_sample_loop(self, seed, n_formula):
+        rng = np.random.default_rng(seed)
+        k, dim, m = 5, 48, 300
+        classes = rng.normal(size=(k, dim))
+        classes[seed % k] = 0.0
+        model = ClassModel(classes)
+        H = rng.normal(size=(m, dim))
+        H[:3] = 0.0
+        y = rng.integers(0, k, size=m)
+        cfg = TrainConfig(dim=dim, n_formula=n_formula)
+        partial, incorrect = _build_distance_rows(model, H, y, cfg)
+        expected_partial, expected_incorrect = self.per_sample_rows(model, H, y, cfg)
+        assert len(partial) and len(incorrect)
+        assert np.array_equal(partial, expected_partial)
+        assert np.array_equal(incorrect, expected_incorrect)
+
+    def test_no_misclassified_samples_give_empty_sides(self):
+        model = ClassModel(np.eye(3))
+        partial, incorrect = _build_distance_rows(
+            model, np.eye(3), np.arange(3), TrainConfig(dim=3))
+        assert partial.shape == incorrect.shape == (0, 3)
+        assert not regen.select_undesired(partial, incorrect, 40.0, 3).dims
+
+
 class TestEffectiveDimensionality:
     def test_paper_arithmetic(self):
         assert effective_dimensionality(500, 20, 35) == 4000
@@ -240,3 +291,10 @@ class TestTrainLoop:
                               "labels": np.zeros(0, dtype=int)})()
         with pytest.raises(ValueError):
             train(TrainConfig(dim=8), bad, va)
+
+    def test_empty_validation_set_is_rejected(self):
+        tr, _, _ = self.small_sets()
+        empty = type("DS", (), {"features": np.zeros((0, 5)),
+                                "labels": np.zeros(0, dtype=int)})()
+        with pytest.raises(ValueError, match="validation set is empty"):
+            train(TrainConfig(dim=8, max_iters=2), tr, empty)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from hdclass import cli, learner, robustness
 from hdclass.core import ClassModel
+from hdclass.data import Dataset
 from hdclass.learner import top_k
 from hdclass.metrics import (
     accuracy,
@@ -63,6 +65,29 @@ class TestTopKAccuracy:
                                 for j in range(m)])
             assert top_k_accuracy(model, H, y, k) == pytest.approx(expected,
                                                                    abs=1e-12)
+
+    @pytest.mark.parametrize("batch_top1", ["eval", "train", "noise"])
+    def test_batch_top1_agrees_on_exact_ties(self, batch_top1):
+        # Classes 0 and 1 point the same way (C1 = 3 * C0), so every sample
+        # has mathematically equal cosine to both; rounding decides the
+        # winner, and every top-1 path must decide it the same way.
+        rng = np.random.default_rng(7)
+        c0 = rng.normal(size=64)
+        model = ClassModel(np.stack([c0, 3.0 * c0, rng.normal(size=64)]))
+        H = rng.normal(size=(2000, 64))
+        y = np.zeros(2000, dtype=int)
+
+        class Identity:
+            @staticmethod
+            def encode_batch(features):
+                return features
+
+        acc = {
+            "eval": lambda: cli._evaluate(Identity(), model, Dataset(H, y), [1])["accuracy"],
+            "train": lambda: learner._accuracy(model, H, y),
+            "noise": lambda: robustness._model_accuracy(model, H, y),
+        }[batch_top1]()
+        assert acc == top_k_accuracy(model, H, y, 1)
 
     def test_full_k_is_one(self):
         rng = np.random.default_rng(0)
