@@ -51,24 +51,17 @@ class NumericalError(Exception):
 # ---------------------------------------------------------------------------
 # config resolution
 
+# Every TrainConfig field is a ``train.<field>`` key and a ``--<field>`` flag;
+# the ``data.*`` keys steer ingest and belong to the CLI.
 TRAIN_DEFAULTS = {
-    "train.dim": 500,
-    "train.eta": 0.05,
-    "train.alpha": 2.0,
-    "train.beta": 1.0,
-    "train.theta": 0.5,
-    "train.regen_rate": 20.0,
-    "train.max_iters": 30,
-    "train.patience": 5,
-    "train.min_delta": 0.001,
-    "train.mode": "dynamic",
-    "train.seed": 0,
-    "train.shuffle": False,
-    "train.n_formula": "prose",
+    **{f"train.{f.name}": f.default for f in dataclasses.fields(TrainConfig)},
     "data.normalize": "zscore",
     "data.fractions": "0.8,0.2,0.0",
     "data.label_column": "-1",
 }
+
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_config_file(path: str) -> dict:
@@ -93,12 +86,18 @@ def write_config_echo(path: str, resolved: dict) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _coerce(value, like):
-    if isinstance(like, bool):
-        if isinstance(value, bool):
-            return value
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
-    return type(like)(value)
+def _coerce(key: str, value):
+    like = TRAIN_DEFAULTS[key]
+    if isinstance(like, bool) and isinstance(value, str):
+        word = value.strip().lower()
+        if word not in BOOL_WORDS:
+            raise ConfigError(
+                f"{key}: expected one of {'/'.join(BOOL_WORDS)}, got {value!r}")
+        return BOOL_WORDS[word]
+    try:
+        return type(like)(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def resolve_train_config(args) -> dict:
@@ -108,41 +107,18 @@ def resolve_train_config(args) -> dict:
         unknown = set(file_values) - set(resolved)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for k, v in file_values.items():
-            resolved[k] = _coerce(v, TRAIN_DEFAULTS[k])
-    flag_map = {
-        "dim": "train.dim", "eta": "train.eta", "alpha": "train.alpha",
-        "beta": "train.beta", "theta": "train.theta",
-        "regen_rate": "train.regen_rate", "max_iters": "train.max_iters",
-        "patience": "train.patience", "min_delta": "train.min_delta",
-        "mode": "train.mode", "seed": "train.seed", "shuffle": "train.shuffle",
-        "n_formula": "train.n_formula", "normalize": "data.normalize",
-        "fractions": "data.fractions", "label_column": "data.label_column",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+        resolved.update(file_values)
+    for key in TRAIN_DEFAULTS:
+        value = getattr(args, key.split(".", 1)[1], None)
         if value is not None:
-            resolved[key] = _coerce(value, TRAIN_DEFAULTS[key])
-    return resolved
+            resolved[key] = value
+    return {key: _coerce(key, value) for key, value in resolved.items()}
 
 
 def train_config_from_resolved(resolved: dict) -> TrainConfig:
     try:
-        return TrainConfig(
-            dim=int(resolved["train.dim"]),
-            eta=float(resolved["train.eta"]),
-            alpha=float(resolved["train.alpha"]),
-            beta=float(resolved["train.beta"]),
-            theta=float(resolved["train.theta"]),
-            regen_rate=float(resolved["train.regen_rate"]),
-            max_iters=int(resolved["train.max_iters"]),
-            patience=int(resolved["train.patience"]),
-            min_delta=float(resolved["train.min_delta"]),
-            mode=str(resolved["train.mode"]),
-            seed=int(resolved["train.seed"]),
-            shuffle=bool(resolved["train.shuffle"]),
-            n_formula=str(resolved["train.n_formula"]),
-        )
+        return TrainConfig(**{f.name: resolved[f"train.{f.name}"]
+                              for f in dataclasses.fields(TrainConfig)})
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -168,7 +144,7 @@ def _load_dataset(path: str, label_column="-1") -> dio.Dataset:
         col = label_column
     try:
         return dio.load_csv(path, label_column=col)
-    except dio.ParseError as exc:
+    except (dio.ParseError, OSError, UnicodeDecodeError) as exc:
         raise DataError(str(exc)) from exc
 
 
@@ -178,6 +154,11 @@ def _normalize(train_ds, other_sets, mode: str):
     spec = dio.fit_normalizer(train_ds, mode)
     return (spec, dio.apply_normalizer(spec, train_ds),
             [dio.apply_normalizer(spec, ds) for ds in other_sets])
+
+
+def _class_grouped(labels: np.ndarray) -> bool:
+    """True when the rows of each class form one contiguous run."""
+    return np.count_nonzero(np.diff(labels)) + 1 == np.unique(labels).size
 
 
 def _check_finite(*arrays) -> None:
@@ -241,6 +222,10 @@ def cmd_train(args) -> int:
         fractions = [float(x) for x in str(resolved["data.fractions"]).split(",")]
         train_ds, valid_ds, _ = dio.split(ds, fractions, stratified=True, seed=cfg.seed)
 
+    if not cfg.shuffle and _class_grouped(train_ds.labels):
+        log.warning("the training rows are grouped by class and train.shuffle is "
+                    "off; the sequential update learns poorly in this order, so "
+                    "consider --shuffle")
     spec, train_ds, (valid_ds,) = _normalize(train_ds, [valid_ds],
                                              resolved["data.normalize"])
     result = train(cfg, train_ds, valid_ds, collect_dumps=args.dump_regen)
@@ -263,21 +248,27 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_checked(path: str):
-    if not os.path.exists(path):
-        raise DataError(f"model not found: {path}")
+def _read_checked(what: str, path: str, reader):
+    """``reader(path)``; an unreadable or malformed file is a DataError."""
     try:
-        return load_model(path)
-    except (ValueError, KeyError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        return reader(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_model_checked(path: str):
+    return _read_checked("model", path, load_model)
+
+
+def _read_norm(path: str) -> dio.NormalizationSpec:
+    with open(path, "r", encoding="utf-8") as fh:
+        return dio.NormalizationSpec.from_dict(json.load(fh))
 
 
 def _load_eval_data(args, encoder):
     ds = _load_dataset(args.data, getattr(args, "label_column", None) or "-1")
     if args.norm:
-        with open(args.norm, "r", encoding="utf-8") as fh:
-            spec = dio.NormalizationSpec.from_dict(json.load(fh))
-        ds = dio.apply_normalizer(spec, ds)
+        ds = dio.apply_normalizer(_read_checked("norm file", args.norm, _read_norm), ds)
     if ds.n_features != encoder.n_features:
         raise DataError(
             f"feature count mismatch: encoder expects {encoder.n_features}, "
@@ -301,9 +292,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(point, cfg_base, train_ds, valid_ds, test_ds):
-    alpha, beta, theta = point
-    cfg = dataclasses.replace(cfg_base, alpha=alpha, beta=beta, theta=theta)
+def _sweep_point(cfg, train_ds, valid_ds, test_ds):
     encoder, model, _ = train(cfg, train_ds, valid_ds)
     encoded = encoder.encode_batch(test_ds.features)
     preds = np.argmax(similarity_matrix(model, encoded), axis=1)
@@ -325,7 +314,7 @@ def _sweep_point(point, cfg_base, train_ds, valid_ds, test_ds):
         aucs.append(curve.auc)
         rocs.append((c, curve))
     return {
-        "alpha": alpha, "beta": beta, "theta": theta,
+        "alpha": cfg.alpha, "beta": cfg.beta, "theta": cfg.theta,
         "accuracy": metrics.accuracy(preds, test_ds.labels),
         "macro_sensitivity": float(np.mean(sens)) if sens else float("nan"),
         "macro_specificity": float(np.mean(spec)) if spec else float("nan"),
@@ -344,11 +333,15 @@ def cmd_sweep_weights(args) -> int:
     grid = [(a, b, t) for a in alphas for b in betas for t in thetas]
     if not grid:
         raise ConfigError("empty weight grid")
-    bad = [i for i, (a, b, t) in enumerate(grid) if t >= b or min(a, b, t) <= 0]
+    configs, bad = [], []
+    for i, (a, b, t) in enumerate(grid):
+        try:
+            configs.append(dataclasses.replace(cfg_base, alpha=a, beta=b, theta=t))
+        except ValueError as exc:
+            bad.append((i, str(exc)))
     if bad:
-        raise ConfigError(
-            f"invalid grid points (need alpha,beta,theta > 0 and theta < beta) "
-            f"at indices {bad}")
+        raise ConfigError(f"invalid grid points at indices {[i for i, _ in bad]}: "
+                          f"{bad[0][1]}")
     resolved["sweep.alphas"] = args.alphas
     resolved["sweep.betas"] = args.betas
     resolved["sweep.thetas"] = args.thetas
@@ -363,7 +356,7 @@ def cmd_sweep_weights(args) -> int:
     _, train_ds, (valid_ds, test_ds) = _normalize(
         train_ds, [valid_ds, test_ds], resolved["data.normalize"])
 
-    results = [_sweep_point(p, cfg_base, train_ds, valid_ds, test_ds) for p in grid]
+    results = [_sweep_point(cfg, train_ds, valid_ds, test_ds) for cfg in configs]
 
     rows = []
     for i, res in enumerate(results):
@@ -459,22 +452,13 @@ def _write_roc_csv(path: str, curve) -> None:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--regen-rate", dest="regen_rate", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--min-delta", dest="min_delta", type=float)
-    p.add_argument("--mode", choices=["dynamic", "static"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--shuffle", action="store_const", const=True, default=None)
-    p.add_argument("--n-formula", dest="n_formula", choices=["prose", "listing"])
-    p.add_argument("--normalize", choices=["zscore", "minmax", "none"])
-    p.add_argument("--fractions")
-    p.add_argument("--label-column", dest="label_column")
+    for key, default in TRAIN_DEFAULTS.items():
+        dest = key.split(".", 1)[1]
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, dest=dest, action="store_const", const=True)
+        else:
+            p.add_argument(flag, dest=dest, type=type(default))
 
 
 def build_parser() -> argparse.ArgumentParser:

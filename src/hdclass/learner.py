@@ -196,11 +196,6 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
     return model
 
 
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.where(norms == 0.0, 1.0, norms)
-
-
 # The benchmark's tracer binds its ``learner.score`` span to this name, so
 # the batch scoring calls of this module go through it.
 _score_matrix = similarity_matrix
@@ -238,8 +233,8 @@ def _build_distance_rows(model: ClassModel, encoded: np.ndarray,
     intersection of the two sides goes empty.
     """
     top1, top2 = ranking(_score_matrix(model, encoded), 2).T
-    Hn = _unit_rows(encoded)
-    Cn = _unit_rows(model.classes)
+    Hn = regen.normalize_rows(encoded)
+    Cn = regen.normalize_rows(model.classes)
     wrong = top1 != labels
     partial = wrong & (top2 == labels)
     incorrect = wrong & ~partial

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DimensionError
+from .core import DimensionError, ranking
 from .serialize import write_csv_atomic
 
 #: Row formulas for the incorrect-sample matrix.  "prose" rewards
@@ -80,7 +80,7 @@ def incorrect_row(h, c_true, c_top1, c_top2, alpha: float, beta: float,
     raise ValueError(f"unknown incorrect-row formula: {formula!r}")
 
 
-def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Per-row L2 normalization; all-zero rows pass through unchanged."""
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
@@ -94,13 +94,7 @@ def aggregate(rows: list[np.ndarray] | np.ndarray, dim: int) -> np.ndarray:
     mat = np.asarray(rows, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] != dim:
         raise DimensionError(f"rows must be m x {dim}, got shape {mat.shape}")
-    return _normalize_rows(mat).sum(axis=0)
-
-
-def top_indices(scores: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` largest entries, ties broken by low index."""
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order[:count]
+    return normalize_rows(mat).sum(axis=0)
 
 
 def select_undesired(partial_rows, incorrect_rows, regen_rate: float,
@@ -117,8 +111,8 @@ def select_undesired(partial_rows, incorrect_rows, regen_rate: float,
         return UndesiredSet(set(), nominal)
     m_agg = aggregate(partial_rows, dim)
     n_agg = aggregate(incorrect_rows, dim)
-    m_top = set(int(i) for i in top_indices(m_agg, nominal))
-    n_top = set(int(i) for i in top_indices(n_agg, nominal))
+    m_top = set(ranking(m_agg, nominal).tolist())
+    n_top = set(ranking(n_agg, nominal).tolist())
     return UndesiredSet(m_top & n_top, nominal)
 
 

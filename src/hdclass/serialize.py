@@ -37,7 +37,7 @@ def model_to_dict(encoder: Encoder, model: ClassModel) -> dict:
         "classes": model.classes.tolist(),
         "seed": encoder.seed,
         "input_scale": encoder.input_scale,
-        "rng_state": _jsonable_rng_state(encoder.rng_state()),
+        "rng_state": encoder.rng_state(),
     }
 
 
@@ -52,7 +52,7 @@ def model_from_dict(doc: dict) -> tuple[Encoder, ClassModel]:
     rng = np.random.default_rng()
     encoder = Encoder(base, phase, rng, seed=doc.get("seed"),
                       input_scale=doc.get("input_scale", 1.0))
-    encoder.set_rng_state(_rng_state_from_jsonable(doc["rng_state"]))
+    encoder.set_rng_state(doc["rng_state"])
     classes = np.asarray(doc["classes"], dtype=np.float64)
     model = ClassModel(classes, doc["labels"])
     return encoder, model
@@ -91,12 +91,3 @@ def write_csv_atomic(path: str, header, rows) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     write_text_atomic(path, buf.getvalue())
-
-
-def _jsonable_rng_state(state: dict) -> dict:
-    # PCG64 state dicts contain only ints/strings/nested dicts already.
-    return json.loads(json.dumps(state))
-
-
-def _rng_state_from_jsonable(state: dict) -> dict:
-    return state

@@ -1,12 +1,18 @@
 """End-to-end tests for the command-line harness."""
 
 import csv
+import dataclasses
 import json
+import logging
 import os
 
 import pytest
 
-from hdclass.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from hdclass.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, main,
+                         resolve_train_config)
+from hdclass.learner import TrainConfig
+
+TRAIN_FIELDS = dataclasses.fields(TrainConfig)
 
 
 def run(*argv):
@@ -79,6 +85,16 @@ class TestTrain:
         assert run("train", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "t4")) == EXIT_DATA
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_data_is_data_error(self, tmp_path, kind):
+        data = tmp_path / "data.csv"
+        if kind == "directory":
+            data.mkdir()
+        else:
+            data.write_bytes(b"a,b,label\n1,2,\xff\n")
+        assert run("train", "--data", str(data),
+                   "--out", str(tmp_path / "t9")) == EXIT_DATA
+
     def test_invalid_theta_is_config_error(self, tmp_path, blobs_csv):
         assert run("train", "--data", blobs_csv, "--theta", "2.0",
                    "--out", str(tmp_path / "t5")) == EXIT_CONFIG
@@ -90,6 +106,33 @@ class TestTrain:
                    "--out", str(tmp_path / "t7")) == EXIT_CONFIG
         assert any("validation set is empty" in r.message for r in caplog.records)
 
+    def test_unrecognised_boolean_is_config_error(self, tmp_path, blobs_csv):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("train.shuffle = ture\n")
+        assert run("train", "--data", blobs_csv, "--config", str(cfg),
+                   "--out", str(tmp_path / "t8")) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("false", False), ("NO", False), ("Off", False)])
+    def test_boolean_spellings(self, tmp_path, word, value):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(f"train.shuffle = {word}\n")
+        args = build_parser().parse_args(["train", "--data", "x", "--config", str(cfg)])
+        assert resolve_train_config(args)["train.shuffle"] is value
+
+    def test_class_grouped_order_warns(self, tmp_path, blobs_csv, caplog):
+        argv = ["train", "--data", blobs_csv, "--dim", "16", "--max-iters", "1",
+                "--fractions", "0.7,0.3,0.0"]
+        with caplog.at_level(logging.WARNING):
+            assert run(*argv, "--out", str(tmp_path / "grouped")) == EXIT_OK
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "--shuffle" in warnings[0].getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert run(*argv, "--shuffle", "--out", str(tmp_path / "mixed")) == EXIT_OK
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
     def test_dump_regen(self, tmp_path, blobs_csv):
         out = tmp_path / "t6"
         assert run("train", "--data", blobs_csv, "--dim", "32",
@@ -97,6 +140,101 @@ class TestTrain:
                    "--fractions", "0.7,0.3,0.0", "--dump-regen",
                    "--out", str(out)) == EXIT_OK
         assert (out / "regen_dump.csv").exists()
+
+
+def _nudged(default):
+    """A valid non-default value of a TrainConfig field (strings keep theirs)."""
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default * 0.9
+    return default
+
+
+class TestTrainOptionsSource:
+    """Every TrainConfig field is a flag, a config key and an echoed line."""
+
+    @pytest.mark.parametrize("field", TRAIN_FIELDS, ids=lambda f: f.name)
+    def test_flag_parses(self, field):
+        value = _nudged(field.default)
+        argv = ["train", "--data", "x", "--" + field.name.replace("_", "-")]
+        if not isinstance(value, bool):
+            argv.append(str(value))
+        args = build_parser().parse_args(argv)
+        assert getattr(args, field.name) == value
+        assert resolve_train_config(args)[f"train.{field.name}"] == value
+
+    @pytest.mark.parametrize("field", TRAIN_FIELDS, ids=lambda f: f.name)
+    def test_config_key_is_echoed(self, tmp_path, field):
+        value = _nudged(field.default)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"train.{field.name} = {value}\n")
+        out = tmp_path / "echo"
+        # The config echo is written before the dataset is read.
+        assert run("train", "--data", str(tmp_path / "absent.csv"),
+                   "--config", str(cfg), "--out", str(out)) == EXIT_DATA
+        lines = (out / "config.txt").read_text().splitlines()
+        assert f"train.{field.name} = {value}" in lines
+
+    def test_default_config_echo_is_golden(self, tmp_path, blobs_csv):
+        out = tmp_path / "defaults"
+        assert run("train", "--data", blobs_csv, "--out", str(out)) == EXIT_OK
+        assert (out / "config.txt").read_text().splitlines() == [
+            "data.fractions = 0.8,0.2,0.0",
+            "data.label_column = -1",
+            "data.normalize = zscore",
+            "train.alpha = 2.0",
+            "train.beta = 1.0",
+            "train.dim = 500",
+            "train.eta = 0.05",
+            "train.max_iters = 30",
+            "train.min_delta = 0.001",
+            "train.mode = dynamic",
+            "train.n_formula = prose",
+            "train.patience = 5",
+            "train.regen_rate = 20.0",
+            "train.seed = 0",
+            "train.shuffle = False",
+            "train.theta = 0.5",
+        ]
+
+
+def _bad_files(tmp_path, trained):
+    """(model path, norm path) pairs, each with one unreadable or malformed file."""
+    model = os.path.join(trained, "model.json")
+    norm = os.path.join(trained, "norm.json")
+    doc = json.load(open(model))
+    doc["rng_state"] = 5
+    bad_rng = tmp_path / "bad_rng.json"
+    bad_rng.write_text(json.dumps(doc))
+    no_shift = tmp_path / "no_shift.json"
+    no_shift.write_text(json.dumps({"mode": "zscore", "scale": [1.0] * 6}))
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("not json\n")
+    return {
+        "missing_norm": (model, str(tmp_path / "missing.json")),
+        "norm_without_shift": (model, str(no_shift)),
+        "norm_not_json": (model, str(not_json)),
+        "model_is_directory": (str(tmp_path), norm),
+        "rng_state_not_dict": (str(bad_rng), norm),
+    }
+
+
+@pytest.mark.parametrize("case", ["missing_norm", "norm_without_shift",
+                                  "norm_not_json", "model_is_directory",
+                                  "rng_state_not_dict"])
+@pytest.mark.parametrize("command", ["eval", "roc", "noise"])
+def test_bad_model_or_norm_file_is_data_error(tmp_path, trained, blobs_csv, caplog,
+                                              command, case):
+    model, norm = _bad_files(tmp_path, trained)[case]
+    extra = ["--class-id", "0"] if command == "roc" else []
+    assert run(command, "--model", model, "--data", blobs_csv, "--norm", norm,
+               *extra, "--out", str(tmp_path / "out")) == EXIT_DATA
+    bad_path = norm if case.startswith(("missing", "norm")) else model
+    assert any(bad_path in r.getMessage() for r in caplog.records
+               if r.levelno == logging.ERROR)
 
 
 class TestEval:

@@ -12,6 +12,7 @@ from hdclass.core import (
     bind,
     bundle,
     cosine_similarity,
+    ranking,
     similarity_matrix,
     similarity_scores,
 )
@@ -248,6 +249,15 @@ class TestSimilarity:
             similarity_matrix(m, np.ones((2, 7)))
         with pytest.raises(DimensionError):
             similarity_scores(m, np.ones(7))
+
+
+class TestRanking:
+    def test_descending_selection(self):
+        assert ranking(np.array([1.0, 9.0, 5.0]), 2).tolist() == [1, 2]
+
+    def test_ties_break_low_index(self):
+        assert ranking(np.array([2.0, 5.0, 5.0, 1.0]), 2).tolist() == [1, 2]
+        assert ranking(np.array([3.0, 3.0, 3.0]), 2).tolist() == [0, 1]
 
 
 class TestBundleBind:

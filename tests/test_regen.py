@@ -10,7 +10,6 @@ from hdclass.regen import (
     incorrect_row,
     partial_row,
     select_undesired,
-    top_indices,
 )
 
 
@@ -72,15 +71,6 @@ class TestAggregate:
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
             aggregate([np.zeros(3)], 4)
-
-
-class TestTopIndices:
-    def test_descending_selection(self):
-        assert top_indices(np.array([1.0, 9.0, 5.0]), 2).tolist() == [1, 2]
-
-    def test_ties_break_low_index(self):
-        assert top_indices(np.array([2.0, 5.0, 5.0, 1.0]), 2).tolist() == [1, 2]
-        assert top_indices(np.array([3.0, 3.0, 3.0]), 2).tolist() == [0, 1]
 
 
 class TestSelectUndesired:
