@@ -23,6 +23,7 @@ from . import data as dio
 from . import metrics, robustness
 from .core import similarity_matrix
 from .learner import TrainConfig, train
+from .regen import write_dump_csv
 from .serialize import (load_model, save_model, write_csv_atomic, write_json_atomic,
                         write_text_atomic)
 
@@ -228,13 +229,9 @@ def cmd_train(args) -> int:
                     "consider --shuffle")
     spec, train_ds, (valid_ds,) = _normalize(train_ds, [valid_ds],
                                              resolved["data.normalize"])
-    result = train(cfg, train_ds, valid_ds, collect_dumps=args.dump_regen)
+    encoder, model, report = train(cfg, train_ds, valid_ds)
     if args.dump_regen:
-        encoder, model, report, dumps = result
-        from .regen import write_dump_csv
-        write_dump_csv(os.path.join(out, "regen_dump.csv"), dumps)
-    else:
-        encoder, model, report = result
+        write_dump_csv(os.path.join(out, "regen_dump.csv"), report.rows)
     _check_finite(model.classes, encoder.base, encoder.phase)
 
     save_model(os.path.join(out, "model.json"), encoder, model)
@@ -373,18 +370,15 @@ def cmd_sweep_weights(args) -> int:
 
 def cmd_noise(args) -> int:
     out = _out_dir(args, "noise")
-    models_by_dim = {}
     loaded = {}
     for path in args.model:
         encoder, model = _load_model_checked(path)
+        if model.dim in loaded:
+            raise ConfigError(f"{path}: another --model already has dim {model.dim}")
         loaded[model.dim] = (encoder, model)
-    if not loaded:
-        raise ConfigError("at least one --model is required")
-    first_encoder = next(iter(loaded.values()))[0]
-    ds = _load_eval_data(args, first_encoder)
-    for dim, (encoder, model) in loaded.items():
-        encoded = encoder.encode_batch(ds.features)
-        models_by_dim[dim] = (model, encoded, ds.labels)
+    ds = _load_eval_data(args, next(iter(loaded.values()))[0])
+    models_by_dim = {dim: (model, encoder.encode_batch(ds.features), ds.labels)
+                     for dim, (encoder, model) in loaded.items()}
     bits_list = [int(b) for b in args.bits.split(",")]
     rates = [float(r) for r in args.rates.split(",")]
     write_config_echo(os.path.join(out, "config.txt"), {

@@ -85,19 +85,15 @@ class Encoder:
 
     def encode(self, features) -> np.ndarray:
         """Encode one feature vector into a length-D hypervector."""
-        f = _as_float_vector(features, "features")
-        if f.shape[0] != self.n_features:
-            raise DimensionError(
-                f"expected {self.n_features} features, got {f.shape[0]}")
-        proj = self.base @ (self.input_scale * f)
-        return np.cos(proj + self.phase) * np.sin(proj)
+        return self.encode_batch(_as_float_vector(features, "features")[None, :])[0]
 
     def encode_batch(self, batch) -> np.ndarray:
         """Encode m feature vectors into an m x D matrix.
 
-        Row j is exactly ``encode(batch[j])``: the projection runs through
-        the same matrix-vector kernel per row, so results are bit-identical
-        to the single-sample path regardless of batch size.
+        The projection runs one matrix-vector product per row, so row j
+        does not depend on the batch it came in and ``encode`` (a batch of
+        one) is bit-identical to it; the nonlinearity is then applied to
+        the whole projection in place.
         """
         X = np.asarray(batch, dtype=np.float64)
         if X.ndim != 2:
@@ -105,11 +101,14 @@ class Encoder:
         if X.shape[1] != self.n_features:
             raise DimensionError(
                 f"expected {self.n_features} features, got {X.shape[1]}")
-        out = np.empty((X.shape[0], self.dim))
+        proj = np.empty((X.shape[0], self.dim))
         for j in range(X.shape[0]):
-            proj = self.base @ (self.input_scale * X[j])
-            out[j] = np.cos(proj + self.phase) * np.sin(proj)
-        return out
+            proj[j] = self.base @ (self.input_scale * X[j])
+        sin = np.sin(proj)
+        proj += self.phase
+        np.cos(proj, out=proj)
+        proj *= sin
+        return proj
 
     def regenerate(self, dims) -> None:
         """Redraw the base rows and phases of the given dimensions.

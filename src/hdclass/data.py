@@ -55,50 +55,38 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
     ``label_column`` may be a column name (requires a header) or an index;
     negative indices count from the right.  Label strings map to dense ids
     by sorted order, so the mapping is stable across runs and row orders.
+    Errors name the physical line, counting newlines inside quoted fields.
     """
-    rows = []
     header = None
+    width = label_idx = None
+    feature_rows, raw_labels = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if has_header and header is None:
-                header = row
-                continue
-            rows.append((lineno, row))
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-
-    width = len(rows[0][1])
-    if isinstance(label_column, str):
-        if header is None:
-            raise ParseError(f"{path}: label column {label_column!r} needs a header")
         try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ParseError(f"{path}: unknown label column {label_column!r}") from None
-    else:
-        label_idx = int(label_column)
-        if label_idx < 0:
-            label_idx += width
-        if not 0 <= label_idx < width:
-            raise ParseError(f"{path}: label column index {label_column} out of range")
-
-    features = np.empty((len(rows), width - 1))
-    raw_labels = []
-    for r, (lineno, row) in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {width} columns, found {len(row)}")
-        raw_labels.append(row[label_idx].strip())
-        cells = row[:label_idx] + row[label_idx + 1:]
-        for c, cell in enumerate(cells):
-            try:
-                features[r, c] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}: non-numeric feature value {cell!r}") from None
+            for row in reader:
+                if not row:
+                    continue
+                if has_header and header is None:
+                    header = row
+                    continue
+                if width is None:
+                    width = len(row)
+                    label_idx = _label_index(path, label_column, header, width)
+                elif len(row) != width:
+                    raise ParseError(f"{path}: line {reader.line_num}: expected "
+                                     f"{width} columns, found {len(row)}")
+                raw_labels.append(row.pop(label_idx).strip())
+                try:  # numpy parses a cell exactly as float() does
+                    feature_rows.append(np.array(row, dtype=np.float64))
+                except ValueError:
+                    bad = next(cell for cell in row if _as_float(cell) is None)
+                    raise ParseError(f"{path}: line {reader.line_num}: non-numeric "
+                                     f"feature value {bad!r}") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    if width is None:
+        raise ParseError(f"{path}: no data rows")
+    features = np.stack(feature_rows)
 
     names = sorted(set(raw_labels), key=_label_sort_key)
     mapping = {name: i for i, name in enumerate(names)}
@@ -107,11 +95,32 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
     return Dataset(features, labels, names, meta)
 
 
-def _label_sort_key(label: str):
+def _label_index(path: str, label_column, header, width: int) -> int:
+    if isinstance(label_column, str):
+        if header is None:
+            raise ParseError(f"{path}: label column {label_column!r} needs a header")
+        try:
+            return header.index(label_column)
+        except ValueError:
+            raise ParseError(f"{path}: unknown label column {label_column!r}") from None
+    label_idx = int(label_column)
+    if label_idx < 0:
+        label_idx += width
+    if not 0 <= label_idx < width:
+        raise ParseError(f"{path}: label column index {label_column} out of range")
+    return label_idx
+
+
+def _as_float(text: str) -> float | None:
     try:
-        return (0, float(label), label)
+        return float(text)
     except ValueError:
-        return (1, 0.0, label)
+        return None
+
+
+def _label_sort_key(label: str):
+    value = _as_float(label)
+    return (1, 0.0, label) if value is None else (0, value, label)
 
 
 def save_csv(path: str, ds: Dataset, delimiter: str = ",") -> None:

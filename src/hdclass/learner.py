@@ -1,6 +1,7 @@
 """Adaptive prototype training with learner-aware dimension regeneration.
 
-One training iteration encodes the training set, runs a single adaptive
+The training and validation sets are encoded once and re-encoded only
+when the encoder changes.  One training iteration runs a single adaptive
 pass (misclassified samples pull their true prototype closer and push the
 winning wrong prototype away, each scaled by how novel the sample looks),
 then, in dynamic mode, triages every sample by where its true label landed
@@ -102,6 +103,8 @@ class IterationRecord:
     valid_accuracy: float
     regenerated: int
     effective_dim: int
+    # The iteration's selection; None in static mode and on the final one.
+    selection: regen.UndesiredSet | None = None
 
 
 @dataclass
@@ -247,16 +250,16 @@ def _build_distance_rows(model: ClassModel, encoded: np.ndarray,
     return partial_rows, incorrect_rows
 
 
-def train(config: TrainConfig, train_set, valid_set,
-          collect_dumps: bool = False):
-    """Full training loop; returns ``(encoder, model, report[, dumps])``.
+def train(config: TrainConfig, train_set, valid_set):
+    """Full training loop; returns ``(encoder, model, report)``.
 
     ``train_set`` and ``valid_set`` expose ``features`` (m x n) and
     ``labels`` (length m, dense 0-based).  Convergence: validation accuracy
     failing to improve by at least ``min_delta`` for ``patience``
     consecutive iterations.  The final iteration (whether by convergence or
     by hitting ``max_iters``) does not regenerate, so the returned model
-    never carries freshly zeroed, untrained dimensions.
+    never carries freshly zeroed, untrained dimensions.  Both sets are
+    encoded up front and again, in full, after each regeneration.
 
     The returned ``(encoder, model)`` pair is the snapshot with the highest
     validation accuracy seen over the whole run (earliest iteration on
@@ -292,7 +295,6 @@ def train(config: TrainConfig, train_set, valid_set,
 
     model = ClassModel.zeros(k, config.dim)
     report = TrainReport()
-    dumps: list[regen.RegenDump] = []
     effective = config.dim
     best_valid = -np.inf
     stale = 0
@@ -302,15 +304,15 @@ def train(config: TrainConfig, train_set, valid_set,
     snapshot_acc = -np.inf
     snapshot = None
 
+    encoded = encoder.encode_batch(X_train)
+    valid_encoded = encoder.encode_batch(X_valid)
     for it in range(1, config.max_iters + 1):
-        encoded = encoder.encode_batch(X_train)
         order = np.arange(X_train.shape[0])
         if config.shuffle:
             shuffle_rng.shuffle(order)
         adaptive_fit_epoch(model, encoded[order], y_train[order], config.eta)
 
         train_acc = _accuracy(model, encoded, y_train)
-        valid_encoded = encoder.encode_batch(X_valid)
         valid_acc = _accuracy(model, valid_encoded, y_valid)
 
         if valid_acc > snapshot_acc:
@@ -325,20 +327,17 @@ def train(config: TrainConfig, train_set, valid_set,
         stopping = stale >= config.patience or it == config.max_iters
 
         regenerated = 0
+        undesired = None
         if config.mode == DYNAMIC and not stopping:
             partial_rows, incorrect_rows = _build_distance_rows(
                 model, encoded, y_train, config)
             undesired = regen.select_undesired(
                 partial_rows, incorrect_rows, config.regen_rate, config.dim)
-            if collect_dumps:
-                dumps.append(regen.RegenDump(
-                    it,
-                    regen.aggregate(partial_rows, config.dim),
-                    regen.aggregate(incorrect_rows, config.dim),
-                    sorted(undesired.dims)))
             if undesired.dims:
                 idx = sorted(undesired.dims)
                 encoder.regenerate(idx)
+                encoded = encoder.encode_batch(X_train)
+                valid_encoded = encoder.encode_batch(X_valid)
                 # Prototype entries at regenerated dimensions were learned
                 # under the old base vectors; reset them.
                 model.classes[:, idx] = 0.0
@@ -347,14 +346,11 @@ def train(config: TrainConfig, train_set, valid_set,
                 effective += regenerated
 
         report.rows.append(IterationRecord(
-            it, train_acc, valid_acc, regenerated, effective))
+            it, train_acc, valid_acc, regenerated, effective, undesired))
         if stopping:
             report.iterations = it
             report.converged = stale >= config.patience
             break
 
     model, encoder.base, encoder.phase = snapshot
-
-    if collect_dumps:
-        return encoder, model, report, dumps
     return encoder, model, report

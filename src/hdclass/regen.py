@@ -10,7 +10,7 @@ regenerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,13 @@ N_FORMULAS = ("prose", "listing")
 
 @dataclass
 class UndesiredSet:
-    """Dimensions chosen for regeneration plus the per-side candidate cap."""
+    """Dimensions chosen for regeneration, the per-side candidate cap and
+    the two column-wise aggregates the choice was made from."""
 
     dims: set[int]
     nominal_count: int
+    m_aggregate: np.ndarray | None = None
+    n_aggregate: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.dims) > self.nominal_count:
@@ -102,36 +105,30 @@ def select_undesired(partial_rows, incorrect_rows, regen_rate: float,
     """Intersect the per-side top-R% dimension sets.
 
     Either side being empty (no samples of that category this iteration)
-    yields an empty selection, so that iteration regenerates nothing.
+    yields an empty selection, so that iteration regenerates nothing.  The
+    aggregates are kept in the result either way; an empty side's is zeros.
     """
     if not 0 < regen_rate <= 100:
         raise ValueError(f"regeneration rate must be in (0, 100], got {regen_rate}")
     nominal = int(np.floor(regen_rate / 100.0 * dim))
-    if len(partial_rows) == 0 or len(incorrect_rows) == 0 or nominal == 0:
-        return UndesiredSet(set(), nominal)
     m_agg = aggregate(partial_rows, dim)
     n_agg = aggregate(incorrect_rows, dim)
+    if len(partial_rows) == 0 or len(incorrect_rows) == 0 or nominal == 0:
+        return UndesiredSet(set(), nominal, m_agg, n_agg)
     m_top = set(ranking(m_agg, nominal).tolist())
     n_top = set(ranking(n_agg, nominal).tolist())
-    return UndesiredSet(m_top & n_top, nominal)
+    return UndesiredSet(m_top & n_top, nominal, m_agg, n_agg)
 
 
-@dataclass
-class RegenDump:
-    """Optional per-iteration debug record of the aggregates and selection."""
-
-    iteration: int
-    m_aggregate: np.ndarray
-    n_aggregate: np.ndarray
-    selected: list[int] = field(default_factory=list)
-
-
-def write_dump_csv(path: str, dumps: list[RegenDump]) -> None:
+def write_dump_csv(path: str, records) -> None:
+    """One row per dimension of each iteration record with a ``selection``."""
     rows = []
-    for d in dumps:
-        chosen = set(d.selected)
-        rows.extend([d.iteration, j, repr(float(d.m_aggregate[j])),
-                     repr(float(d.n_aggregate[j])), int(j in chosen)]
-                    for j in range(d.m_aggregate.shape[0]))
+    for r in records:
+        sel = r.selection
+        if sel is None:
+            continue
+        rows.extend([r.iteration, j, repr(float(sel.m_aggregate[j])),
+                     repr(float(sel.n_aggregate[j])), int(j in sel.dims)]
+                    for j in range(sel.m_aggregate.shape[0]))
     write_csv_atomic(path, ["iteration", "dimension", "m_aggregate", "n_aggregate",
                             "selected"], rows)

@@ -47,13 +47,17 @@ def model_from_dict(doc: dict) -> tuple[Encoder, ClassModel]:
         raise ValueError(f"unsupported container version: {version!r}")
     base = np.asarray(doc["base"], dtype=np.float64)
     phase = np.asarray(doc["phase"], dtype=np.float64)
+    classes = np.asarray(doc["classes"], dtype=np.float64)
     if base.shape != (doc["dim"], doc["n_features"]):
         raise ValueError("base matrix shape does not match declared n/D")
+    if classes.shape != (doc["n_classes"], doc["dim"]):
+        raise ValueError("classes matrix shape does not match declared k/D")
+    if not all(np.all(np.isfinite(a)) for a in (base, phase, classes)):
+        raise ValueError("non-finite values in base, phase or classes")
     rng = np.random.default_rng()
     encoder = Encoder(base, phase, rng, seed=doc.get("seed"),
                       input_scale=doc.get("input_scale", 1.0))
     encoder.set_rng_state(doc["rng_state"])
-    classes = np.asarray(doc["classes"], dtype=np.float64)
     model = ClassModel(classes, doc["labels"])
     return encoder, model
 

@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
+import shutil
 
 import pytest
 
@@ -81,6 +83,14 @@ class TestTrain:
         assert run("train", "--data", blobs_csv, "--config", str(cfg),
                    "--out", str(tmp_path / "t3")) == EXIT_CONFIG
 
+    def test_unclosed_quote_is_data_error(self, tmp_path, caplog):
+        data = tmp_path / "quote.csv"
+        data.write_text('a,b,label\n1,"2,x\n' + "3,4,y\n" * 30000)
+        assert run("train", "--data", str(data),
+                   "--out", str(tmp_path / "t10")) == EXIT_DATA
+        assert any(str(data) in r.getMessage() for r in caplog.records
+                   if r.levelno == logging.ERROR)
+
     def test_missing_data_is_data_error(self, tmp_path):
         assert run("train", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "t4")) == EXIT_DATA
@@ -140,6 +150,12 @@ class TestTrain:
                    "--fractions", "0.7,0.3,0.0", "--dump-regen",
                    "--out", str(out)) == EXIT_OK
         assert (out / "regen_dump.csv").exists()
+        selected = {}
+        for row in csv.DictReader(open(out / "regen_dump.csv")):
+            it = int(row["iteration"])
+            selected[it] = selected.get(it, 0) + int(row["selected"])
+        report = [json.loads(line) for line in open(out / "report.jsonl")]
+        assert selected == {r["iteration"]: r["regenerated"] for r in report[:-1]}
 
 
 def _nudged(default):
@@ -213,18 +229,29 @@ def _bad_files(tmp_path, trained):
     no_shift.write_text(json.dumps({"mode": "zscore", "scale": [1.0] * 6}))
     not_json = tmp_path / "not_json.json"
     not_json.write_text("not json\n")
+    good = json.load(open(model))
+    classes, base = good["classes"], good["base"]
+    bad_models = {
+        "classes_narrower_than_dim": dict(good, classes=[c[:-1] for c in classes]),
+        "nan_prototype": dict(good, classes=[[math.nan] + c[1:] for c in classes]),
+        "inf_base_row": dict(good, base=[[math.inf] * len(base[0])] + base[1:]),
+    }
+    for case, bad in bad_models.items():
+        (tmp_path / f"{case}.json").write_text(json.dumps(bad))
     return {
         "missing_norm": (model, str(tmp_path / "missing.json")),
         "norm_without_shift": (model, str(no_shift)),
         "norm_not_json": (model, str(not_json)),
         "model_is_directory": (str(tmp_path), norm),
         "rng_state_not_dict": (str(bad_rng), norm),
+        **{case: (str(tmp_path / f"{case}.json"), norm) for case in bad_models},
     }
 
 
 @pytest.mark.parametrize("case", ["missing_norm", "norm_without_shift",
                                   "norm_not_json", "model_is_directory",
-                                  "rng_state_not_dict"])
+                                  "rng_state_not_dict", "classes_narrower_than_dim",
+                                  "nan_prototype", "inf_base_row"])
 @pytest.mark.parametrize("command", ["eval", "roc", "noise"])
 def test_bad_model_or_norm_file_is_data_error(tmp_path, trained, blobs_csv, caplog,
                                               command, case):
@@ -293,6 +320,17 @@ class TestNoise:
         assert len(rows) == 1 + 4  # 2 bits x 2 rates
         summary = json.load(open(out / "summary.json"))
         assert set(summary) == {"precision_ordering", "dimensionality_ordering"}
+
+    def test_two_models_of_one_dim_are_config_error(self, tmp_path, trained,
+                                                    blobs_csv, caplog):
+        first = os.path.join(trained, "model.json")
+        second = str(tmp_path / "copy.json")
+        shutil.copy(first, second)
+        assert run("noise", "--model", first, "--model", second,
+                   "--data", blobs_csv, "--out", str(tmp_path / "n3")) == EXIT_CONFIG
+        assert any(second in r.getMessage() for r in caplog.records
+                   if r.levelno == logging.ERROR)
+        assert not (tmp_path / "n3" / "noise.csv").exists()
 
     def test_missing_model(self, tmp_path, blobs_csv):
         assert run("noise", "--model", str(tmp_path / "no.json"),

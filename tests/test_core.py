@@ -101,6 +101,15 @@ class TestEncode:
         for j in range(X.shape[0]):
             assert np.array_equal(batch[j], enc.encode(X[j]))
 
+    def test_batch_matches_per_row_formula(self):
+        # The per-row loop the batch kernel replaced, kept as the oracle.
+        enc = Encoder.create(9, 64, seed=4)
+        enc.input_scale = 1.0 / 3.0
+        X = np.random.default_rng(2).normal(size=(23, 9))
+        for j, row in enumerate(enc.encode_batch(X)):
+            proj = enc.base @ (enc.input_scale * X[j])
+            assert np.array_equal(row, np.cos(proj + enc.phase) * np.sin(proj))
+
     def test_dimension_errors(self):
         enc = Encoder.create(4, 8, seed=0)
         with pytest.raises(DimensionError):

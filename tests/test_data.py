@@ -1,7 +1,11 @@
 """Unit tests for CSV IO, normalization, splitting, and synthetic blobs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hdclass.data import (
     Dataset,
@@ -56,6 +60,11 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="line 2.*oops"):
             load_csv(path)
 
+    def test_line_numbers_count_quoted_newlines(self, tmp_path):
+        path = self.write(tmp_path, 'a,b,label\n1,2,"x\ny"\n3,4,z\n5,oops,z\n')
+        with pytest.raises(ParseError, match="line 5.*oops"):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, "a,b,label\n")
         with pytest.raises(ParseError, match="no data rows"):
@@ -65,6 +74,45 @@ class TestLoadCsv:
         path = self.write(tmp_path, "a,b,label\n1,2,x\n")
         with pytest.raises(ParseError):
             load_csv(path, label_column="missing")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(
+        st.floats().map(repr), st.floats(width=32).map("{:.6e}".format),
+        st.integers(-10**20, 10**20).map(str),
+        st.from_regex(r" ?[+-]?[0-9_]{0,4}\.?[0-9]{0,3}(e[+-]?[0-9]{1,3})? ?",
+                      fullmatch=True)), min_size=1, max_size=6))
+    @example([" 1.5", "1_000", "nan", "1e400", "-inf", "1e-400", "+2 "])
+    def test_row_parse_matches_float_per_cell(self, tmp_path, cells):
+        path = self.write(tmp_path, ",".join(f"f{i}" for i in range(len(cells)))
+                          + ",label\n" + ",".join(cells) + ",x\n")
+        try:
+            expected = np.array([float(c) for c in cells])
+        except ValueError:
+            with pytest.raises(ParseError, match="line 2: non-numeric"):
+                load_csv(path)
+            return
+        assert load_csv(path).features[0].tobytes() == expected.tobytes()
+
+    def test_unclosed_quote_is_parse_error(self, tmp_path):
+        # The quoted field runs on past the csv module's field size limit.
+        path = self.write(tmp_path, 'a,b,label\n1,"2,x\n' + "3,4,y\n" * 30000)
+        with pytest.raises(ParseError) as exc:
+            load_csv(path)
+        assert path in str(exc.value)
+
+    def test_peak_memory_is_bounded_by_the_features(self, tmp_path):
+        ds = synth_blobs(200, 2, 1000, 2.0, seed=0)
+        path = str(tmp_path / "wide.csv")
+        save_csv(path, ds)
+        tracemalloc.start()
+        try:
+            back = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.features, ds.features)
+        assert peak <= 3 * ds.features.nbytes
 
     def test_roundtrip_via_save(self, tmp_path):
         ds = synth_blobs(3, 2, 5, 2.0, seed=1)

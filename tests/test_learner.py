@@ -266,9 +266,42 @@ class TestTrainLoop:
                                    separation=1.0)
         cfg = TrainConfig(dim=64, mode="dynamic", max_iters=4, patience=4,
                           min_delta=0.0, regen_rate=40.0)
-        _, _, report, dumps = train(cfg, tr, va, collect_dumps=True)
+        _, _, report = train(cfg, tr, va)
+        dumps = [r.selection for r in report.rows if r.selection is not None]
         assert len(dumps) == len(report.rows) - 1  # final iteration skipped
         assert all(d.m_aggregate.shape == (64,) for d in dumps)
+
+    def test_selection_matches_regenerated(self):
+        tr, va, _ = make_benchmark(0, n_features=5, k_classes=3, per_class=120,
+                                   separation=1.0)
+        cfg = TrainConfig(dim=64, mode="dynamic", max_iters=5, patience=5,
+                          min_delta=0.0, regen_rate=40.0)
+        _, _, report = train(cfg, tr, va)
+        for r in report.rows[:-1]:
+            assert len(r.selection.dims) == r.regenerated
+            assert r.selection.n_aggregate.shape == (64,)
+        assert report.rows[-1].selection is None
+        assert "selection" not in report.to_jsonl()
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    def test_encodes_only_when_the_encoder_changes(self, monkeypatch, mode):
+        calls = []
+        encode_batch = Encoder.encode_batch
+
+        def counting(self, batch):
+            calls.append(len(batch))
+            return encode_batch(self, batch)
+
+        monkeypatch.setattr(Encoder, "encode_batch", counting)
+        tr, va, _ = make_benchmark(0, n_features=5, k_classes=3, per_class=120,
+                                   separation=1.0)
+        cfg = TrainConfig(dim=64, mode=mode, max_iters=6, patience=6,
+                          min_delta=0.0, regen_rate=40.0)
+        _, _, report = train(cfg, tr, va)
+        redraws = sum(r.regenerated > 0 for r in report.rows)
+        assert (redraws > 0) == (mode == "dynamic")
+        assert len(calls) == 2 + 2 * redraws
+        assert calls[:2] == [tr.n_samples, va.n_samples]
 
     def test_convergence_stops_early(self):
         tr, va, _ = self.small_sets()
