@@ -240,8 +240,9 @@ def cmd_train(args) -> int:
                       {"names": train_ds.names})
     if spec is not None:
         write_json_atomic(os.path.join(out, "norm.json"), spec.to_dict())
-    log.info("trained %s iterations (converged=%s)", report.iterations,
-             report.converged)
+    log.info("trained %s iterations (converged=%s); returned the snapshot of "
+             "iteration %s", report.iterations, report.converged,
+             report.snapshot_iteration)
     return EXIT_OK
 
 
@@ -262,14 +263,15 @@ def _read_norm(path: str) -> dio.NormalizationSpec:
         return dio.NormalizationSpec.from_dict(json.load(fh))
 
 
-def _load_eval_data(args, encoder):
+def _load_eval_data(args, *encoders):
     ds = _load_dataset(args.data, getattr(args, "label_column", None) or "-1")
     if args.norm:
         ds = dio.apply_normalizer(_read_checked("norm file", args.norm, _read_norm), ds)
-    if ds.n_features != encoder.n_features:
-        raise DataError(
-            f"feature count mismatch: encoder expects {encoder.n_features}, "
-            f"dataset has {ds.n_features}")
+    for encoder in encoders:
+        if ds.n_features != encoder.n_features:
+            raise DataError(
+                f"feature count mismatch: encoder expects {encoder.n_features}, "
+                f"dataset has {ds.n_features}")
     return ds
 
 
@@ -376,7 +378,7 @@ def cmd_noise(args) -> int:
         if model.dim in loaded:
             raise ConfigError(f"{path}: another --model already has dim {model.dim}")
         loaded[model.dim] = (encoder, model)
-    ds = _load_eval_data(args, next(iter(loaded.values()))[0])
+    ds = _load_eval_data(args, *(encoder for encoder, _ in loaded.values()))
     models_by_dim = {dim: (model, encoder.encode_batch(ds.features), ds.labels)
                      for dim, (encoder, model) in loaded.items()}
     bits_list = [int(b) for b in args.bits.split(",")]

@@ -95,20 +95,35 @@ class Encoder:
         one) is bit-identical to it; the nonlinearity is then applied to
         the whole projection in place.
         """
+        X = self._check_batch(batch)
+        proj = np.empty((X.shape[0], self.dim))
+        for j in range(X.shape[0]):
+            proj[j] = self.base @ (self.input_scale * X[j])
+        return _cos_sin(proj, self.phase)
+
+    def encode_columns(self, batch, dims) -> np.ndarray:
+        """Columns ``dims`` of the encoding of m feature vectors (m x len(dims)).
+
+        The projection is one matrix product, so a column equals the same
+        column of :meth:`encode_batch` within rounding, not bitwise: the two
+        kernels sum the n products in different orders (measured up to
+        2.7e-15 at n=6 and 2.7e-14 at n=617).  Training uses it to refresh
+        only the columns a regeneration redrew; every other cached column
+        stays bitwise the fresh ``encode_batch`` value.
+        """
+        X = self._check_batch(batch)
+        idx = np.asarray(dims, dtype=np.intp)
+        proj = (self.input_scale * X) @ self.base[idx].T
+        return _cos_sin(proj, self.phase[idx])
+
+    def _check_batch(self, batch) -> np.ndarray:
         X = np.asarray(batch, dtype=np.float64)
         if X.ndim != 2:
             raise DimensionError(f"batch must be 2-D, got shape {X.shape}")
         if X.shape[1] != self.n_features:
             raise DimensionError(
                 f"expected {self.n_features} features, got {X.shape[1]}")
-        proj = np.empty((X.shape[0], self.dim))
-        for j in range(X.shape[0]):
-            proj[j] = self.base @ (self.input_scale * X[j])
-        sin = np.sin(proj)
-        proj += self.phase
-        np.cos(proj, out=proj)
-        proj *= sin
-        return proj
+        return X
 
     def regenerate(self, dims) -> None:
         """Redraw the base rows and phases of the given dimensions.
@@ -131,6 +146,15 @@ class Encoder:
 
     def set_rng_state(self, state: dict) -> None:
         self._rng.bit_generator.state = state
+
+
+def _cos_sin(proj: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """``cos(proj + phase) * sin(proj)``, computed in place in ``proj``."""
+    sin = np.sin(proj)
+    proj += phase
+    np.cos(proj, out=proj)
+    proj *= sin
+    return proj
 
 
 class ClassModel:

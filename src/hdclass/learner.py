@@ -1,13 +1,13 @@
 """Adaptive prototype training with learner-aware dimension regeneration.
 
-The training and validation sets are encoded once and re-encoded only
-when the encoder changes.  One training iteration runs a single adaptive
-pass (misclassified samples pull their true prototype closer and push the
-winning wrong prototype away, each scaled by how novel the sample looks),
-then, in dynamic mode, triages every sample by where its true label landed
-in the top-2 ranking, selects misleading encoding dimensions and redraws
-them.  Static mode skips the regeneration step entirely and matches the
-behaviour of conventional fixed-encoder training.
+The training and validation sets are encoded once, and a regeneration
+re-encodes only the columns it redrew.  One training iteration runs a
+single adaptive pass (misclassified samples pull their true prototype
+closer and push the winning wrong prototype away, each scaled by how novel
+the sample looks), then, in dynamic mode, triages every sample by where
+its true label landed in the top-2 ranking, selects misleading encoding
+dimensions and redraws them.  Static mode skips the regeneration step
+entirely and matches the behaviour of conventional fixed-encoder training.
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ class TrainReport:
     rows: list[IterationRecord] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    # The iteration whose snapshot train() returned; not in to_jsonl().
+    snapshot_iteration: int = 0
 
     def to_jsonl(self) -> str:
         lines = []
@@ -168,6 +170,15 @@ def triage(model: ClassModel, h, true_label: int) -> OutcomeTriage:
     return OutcomeTriage(Outcome.INCORRECT, true_label, top1=first, top2=second)
 
 
+# Rows scored per matrix product in the adaptive epoch, and the margin that
+# makes a batch verdict certain.  A gemm cosine and the one-row gemv cosine
+# each lie within D * eps / 2 of the exact value, so they differ by at most
+# D * eps (under 5e-10 for D up to 2e6): a true class that beats every
+# other by the margin in the batch wins under the one-row kernel too.
+_LAZY_BLOCK = 16
+_LAZY_MARGIN = 1e-9
+
+
 def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassModel:
     """One sequential pass of the adaptive update over the given samples.
 
@@ -179,6 +190,13 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
     Correctly predicted samples leave the model untouched.  The pass is
     order-dependent by design; norm caches are refreshed for the two
     touched prototypes after every update.
+
+    Samples are scored a block at a time with one matrix product.  A
+    sample whose true class still wins after ``_LAZY_MARGIN`` is taken off
+    its score is correct under the one-row kernel too, and is skipped.
+    Every other sample is scored on its own, in order, and after an update
+    the next block starts at the following sample, so the result is
+    bitwise that of scoring each sample on its own.
     """
     H = _check_encoded(model, encoded)
     y = _check_labels(model, labels)
@@ -186,16 +204,25 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
         raise ValueError(f"{H.shape[0]} samples but {y.shape[0]} labels")
     if eta <= 0:
         raise ValueError(f"learning rate must be positive, got {eta}")
-    for j in range(H.shape[0]):
-        h = H[j]
-        scores = similarity_matrix(model, H[j:j + 1])[0]
-        pred = int(np.argmax(scores))
-        true = int(y[j])
-        if pred == true:
-            continue
-        model.classes[pred] -= eta * (1.0 - scores[pred]) * h
-        model.classes[true] += eta * (1.0 - scores[true]) * h
-        model.refresh_norms((pred, true))
+    start = 0
+    while start < H.shape[0]:
+        stop = min(start + _LAZY_BLOCK, H.shape[0])
+        block = y[start:stop]
+        scores = similarity_matrix(model, H[start:stop])
+        scores[np.arange(block.size), block] -= _LAZY_MARGIN
+        unsure = start + np.flatnonzero(np.argmax(scores, axis=1) != block)
+        start = stop
+        for j in unsure:
+            h = H[j]
+            scores = similarity_matrix(model, H[j:j + 1])[0]
+            pred = int(np.argmax(scores))
+            true = int(y[j])
+            if pred != true:
+                model.classes[pred] -= eta * (1.0 - scores[pred]) * h
+                model.classes[true] += eta * (1.0 - scores[true]) * h
+                model.refresh_norms((pred, true))
+                start = j + 1
+                break
     return model
 
 
@@ -258,13 +285,19 @@ def train(config: TrainConfig, train_set, valid_set):
     failing to improve by at least ``min_delta`` for ``patience``
     consecutive iterations.  The final iteration (whether by convergence or
     by hitting ``max_iters``) does not regenerate, so the returned model
-    never carries freshly zeroed, untrained dimensions.  Both sets are
-    encoded up front and again, in full, after each regeneration.
+    never carries freshly zeroed, untrained dimensions.
+
+    Both sets are encoded once up front; after a regeneration only the
+    redrawn columns are encoded again (``Encoder.encode_columns``).  So a
+    column never regenerated, and every column in static mode, stays
+    bitwise equal to a fresh ``encode_batch``, and a regenerated column
+    equals it within rounding (the gemm and the per-row gemv kernels).
 
     The returned ``(encoder, model)`` pair is the snapshot with the highest
     validation accuracy seen over the whole run (earliest iteration on
     ties), not necessarily the final state: regeneration zeroes prototype
-    columns, so the last iterations may sit in a transient dip.  The
+    columns, so the last iterations may sit in a transient dip.
+    ``report.snapshot_iteration`` names that iteration.  The
     encoder's RNG stream is left where the run finished, so further
     regeneration continues deterministically.
     """
@@ -318,6 +351,7 @@ def train(config: TrainConfig, train_set, valid_set):
         if valid_acc > snapshot_acc:
             snapshot_acc = valid_acc
             snapshot = (model.copy(), encoder.base.copy(), encoder.phase.copy())
+            report.snapshot_iteration = it
 
         if valid_acc >= best_valid + config.min_delta:
             best_valid = valid_acc
@@ -336,8 +370,8 @@ def train(config: TrainConfig, train_set, valid_set):
             if undesired.dims:
                 idx = sorted(undesired.dims)
                 encoder.regenerate(idx)
-                encoded = encoder.encode_batch(X_train)
-                valid_encoded = encoder.encode_batch(X_valid)
+                encoded[:, idx] = encoder.encode_columns(X_train, idx)
+                valid_encoded[:, idx] = encoder.encode_columns(X_valid, idx)
                 # Prototype entries at regenerated dimensions were learned
                 # under the old base vectors; reset them.
                 model.classes[:, idx] = 0.0

@@ -332,6 +332,24 @@ class TestNoise:
                    if r.levelno == logging.ERROR)
         assert not (tmp_path / "n3" / "noise.csv").exists()
 
+    @pytest.mark.parametrize("order", ["matching_first", "matching_second"])
+    def test_every_model_is_checked_against_the_data(self, tmp_path, trained,
+                                                     blobs_csv, order, caplog):
+        wide = tmp_path / "wide"
+        assert run("synth", "--features", "10", "--classes", "3",
+                   "--per-class", "20", "--out", str(wide / "synth")) == EXIT_OK
+        assert run("train", "--data", str(wide / "synth" / "blobs.csv"),
+                   "--dim", "48", "--max-iters", "1",
+                   "--out", str(wide / "train")) == EXIT_OK
+        models = [os.path.join(trained, "model.json"), str(wide / "train" / "model.json")]
+        if order == "matching_second":
+            models.reverse()
+        assert run("noise", "--model", models[0], "--model", models[1],
+                   "--data", blobs_csv, "--out", str(tmp_path / "n4")) == EXIT_DATA
+        assert any("feature count mismatch" in r.getMessage()
+                   for r in caplog.records if r.levelno == logging.ERROR)
+        assert not (tmp_path / "n4" / "noise.csv").exists()
+
     def test_missing_model(self, tmp_path, blobs_csv):
         assert run("noise", "--model", str(tmp_path / "no.json"),
                    "--data", blobs_csv, "--out", str(tmp_path / "n2")) \

@@ -110,6 +110,23 @@ class TestEncode:
             proj = enc.base @ (enc.input_scale * X[j])
             assert np.array_equal(row, np.cos(proj + enc.phase) * np.sin(proj))
 
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(0, 30), n=st.integers(1, 617), dim=st.integers(1, 96),
+           seed=st.integers(0, 2**32 - 1))
+    def test_columns_match_batch(self, m, n, dim, seed):
+        # One gemm against the per-row gemv: the same dot products summed
+        # in another order, so equal within rounding, not bitwise.
+        rng = np.random.default_rng(seed)
+        enc = Encoder.create(n, dim, seed=seed)
+        enc.input_scale = 1.0 / np.sqrt(n)
+        X = rng.normal(size=(m, n))
+        idx = np.sort(rng.choice(dim, size=int(rng.integers(0, dim + 1)),
+                                 replace=False))
+        columns = enc.encode_columns(X, idx)
+        assert columns.shape == (m, idx.size)
+        np.testing.assert_allclose(columns, enc.encode_batch(X)[:, idx],
+                                   rtol=0, atol=1e-12)
+
     def test_dimension_errors(self):
         enc = Encoder.create(4, 8, seed=0)
         with pytest.raises(DimensionError):
@@ -118,6 +135,8 @@ class TestEncode:
             enc.encode(np.zeros((2, 4)))
         with pytest.raises(DimensionError):
             enc.encode_batch(np.zeros((3, 5)))
+        with pytest.raises(DimensionError):
+            enc.encode_columns(np.zeros((3, 5)), [0, 1])
 
 
 class TestRegenerate:

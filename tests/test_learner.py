@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hdclass import regen
-from hdclass.core import ClassModel, Encoder
+from hdclass import learner, regen
+from hdclass.core import ClassModel, Encoder, similarity_matrix
 from hdclass.learner import (
     Outcome,
     OutcomeTriage,
@@ -18,6 +20,21 @@ from hdclass.learner import (
     _build_distance_rows,
 )
 from conftest import make_benchmark, eval_accuracy
+
+
+def sequential_epoch(model, encoded, labels, eta):
+    """Reference oracle: the adaptive epoch scoring every sample on its own."""
+    for j in range(encoded.shape[0]):
+        h = encoded[j]
+        scores = similarity_matrix(model, encoded[j:j + 1])[0]
+        pred = int(np.argmax(scores))
+        true = int(labels[j])
+        if pred == true:
+            continue
+        model.classes[pred] -= eta * (1.0 - scores[pred]) * h
+        model.classes[true] += eta * (1.0 - scores[true]) * h
+        model.refresh_norms((pred, true))
+    return model
 
 
 class TestTrainConfig:
@@ -71,6 +88,43 @@ class TestAdaptiveFit:
                            rng.integers(0, 3, size=10), 0.2)
         assert np.allclose(model.norms, np.linalg.norm(model.classes, axis=1),
                            rtol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(0, 80), k=st.integers(2, 8), dim=st.integers(1, 128),
+           start=st.sampled_from(["zero", "random", "tie"]),
+           spread=st.sampled_from([0.3, 3.0]), eta=st.sampled_from([0.05, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_sequential_loop(self, m, k, dim, start, spread, eta, seed):
+        # Samples near their class centre are mostly correct, so blocks are
+        # skipped; "tie" makes classes 0 and 1 point the same way
+        # (C1 = 3 * C0), so rounding alone decides between them.
+        rng = np.random.default_rng(seed)
+        centres = rng.normal(size=(k, dim))
+        y = rng.integers(0, k, size=m)
+        H = centres[y] + spread * rng.normal(size=(m, dim))
+        classes = np.zeros((k, dim)) if start == "zero" else rng.normal(size=(k, dim))
+        if start == "tie":
+            classes[1] = 3.0 * classes[0]
+        lazy, loop = ClassModel(classes.copy()), ClassModel(classes.copy())
+        for _ in range(3):
+            adaptive_fit_epoch(lazy, H, y, eta)
+            sequential_epoch(loop, H, y, eta)
+            assert np.array_equal(lazy.classes, loop.classes)
+            assert np.array_equal(lazy.norms, loop.norms)
+
+    @pytest.mark.parametrize("labels", ["class0", "mixed"])
+    def test_exact_tie_model_matches_sequential_loop(self, labels):
+        # The exact-tie model of the batch top-1 tie test in test_metrics.
+        rng = np.random.default_rng(7)
+        c0 = rng.normal(size=64)
+        classes = np.stack([c0, 3.0 * c0, rng.normal(size=64)])
+        H = rng.normal(size=(2000, 64))
+        y = np.zeros(2000, dtype=int) if labels == "class0" else rng.integers(0, 3, 2000)
+        lazy, loop = ClassModel(classes.copy()), ClassModel(classes.copy())
+        adaptive_fit_epoch(lazy, H, y, 0.05)
+        sequential_epoch(loop, H, y, 0.05)
+        assert np.array_equal(lazy.classes, loop.classes)
+        assert np.array_equal(lazy.norms, loop.norms)
 
     def test_label_validation(self):
         model = ClassModel(np.eye(2))
@@ -252,6 +306,10 @@ class TestTrainLoop:
         returned = eval_accuracy(encoder, model, va)
         best_recorded = max(r.valid_accuracy for r in report.rows)
         assert returned == pytest.approx(best_recorded, abs=1e-12)
+        # The earliest iteration that reached the best validation accuracy.
+        assert report.snapshot_iteration == next(
+            r.iteration for r in report.rows if r.valid_accuracy == best_recorded)
+        assert "snapshot" not in report.to_jsonl()
 
     def test_deterministic(self):
         tr, va, _ = self.small_sets()
@@ -285,23 +343,75 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_encodes_only_when_the_encoder_changes(self, monkeypatch, mode):
-        calls = []
-        encode_batch = Encoder.encode_batch
+        # Each set is encoded in full once; a regeneration re-encodes only
+        # the columns it redrew, in both sets.
+        batch_calls, column_calls = [], []
+        encode_batch, encode_columns = Encoder.encode_batch, Encoder.encode_columns
 
-        def counting(self, batch):
-            calls.append(len(batch))
+        def counting_batch(self, batch):
+            batch_calls.append(len(batch))
             return encode_batch(self, batch)
 
-        monkeypatch.setattr(Encoder, "encode_batch", counting)
+        def counting_columns(self, batch, dims):
+            column_calls.append((len(batch), len(dims)))
+            return encode_columns(self, batch, dims)
+
+        monkeypatch.setattr(Encoder, "encode_batch", counting_batch)
+        monkeypatch.setattr(Encoder, "encode_columns", counting_columns)
         tr, va, _ = make_benchmark(0, n_features=5, k_classes=3, per_class=120,
                                    separation=1.0)
         cfg = TrainConfig(dim=64, mode=mode, max_iters=6, patience=6,
                           min_delta=0.0, regen_rate=40.0)
         _, _, report = train(cfg, tr, va)
-        redraws = sum(r.regenerated > 0 for r in report.rows)
-        assert (redraws > 0) == (mode == "dynamic")
-        assert len(calls) == 2 + 2 * redraws
-        assert calls[:2] == [tr.n_samples, va.n_samples]
+        redrawn = [r.regenerated for r in report.rows if r.regenerated > 0]
+        assert bool(redrawn) == (mode == "dynamic")
+        assert batch_calls == [tr.n_samples, va.n_samples]
+        assert column_calls == [(n, width) for width in redrawn
+                                for n in (tr.n_samples, va.n_samples)]
+
+    def test_cached_encodings_match_a_fresh_encode(self, monkeypatch):
+        # Columns never redrawn stay bitwise a fresh encode_batch of the
+        # live encoder; redrawn ones match it within rounding.
+        tr, va, _ = make_benchmark(0, n_features=5, k_classes=3, per_class=120,
+                                   separation=1.0)
+        encoders, redrawn, checked = [], set(), []
+        create, regenerate = Encoder.create.__func__, Encoder.regenerate
+        epoch, accuracy = learner.adaptive_fit_epoch, learner._accuracy
+
+        def recording_create(cls, *args, **kwargs):
+            encoders.append(create(cls, *args, **kwargs))
+            return encoders[-1]
+
+        def recording_regenerate(self, dims):
+            redrawn.update(int(d) for d in dims)
+            regenerate(self, dims)
+
+        def check(encoded, features):
+            fresh = encoders[0].encode_batch(features)
+            kept = [i for i in range(fresh.shape[1]) if i not in redrawn]
+            assert np.array_equal(encoded[:, kept], fresh[:, kept])
+            np.testing.assert_allclose(encoded, fresh, rtol=0, atol=1e-12)
+            checked.append(len(redrawn))
+
+        def checking_epoch(model, encoded, labels, eta):
+            check(encoded, tr.features)
+            return epoch(model, encoded, labels, eta)
+
+        def checking_accuracy(model, encoded, labels):
+            check(encoded, {tr.n_samples: tr.features,
+                            va.n_samples: va.features}[encoded.shape[0]])
+            return accuracy(model, encoded, labels)
+
+        monkeypatch.setattr(Encoder, "create", classmethod(recording_create))
+        monkeypatch.setattr(Encoder, "regenerate", recording_regenerate)
+        monkeypatch.setattr(learner, "adaptive_fit_epoch", checking_epoch)
+        monkeypatch.setattr(learner, "_accuracy", checking_accuracy)
+        assert tr.n_samples != va.n_samples
+        cfg = TrainConfig(dim=64, mode="dynamic", max_iters=6, patience=6,
+                          min_delta=0.0, regen_rate=40.0)
+        _, _, report = train(cfg, tr, va)
+        assert len(checked) == 3 * len(report.rows)
+        assert 0 < checked[-1] < 64
 
     def test_convergence_stops_early(self):
         tr, va, _ = self.small_sets()
