@@ -4,9 +4,6 @@ from .core import (
     ClassModel,
     DimensionError,
     Encoder,
-    bind,
-    bundle,
-    cosine_similarity,
     similarity_matrix,
     similarity_scores,
 )
@@ -26,8 +23,8 @@ from .learner import (
 from .serialize import load_model, save_model
 
 __all__ = [
-    "ClassModel", "DimensionError", "Encoder", "bind", "bundle",
-    "cosine_similarity", "similarity_matrix", "similarity_scores", "Dataset", "synth_blobs",
+    "ClassModel", "DimensionError", "Encoder", "similarity_matrix",
+    "similarity_scores", "Dataset", "synth_blobs",
     "Outcome", "OutcomeTriage", "TrainConfig", "TrainReport",
     "adaptive_fit_epoch", "effective_dimensionality", "predict", "top_k",
     "train", "triage", "load_model", "save_model",

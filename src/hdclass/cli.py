@@ -266,7 +266,12 @@ def _read_norm(path: str) -> dio.NormalizationSpec:
 def _load_eval_data(args, *encoders):
     ds = _load_dataset(args.data, getattr(args, "label_column", None) or "-1")
     if args.norm:
-        ds = dio.apply_normalizer(_read_checked("norm file", args.norm, _read_norm), ds)
+        spec = _read_checked("norm file", args.norm, _read_norm)
+        if spec.shift.shape[0] != ds.n_features:
+            raise DataError(
+                f"norm file {args.norm} covers {spec.shift.shape[0]} features, "
+                f"dataset has {ds.n_features}")
+        ds = dio.apply_normalizer(spec, ds)
     for encoder in encoders:
         if ds.n_features != encoder.n_features:
             raise DataError(

@@ -1,4 +1,4 @@
-"""Hypervector primitives: nonlinear encoding, similarity, bundling, binding.
+"""Hypervector primitives: nonlinear encoding, class prototypes, cosine scoring.
 
 The encoder projects an n-dimensional feature vector through a random
 Gaussian matrix and applies a cos*sin nonlinearity, producing a
@@ -12,6 +12,8 @@ seeds, so every operation here is bit-reproducible.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -194,33 +196,23 @@ class ClassModel:
         return self.classes.shape[1]
 
     def refresh_norms(self, indices=None) -> None:
+        """Recompute every cached norm, or only those of ``indices``.
+
+        A touched row gets ``sqrt(r . r)``: numpy's own formula for the
+        norm of a real 1-D row, and ``math.sqrt`` is correctly rounded, so
+        it is bitwise ``np.linalg.norm(r)`` without that call's overhead.
+        """
         if indices is None:
             self.norms = np.linalg.norm(self.classes, axis=1)
         else:
             for i in indices:
-                self.norms[i] = np.linalg.norm(self.classes[i])
+                r = self.classes[i]
+                self.norms[i] = math.sqrt(r.dot(r))
 
     def copy(self) -> "ClassModel":
         m = ClassModel(self.classes.copy(), list(self.labels))
         m.norms = self.norms.copy()
         return m
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two equal-length vectors.
-
-    Returns 0.0 when either vector is all-zero: a zero vector carries no
-    evidence, and the degenerate value keeps downstream argmaxes defined.
-    """
-    av = _as_float_vector(a, "a")
-    bv = _as_float_vector(b, "b")
-    if av.shape != bv.shape:
-        raise DimensionError(f"length mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    na = np.linalg.norm(av)
-    nb = np.linalg.norm(bv)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(av @ bv / (na * nb))
 
 
 def similarity_scores(model: ClassModel, h) -> np.ndarray:
@@ -251,27 +243,3 @@ def ranking(scores: np.ndarray, k: int) -> np.ndarray:
     ``ranking(S, 1)[..., 0]`` equals ``np.argmax(S, axis=-1)``.
     """
     return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
-
-
-def bundle(hypervectors) -> np.ndarray:
-    """Elementwise sum of a nonempty list of equal-length hypervectors."""
-    hs = list(hypervectors)
-    if not hs:
-        raise ValueError("cannot bundle an empty list")
-    acc = _as_float_vector(hs[0], "hypervector").copy()
-    for h in hs[1:]:
-        hv = _as_float_vector(h, "hypervector")
-        if hv.shape != acc.shape:
-            raise DimensionError(
-                f"length mismatch in bundle: {hv.shape[0]} vs {acc.shape[0]}")
-        acc += hv
-    return acc
-
-
-def bind(a, b) -> np.ndarray:
-    """Elementwise product; associates two hypervectors."""
-    av = _as_float_vector(a, "a")
-    bv = _as_float_vector(b, "b")
-    if av.shape != bv.shape:
-        raise DimensionError(f"length mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    return av * bv

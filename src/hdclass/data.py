@@ -148,8 +148,20 @@ class NormalizationSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NormalizationSpec":
-        return cls(doc["mode"], np.asarray(doc["shift"], dtype=np.float64),
-                   np.asarray(doc["scale"], dtype=np.float64))
+        """Read a spec back; one ``apply_normalizer`` could not use is a ValueError."""
+        mode = doc["mode"]
+        if mode not in (ZSCORE, MINMAX):
+            raise ValueError(f"unknown normalization mode {mode!r}")
+        shift = np.asarray(doc["shift"], dtype=np.float64)
+        scale = np.asarray(doc["scale"], dtype=np.float64)
+        if shift.ndim != 1 or shift.shape != scale.shape:
+            raise ValueError("shift and scale must be 1-D and of equal length, "
+                             f"got shapes {shift.shape} and {scale.shape}")
+        if not (np.isfinite(shift).all() and np.isfinite(scale).all()):
+            raise ValueError("shift and scale must be finite")
+        if (scale < 0.0).any():
+            raise ValueError("scale must be >= 0")
+        return cls(mode, shift, scale)
 
 
 def fit_normalizer(train: Dataset, mode: str = ZSCORE) -> NormalizationSpec:

@@ -197,6 +197,11 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
     Every other sample is scored on its own, in order, and after an update
     the next block starts at the following sample, so the result is
     bitwise that of scoring each sample on its own.
+
+    Both scorings use ``similarity_matrix``'s arithmetic inline: the row
+    norms are computed once per epoch (a row's norm does not change), the
+    one-row product ``C @ h`` is the matrix-vector kernel a 1-row
+    ``similarity_matrix`` call runs, and zero denominators score 0.
     """
     H = _check_encoded(model, encoded)
     y = _check_labels(model, labels)
@@ -204,22 +209,28 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
         raise ValueError(f"{H.shape[0]} samples but {y.shape[0]} labels")
     if eta <= 0:
         raise ValueError(f"learning rate must be positive, got {eta}")
+    C, norms = model.classes, model.norms
+    hn = np.sqrt(np.vecdot(H, H))
+    margin = _LAZY_MARGIN * (y[:, None] == np.arange(model.n_classes))
     start = 0
     while start < H.shape[0]:
         stop = min(start + _LAZY_BLOCK, H.shape[0])
-        block = y[start:stop]
-        scores = similarity_matrix(model, H[start:stop])
-        scores[np.arange(block.size), block] -= _LAZY_MARGIN
-        unsure = start + np.flatnonzero(np.argmax(scores, axis=1) != block)
+        denom = hn[start:stop, None] * norms
+        scores = np.divide(H[start:stop] @ C.T, denom, out=denom, where=denom != 0.0)
+        scores -= margin[start:stop]
+        unsure = (scores.argmax(axis=1) != y[start:stop]).nonzero()[0].tolist()
+        first = start
         start = stop
         for j in unsure:
+            j += first
             h = H[j]
-            scores = similarity_matrix(model, H[j:j + 1])[0]
-            pred = int(np.argmax(scores))
+            denom = hn[j] * norms
+            scores = np.divide(C @ h, denom, out=denom, where=denom != 0.0)
+            pred = int(scores.argmax())
             true = int(y[j])
             if pred != true:
-                model.classes[pred] -= eta * (1.0 - scores[pred]) * h
-                model.classes[true] += eta * (1.0 - scores[true]) * h
+                C[pred] -= eta * (1.0 - scores[pred]) * h
+                C[true] += eta * (1.0 - scores[true]) * h
                 model.refresh_norms((pred, true))
                 start = j + 1
                 break

@@ -264,6 +264,49 @@ def test_bad_model_or_norm_file_is_data_error(tmp_path, trained, blobs_csv, capl
                if r.levelno == logging.ERROR)
 
 
+def _run_with_norm(tmp_path, trained, blobs_csv, command, **changes):
+    """Run ``command`` with the trained norm.json edited by ``changes``."""
+    doc = json.load(open(os.path.join(trained, "norm.json")))
+    norm = tmp_path / "edited_norm.json"
+    norm.write_text(json.dumps(dict(doc, **{k: f(doc) for k, f in changes.items()})))
+    extra = ["--class-id", "0"] if command == "roc" else []
+    code = run(command, "--model", os.path.join(trained, "model.json"),
+               "--data", blobs_csv, "--norm", str(norm), *extra,
+               "--out", str(tmp_path / "out"))
+    return code, str(norm)
+
+
+def _logged_error(caplog, text):
+    return any(text in r.getMessage() for r in caplog.records
+               if r.levelno == logging.ERROR)
+
+
+@pytest.mark.parametrize("command", ["eval", "roc", "noise"])
+def test_norm_narrower_than_data_is_data_error(tmp_path, trained, blobs_csv, caplog,
+                                               command):
+    code, norm = _run_with_norm(tmp_path, trained, blobs_csv, command,
+                                shift=lambda d: d["shift"][:2],
+                                scale=lambda d: d["scale"][:2])
+    assert code == EXIT_DATA
+    assert _logged_error(caplog, norm)
+
+
+@pytest.mark.parametrize("command", ["eval", "roc", "noise"])
+def test_unknown_norm_mode_is_data_error(tmp_path, trained, blobs_csv, caplog, command):
+    code, norm = _run_with_norm(tmp_path, trained, blobs_csv, command,
+                                mode=lambda d: "bogus")
+    assert code == EXIT_DATA
+    assert _logged_error(caplog, norm)
+
+
+@pytest.mark.parametrize("command", ["eval", "roc", "noise"])
+def test_nan_norm_scale_is_data_error(tmp_path, trained, blobs_csv, caplog, command):
+    code, norm = _run_with_norm(tmp_path, trained, blobs_csv, command,
+                                scale=lambda d: [math.nan] * len(d["scale"]))
+    assert code == EXIT_DATA
+    assert _logged_error(caplog, norm)
+
+
 class TestEval:
     def test_eval_json(self, tmp_path, trained, blobs_csv):
         out = tmp_path / "eval"

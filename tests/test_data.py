@@ -164,6 +164,18 @@ class TestNormalization:
         assert back.mode == "zscore"
         assert np.array_equal(back.shift, spec.shift)
 
+    @pytest.mark.parametrize("doc", [
+        {"mode": "bogus", "shift": [0.0], "scale": [1.0]},
+        {"mode": "zscore", "shift": [0.0, 1.0], "scale": [1.0]},
+        {"mode": "minmax", "shift": [[0.0]], "scale": [[1.0]]},
+        {"mode": "zscore", "shift": [0.0], "scale": [float("nan")]},
+        {"mode": "zscore", "shift": [float("inf")], "scale": [1.0]},
+        {"mode": "minmax", "shift": [0.0], "scale": [-1.0]},
+    ], ids=["mode", "lengths", "not_1d", "nan_scale", "inf_shift", "negative_scale"])
+    def test_spec_from_dict_rejects_unusable_specs(self, doc):
+        with pytest.raises(ValueError):
+            NormalizationSpec.from_dict(doc)
+
     def test_unknown_mode(self):
         ds = Dataset(np.ones((2, 1)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):

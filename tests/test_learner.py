@@ -93,15 +93,29 @@ class TestAdaptiveFit:
     @given(m=st.integers(0, 80), k=st.integers(2, 8), dim=st.integers(1, 128),
            start=st.sampled_from(["zero", "random", "tie"]),
            spread=st.sampled_from([0.3, 3.0]), eta=st.sampled_from([0.05, 1.0]),
+           zero_rows=st.integers(0, 3), dup_rows=st.integers(0, 3),
+           layout=st.sampled_from(["C", "reversed", "F"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_sequential_loop(self, m, k, dim, start, spread, eta, seed):
+    def test_matches_sequential_loop(self, m, k, dim, start, spread, eta,
+                                     zero_rows, dup_rows, layout, seed):
         # Samples near their class centre are mostly correct, so blocks are
         # skipped; "tie" makes classes 0 and 1 point the same way
-        # (C1 = 3 * C0), so rounding alone decides between them.
+        # (C1 = 3 * C0), so rounding alone decides between them.  Zero rows
+        # score 0 against every class; duplicated rows revisit a sample
+        # after the model moved; the reversed view and the Fortran copy
+        # give the one-row product strided rows.
         rng = np.random.default_rng(seed)
         centres = rng.normal(size=(k, dim))
         y = rng.integers(0, k, size=m)
         H = centres[y] + spread * rng.normal(size=(m, dim))
+        if m:
+            H[rng.integers(0, m, size=zero_rows)] = 0.0
+            dst, src = rng.integers(0, m, size=(2, dup_rows))
+            H[dst], y[dst] = H[src], y[src]
+        if layout == "reversed":
+            H, y = H[::-1], y[::-1]
+        elif layout == "F":
+            H = np.asfortranarray(H)
         classes = np.zeros((k, dim)) if start == "zero" else rng.normal(size=(k, dim))
         if start == "tie":
             classes[1] = 3.0 * classes[0]
