@@ -1,5 +1,8 @@
 """Hyperdimensional classification with a learner-aware dynamic encoder."""
 
+# Set before the submodules load: ``serialize`` stamps it into every container.
+__version__ = "0.1.0"
+
 from .core import (
     ClassModel,
     DimensionError,
@@ -29,5 +32,3 @@ __all__ = [
     "adaptive_fit_epoch", "effective_dimensionality", "predict", "top_k",
     "train", "triage", "load_model", "save_model",
 ]
-
-__version__ = "0.1.0"

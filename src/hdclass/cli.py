@@ -136,7 +136,8 @@ def _out_dir(args, command: str) -> str:
     return out
 
 
-def _load_dataset(path: str, label_column="-1") -> dio.Dataset:
+def _load_dataset(path: str, label_column="-1", names=None) -> dio.Dataset:
+    """Read a CSV file; with ``names``, its labels map to ids by those names."""
     if not os.path.exists(path):
         raise DataError(f"dataset not found: {path}")
     try:
@@ -144,7 +145,7 @@ def _load_dataset(path: str, label_column="-1") -> dio.Dataset:
     except (TypeError, ValueError):
         col = label_column
     try:
-        return dio.load_csv(path, label_column=col)
+        return dio.load_csv(path, label_column=col, names=names)
     except (dio.ParseError, OSError, UnicodeDecodeError) as exc:
         raise DataError(str(exc)) from exc
 
@@ -212,13 +213,12 @@ def cmd_train(args) -> int:
 
     ds = _load_dataset(args.data, resolved["data.label_column"])
     if args.valid:
-        train_ds, valid_ds = ds, _load_dataset(args.valid, resolved["data.label_column"])
+        train_ds, valid_ds = ds, _load_dataset(args.valid, resolved["data.label_column"],
+                                               names=ds.names)
         if valid_ds.n_features != train_ds.n_features:
             raise DataError(
                 f"feature count mismatch between splits: {train_ds.n_features} "
                 f"vs {valid_ds.n_features}")
-        if set(valid_ds.names or []) - set(train_ds.names or []):
-            raise DataError("validation labels missing from the training split")
     else:
         fractions = [float(x) for x in str(resolved["data.fractions"]).split(",")]
         train_ds, valid_ds, _ = dio.split(ds, fractions, stratified=True, seed=cfg.seed)
@@ -230,14 +230,14 @@ def cmd_train(args) -> int:
     spec, train_ds, (valid_ds,) = _normalize(train_ds, [valid_ds],
                                              resolved["data.normalize"])
     encoder, model, report = train(cfg, train_ds, valid_ds)
+    # Every class occurs in the training rows, so there is one name per class.
+    model.labels = list(train_ds.names)
     if args.dump_regen:
         write_dump_csv(os.path.join(out, "regen_dump.csv"), report.rows)
     _check_finite(model.classes, encoder.base, encoder.phase)
 
     save_model(os.path.join(out, "model.json"), encoder, model)
     write_text_atomic(os.path.join(out, "report.jsonl"), report.to_jsonl())
-    write_json_atomic(os.path.join(out, "labels.json"),
-                      {"names": train_ds.names})
     if spec is not None:
         write_json_atomic(os.path.join(out, "norm.json"), spec.to_dict())
     log.info("trained %s iterations (converged=%s); returned the snapshot of "
@@ -263,8 +263,18 @@ def _read_norm(path: str) -> dio.NormalizationSpec:
         return dio.NormalizationSpec.from_dict(json.load(fh))
 
 
-def _load_eval_data(args, *encoders):
-    ds = _load_dataset(args.data, getattr(args, "label_column", None) or "-1")
+def _class_names(labels: list, path: str):
+    """A model's class names, or None for a container that has none."""
+    if all(isinstance(label, str) for label in labels):
+        return labels
+    log.warning("model %s holds class ids, not names, as every format 1 container "
+                "does; the data labels map to its classes by sorted order", path)
+    return None
+
+
+def _load_eval_data(args, names, *encoders):
+    """The ``--data`` rows, labels mapped by ``names``, normalized by ``--norm``."""
+    ds = _load_dataset(args.data, args.label_column or "-1", names=names)
     if args.norm:
         spec = _read_checked("norm file", args.norm, _read_norm)
         if spec.shift.shape[0] != ds.n_features:
@@ -283,7 +293,7 @@ def _load_eval_data(args, *encoders):
 def cmd_eval(args) -> int:
     out = _out_dir(args, "eval")
     encoder, model = _load_model_checked(args.model)
-    ds = _load_eval_data(args, encoder)
+    ds = _load_eval_data(args, _class_names(model.labels, args.model), encoder)
     k_list = [int(k) for k in args.topk.split(",")]
     if any(not 1 <= k <= model.n_classes for k in k_list):
         raise ConfigError(f"top-k values must lie in [1, {model.n_classes}]")
@@ -378,12 +388,19 @@ def cmd_sweep_weights(args) -> int:
 def cmd_noise(args) -> int:
     out = _out_dir(args, "noise")
     loaded = {}
+    labels = None
     for path in args.model:
         encoder, model = _load_model_checked(path)
         if model.dim in loaded:
             raise ConfigError(f"{path}: another --model already has dim {model.dim}")
+        if labels is None:
+            labels = model.labels
+        elif model.labels != labels:
+            raise DataError(f"{path}: class names {model.labels} differ from "
+                            f"{labels} of {args.model[0]}")
         loaded[model.dim] = (encoder, model)
-    ds = _load_eval_data(args, *(encoder for encoder, _ in loaded.values()))
+    ds = _load_eval_data(args, _class_names(labels, args.model[0]),
+                         *(encoder for encoder, _ in loaded.values()))
     models_by_dim = {dim: (model, encoder.encode_batch(ds.features), ds.labels)
                      for dim, (encoder, model) in loaded.items()}
     bits_list = [int(b) for b in args.bits.split(",")]
@@ -422,7 +439,7 @@ def _ordering_summary(cells) -> dict:
 def cmd_roc(args) -> int:
     out = _out_dir(args, "roc")
     encoder, model = _load_model_checked(args.model)
-    ds = _load_eval_data(args, encoder)
+    ds = _load_eval_data(args, _class_names(model.labels, args.model), encoder)
     if not 0 <= args.class_id < model.n_classes:
         raise ConfigError(f"class id {args.class_id} outside [0, {model.n_classes})")
     write_config_echo(os.path.join(out, "config.txt"), {

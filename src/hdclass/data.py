@@ -49,14 +49,17 @@ class Dataset:
 
 
 def load_csv(path: str, label_column=-1, has_header: bool = True,
-             delimiter: str = ",") -> Dataset:
+             delimiter: str = ",", names=None) -> Dataset:
     """Parse a delimited file into features plus integer-mapped labels.
 
     ``label_column`` may be a column name (requires a header) or an index;
-    negative indices count from the right.  Label strings map to dense ids
-    by sorted order, so the mapping is stable across runs and row orders.
-    Errors name the physical line, counting newlines inside quoted fields.
+    negative indices count from the right.  Given a vocabulary ``names``,
+    label ``names[i]`` maps to id ``i`` and any other label is an error;
+    without one, the file's own labels map to dense ids by sorted order,
+    so the mapping is stable across runs and row orders.  Errors name the
+    physical line, counting newlines inside quoted fields.
     """
+    known = None if names is None else {name: i for i, name in enumerate(names)}
     header = None
     width = label_idx = None
     feature_rows, raw_labels = [], []
@@ -75,7 +78,11 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
                 elif len(row) != width:
                     raise ParseError(f"{path}: line {reader.line_num}: expected "
                                      f"{width} columns, found {len(row)}")
-                raw_labels.append(row.pop(label_idx).strip())
+                label = row.pop(label_idx).strip()
+                if known is not None and label not in known:
+                    raise ParseError(f"{path}: line {reader.line_num}: label {label!r} "
+                                     f"is not one of the {len(known)} known class names")
+                raw_labels.append(label)
                 try:  # numpy parses a cell exactly as float() does
                     feature_rows.append(np.array(row, dtype=np.float64))
                 except ValueError:
@@ -88,11 +95,12 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
         raise ParseError(f"{path}: no data rows")
     features = np.stack(feature_rows)
 
-    names = sorted(set(raw_labels), key=_label_sort_key)
-    mapping = {name: i for i, name in enumerate(names)}
-    labels = np.array([mapping[l] for l in raw_labels], dtype=np.intp)
+    if known is None:
+        names = sorted(set(raw_labels), key=_label_sort_key)
+        known = {name: i for i, name in enumerate(names)}
+    labels = np.array([known[l] for l in raw_labels], dtype=np.intp)
     meta = {"source": path, "n_features": width - 1, "n_classes": len(names)}
-    return Dataset(features, labels, names, meta)
+    return Dataset(features, labels, list(names), meta)
 
 
 def _label_index(path: str, label_column, header, width: int) -> int:

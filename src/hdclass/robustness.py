@@ -72,11 +72,16 @@ def dequantize(qm: QuantizedModel) -> ClassModel:
     return ClassModel(values, list(qm.labels))
 
 
-def flip_bits(qm: QuantizedModel, error_rate: float, seed: int) -> QuantizedModel:
-    """Flip exactly round(rate% * total_bits) distinct bits, seeded."""
+def flip_count(error_rate: float, total_bits: int) -> int:
+    """round(rate% * total_bits): how many bits a trial at ``error_rate`` flips."""
     if not 0 <= error_rate <= 100:
         raise ValueError(f"error rate must be in [0, 100], got {error_rate}")
-    n_flips = int(round(error_rate / 100.0 * qm.total_bits))
+    return int(round(error_rate / 100.0 * total_bits))
+
+
+def flip_bits(qm: QuantizedModel, error_rate: float, seed: int) -> QuantizedModel:
+    """Flip exactly ``flip_count(error_rate, total_bits)`` distinct bits, seeded."""
+    n_flips = flip_count(error_rate, qm.total_bits)
     bits = np.unpackbits(qm.packed)[:qm.total_bits].copy()
     if n_flips:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -113,8 +118,9 @@ def noise_sweep(models_by_dim: dict, grid, trials: int, seed: int) -> list[Sweep
     ``models_by_dim`` maps a dimensionality to ``(model, encoded_test,
     labels)``; ``grid`` is an iterable of (dim, bits, rate) triples.  The
     clean baseline per (dim, bits) is the accuracy of the dequantized,
-    unflipped model, so a zero error rate yields exactly zero loss.
-    Trial seeds are derived from (seed, cell index, trial index).
+    unflipped model, so a rate that flips no bit yields exactly zero loss;
+    such a cell runs no trial.  Trial seeds are derived from (seed, cell
+    index, trial index).
     """
     grid = list(grid)
     if not grid:
@@ -133,13 +139,13 @@ def noise_sweep(models_by_dim: dict, grid, trials: int, seed: int) -> list[Sweep
             clean = _model_accuracy(dequantize(qm), encoded, labels)
             clean_cache[key] = (qm, clean)
         qm, clean = clean_cache[key]
-        losses = []
-        for t in range(trials):
-            trial_seed = int(np.random.SeedSequence(
-                entropy=(seed, cell_idx, t)).generate_state(1)[0])
-            losses.append(run_trial(qm, encoded, labels, clean, rate, trial_seed)
-                          .quality_loss)
-        losses = np.asarray(losses)
+        losses = np.zeros(trials)
+        if flip_count(rate, qm.total_bits):
+            for t in range(trials):
+                trial_seed = int(np.random.SeedSequence(
+                    entropy=(seed, cell_idx, t)).generate_state(1)[0])
+                losses[t] = run_trial(qm, encoded, labels, clean, rate,
+                                      trial_seed).quality_loss
         cells.append(SweepCell(dim, bits, rate, trials,
                                float(losses.mean()), float(losses.std())))
     return cells
@@ -158,7 +164,8 @@ def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _unpack_codes(packed: np.ndarray, bits: int, shape: tuple[int, int]) -> np.ndarray:
-    total = shape[0] * shape[1] * bits
-    flat = np.unpackbits(packed)[:total].reshape(shape[0], shape[1], bits)
-    weights = 1 << np.arange(bits - 1, -1, -1)
-    return (flat * weights).sum(axis=2).astype(np.int64)
+    # bits divides 8, so no code straddles a byte: byte j holds 8 // bits
+    # codes, the first in its top bits.
+    shifts = np.arange(8 - bits, -1, -bits, dtype=np.uint8)
+    codes = (packed[:, None] >> shifts) & ((1 << bits) - 1)
+    return codes.reshape(-1)[:shape[0] * shape[1]].reshape(shape).astype(np.int64)

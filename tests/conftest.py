@@ -7,6 +7,8 @@ permutation before splitting because the adaptive update is sequential
 and the generator emits samples grouped by class.
 """
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,27 @@ def eval_accuracy(encoder, model, test_ds) -> float:
     encoded = encoder.encode_batch(test_ds.features)
     preds = np.argmax(similarity_matrix(model, encoded), axis=1)
     return float(np.mean(preds == test_ds.labels))
+
+
+def encode_array(values) -> str:
+    """Base64 of little-endian float64 bytes, as model containers store arrays."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_array(doc: dict, key: str, shape) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(doc[key]), dtype="<f8").reshape(shape)
+
+
+def format_1_document(doc: dict) -> dict:
+    """A format 2 container rewritten in format 1: nested decimal lists and
+    class ids in place of names, as format 1 stored them."""
+    k, dim, n = doc["n_classes"], doc["dim"], doc["n_features"]
+    v1 = {key: value for key, value in doc.items() if key != "provenance"}
+    v1.update(format_version=1, labels=list(range(k)),
+              base=decode_array(doc, "base", (dim, n)).tolist(),
+              phase=decode_array(doc, "phase", (dim,)).tolist(),
+              classes=decode_array(doc, "classes", (k, dim)).tolist())
+    return v1
 
 
 @pytest.fixture(scope="session")

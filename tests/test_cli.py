@@ -8,11 +8,16 @@ import math
 import os
 import shutil
 
+import numpy as np
 import pytest
 
+from conftest import decode_array, encode_array, format_1_document
 from hdclass.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, main,
                          resolve_train_config)
+from hdclass.data import NormalizationSpec, apply_normalizer, load_csv
 from hdclass.learner import TrainConfig
+from hdclass.metrics import top_k_accuracy
+from hdclass.serialize import load_model
 
 TRAIN_FIELDS = dataclasses.fields(TrainConfig)
 
@@ -57,9 +62,9 @@ class TestSynth:
 
 class TestTrain:
     def test_artifacts(self, trained):
-        for name in ("model.json", "report.jsonl", "labels.json",
-                     "norm.json", "config.txt"):
+        for name in ("model.json", "report.jsonl", "norm.json", "config.txt"):
             assert os.path.exists(os.path.join(trained, name)), name
+        assert not os.path.exists(os.path.join(trained, "labels.json"))
 
     def test_config_echo_contains_resolved_values(self, trained):
         text = open(os.path.join(trained, "config.txt")).read()
@@ -217,6 +222,12 @@ class TestTrainOptionsSource:
         ]
 
 
+BAD_FILE_CASES = ["missing_norm", "norm_without_shift", "norm_not_json",
+                  "model_is_directory", "rng_state_not_dict",
+                  "classes_narrower_than_dim", "nan_prototype", "inf_base_row",
+                  "base64_not_decodable", "array_bytes_short", "model_not_an_object"]
+
+
 def _bad_files(tmp_path, trained):
     """(model path, norm path) pairs, each with one unreadable or malformed file."""
     model = os.path.join(trained, "model.json")
@@ -230,11 +241,18 @@ def _bad_files(tmp_path, trained):
     not_json = tmp_path / "not_json.json"
     not_json.write_text("not json\n")
     good = json.load(open(model))
-    classes, base = good["classes"], good["base"]
+    k, dim, n = good["n_classes"], good["dim"], good["n_features"]
+    classes = decode_array(good, "classes", (k, dim))
+    base = decode_array(good, "base", (dim, n))
     bad_models = {
-        "classes_narrower_than_dim": dict(good, classes=[c[:-1] for c in classes]),
-        "nan_prototype": dict(good, classes=[[math.nan] + c[1:] for c in classes]),
-        "inf_base_row": dict(good, base=[[math.inf] * len(base[0])] + base[1:]),
+        "classes_narrower_than_dim": dict(good, classes=encode_array(classes[:, :-1])),
+        "nan_prototype": dict(good, classes=encode_array(
+            np.where(np.arange(dim) == 0, math.nan, classes))),
+        "inf_base_row": dict(good, base=encode_array(
+            np.vstack([np.full(n, math.inf), base[1:]]))),
+        "base64_not_decodable": dict(good, classes="not base64!"),
+        "array_bytes_short": dict(good, base=good["base"][:-4]),
+        "model_not_an_object": [],
     }
     for case, bad in bad_models.items():
         (tmp_path / f"{case}.json").write_text(json.dumps(bad))
@@ -248,10 +266,7 @@ def _bad_files(tmp_path, trained):
     }
 
 
-@pytest.mark.parametrize("case", ["missing_norm", "norm_without_shift",
-                                  "norm_not_json", "model_is_directory",
-                                  "rng_state_not_dict", "classes_narrower_than_dim",
-                                  "nan_prototype", "inf_base_row"])
+@pytest.mark.parametrize("case", BAD_FILE_CASES)
 @pytest.mark.parametrize("command", ["eval", "roc", "noise"])
 def test_bad_model_or_norm_file_is_data_error(tmp_path, trained, blobs_csv, caplog,
                                               command, case):
@@ -415,3 +430,123 @@ class TestSweepWeights:
                    "--alphas", "1.0", "--betas", "1.0", "--thetas", "0.5,1.5",
                    "--out", str(tmp_path / "sw2")) == EXIT_CONFIG
         assert any("indices [1]" in r.message for r in caplog.records)
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
+
+
+def _library_accuracy(train_dir, data, keep):
+    """Top-1 accuracy of the saved model on the rows of ``data`` whose label
+    name is in ``keep``; ``data`` is the training file, so its sorted
+    label order is the model's class order."""
+    encoder, model = load_model(os.path.join(train_dir, "model.json"))
+    spec = NormalizationSpec.from_dict(json.load(open(os.path.join(train_dir,
+                                                                   "norm.json"))))
+    ds = apply_normalizer(spec, load_csv(data))
+    rows = np.isin(np.array(ds.names)[ds.labels], keep)
+    return top_k_accuracy(model, encoder.encode_batch(ds.features[rows]),
+                          ds.labels[rows], 1)
+
+
+class TestClassNames:
+    """Data labels map to model classes by name, whatever subset a file holds."""
+
+    @pytest.fixture()
+    def names_case(self, tmp_path):
+        synth = tmp_path / "synth"
+        assert run("synth", "--classes", "3", "--per-class", "40", "--seed", "1",
+                   "--out", str(synth)) == EXIT_OK
+        full = str(synth / "blobs.csv")
+        train_dir = tmp_path / "train"
+        assert run("train", "--data", full, "--dim", "32", "--max-iters", "3",
+                   "--out", str(train_dir)) == EXIT_OK
+        rows = _read_rows(full)
+        without_1 = _write_rows(tmp_path / "without_1.csv",
+                                [rows[0]] + [r for r in rows[1:] if r[-1] != "1"])
+        return full, without_1, str(train_dir), rows
+
+    def test_model_stores_the_training_names(self, names_case):
+        _, _, train_dir, _ = names_case
+        doc = json.load(open(os.path.join(train_dir, "model.json")))
+        assert doc["labels"] == ["0", "1", "2"]
+
+    def test_eval_on_a_class_subset(self, tmp_path, names_case):
+        full, without_1, train_dir, _ = names_case
+        out = tmp_path / "eval"
+        assert run("eval", "--model", os.path.join(train_dir, "model.json"),
+                   "--data", without_1, "--norm", os.path.join(train_dir, "norm.json"),
+                   "--out", str(out)) == EXIT_OK
+        reported = json.load(open(out / "eval.json"))["accuracy"]
+        assert reported == _library_accuracy(train_dir, full, ["0", "2"])
+
+    @pytest.mark.parametrize("command", ["eval", "roc", "noise"])
+    def test_unknown_label_name_is_data_error(self, tmp_path, names_case, caplog,
+                                              command):
+        _, _, train_dir, rows = names_case
+        data = _write_rows(tmp_path / "unknown.csv",
+                           rows[:3] + [rows[3][:-1] + ["7"]] + rows[4:])
+        extra = ["--class-id", "0"] if command == "roc" else []
+        assert run(command, "--model", os.path.join(train_dir, "model.json"),
+                   "--data", data, *extra, "--out", str(tmp_path / "out")) == EXIT_DATA
+        assert _logged_error(caplog, f"{data}: line 4: label '7'")
+
+    def test_valid_file_missing_a_class_maps_by_name(self, tmp_path, names_case):
+        full, without_1, _, _ = names_case
+        out = tmp_path / "train_valid"
+        assert run("train", "--data", full, "--valid", without_1, "--dim", "32",
+                   "--max-iters", "3", "--mode", "static",
+                   "--out", str(out)) == EXIT_OK
+        report = [json.loads(line) for line in open(out / "report.jsonl")]
+        # Static mode encodes once, so the snapshot's recorded validation
+        # accuracy is bitwise what the saved model scores on those rows.
+        best = max(r["valid_accuracy"] for r in report)
+        assert best == _library_accuracy(str(out), full, ["0", "2"])
+
+    def test_noise_models_with_different_names_is_data_error(self, tmp_path,
+                                                             names_case, caplog):
+        full, _, train_dir, rows = names_case
+        letters = {"0": "a", "1": "b", "2": "c"}
+        renamed = _write_rows(tmp_path / "letters.csv",
+                              [rows[0]] + [r[:-1] + [letters[r[-1]]] for r in rows[1:]])
+        other = tmp_path / "letters_train"
+        assert run("train", "--data", renamed, "--dim", "48", "--max-iters", "1",
+                   "--out", str(other)) == EXIT_OK
+        second = str(other / "model.json")
+        assert run("noise", "--model", os.path.join(train_dir, "model.json"),
+                   "--model", second, "--data", full, "--trials", "1",
+                   "--out", str(tmp_path / "noise")) == EXIT_DATA
+        assert _logged_error(caplog, second)
+        assert not (tmp_path / "noise" / "noise.csv").exists()
+
+    @pytest.mark.parametrize("command,output", [("eval", "eval.json"),
+                                                ("roc", "roc.csv"),
+                                                ("noise", "noise.csv")])
+    def test_format_1_model_maps_by_sorted_order_and_warns_once(
+            self, tmp_path, names_case, caplog, command, output):
+        full, _, train_dir, _ = names_case
+        v2 = os.path.join(train_dir, "model.json")
+        v1 = tmp_path / "model_v1.json"
+        v1.write_text(json.dumps(format_1_document(json.load(open(v2)))))
+        extra = ["--class-id", "1"] if command == "roc" else ["--trials", "2"] \
+            if command == "noise" else []
+        outputs = []
+        for model in (v2, str(v1)):
+            caplog.clear()
+            out = tmp_path / f"{command}_{len(outputs)}"
+            with caplog.at_level(logging.WARNING):
+                assert run(command, "--model", model, "--data", full, *extra,
+                           "--norm", os.path.join(train_dir, "norm.json"),
+                           "--out", str(out)) == EXIT_OK
+            warnings = [r.getMessage() for r in caplog.records
+                        if r.levelno == logging.WARNING]
+            outputs.append((out / output).read_bytes())
+        assert len(warnings) == 1 and str(v1) in warnings[0]
+        assert outputs[0] == outputs[1]

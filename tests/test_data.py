@@ -50,6 +50,18 @@ class TestLoadCsv:
         assert ds.names == ["2", "10"]
         assert ds.labels.tolist() == [1, 0, 1]
 
+    def test_vocabulary_maps_labels_by_name(self, tmp_path):
+        # A file holding a subset of the classes keeps the vocabulary's ids.
+        path = self.write(tmp_path, "a,label\n1,z\n2,x\n3,z\n")
+        ds = load_csv(path, names=["z", "y", "x"])
+        assert ds.labels.tolist() == [0, 2, 0]
+        assert ds.names == ["z", "y", "x"]
+
+    def test_vocabulary_rejects_unknown_name(self, tmp_path):
+        path = self.write(tmp_path, 'a,label\n1,x\n"2\n5",w\n')
+        with pytest.raises(ParseError, match="line 4: label 'w'"):
+            load_csv(path, names=["x", "y"])
+
     def test_ragged_row_names_line(self, tmp_path):
         path = self.write(tmp_path, "a,b,label\n1,2,x\n1,x\n")
         with pytest.raises(ParseError, match="line 3"):

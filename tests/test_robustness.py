@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hdclass import robustness
 from hdclass.core import ClassModel
 from hdclass.robustness import (
     SUPPORTED_BITS,
+    _pack_codes,
+    _unpack_codes,
     dequantize,
     flip_bits,
+    flip_count,
     hamming_distance,
     noise_sweep,
     quantize,
@@ -119,6 +125,29 @@ class TestNoiseSweep:
         assert cells[0].mean_loss == 0.0
         assert cells[0].std_loss == 0.0
 
+    def test_rate_that_flips_no_bit_runs_no_trial(self, monkeypatch):
+        models = self.make_inputs()
+        total_bits = 3 * 64 * 1
+        rate = 0.2  # 0.384 bits, which rounds to 0
+        assert flip_count(rate, total_bits) == 0
+        calls = []
+
+        def counting_trial(*args):
+            calls.append(args)
+            return real_trial(*args)
+
+        real_trial = robustness.run_trial
+        monkeypatch.setattr(robustness, "run_trial", counting_trial)
+        cells = noise_sweep(models, [(64, 1, rate)], trials=4, seed=0)
+        assert (cells[0].mean_loss, cells[0].std_loss) == (0.0, 0.0)
+        assert calls == []
+        noise_sweep(models, [(64, 1, 1.0)], trials=4, seed=0)
+        assert len(calls) == 4
+
+    def test_out_of_range_rate_rejected_without_trials(self):
+        with pytest.raises(ValueError):
+            noise_sweep(self.make_inputs(), [(64, 8, -0.001)], trials=2, seed=0)
+
     def test_deterministic(self):
         models = self.make_inputs()
         grid = [(64, 8, 10.0), (64, 1, 10.0)]
@@ -154,3 +183,27 @@ class TestNoiseSweep:
         losses = [c.mean_loss for c in cells]
         for lo, hi in zip(losses, losses[1:]):
             assert hi >= lo - 0.5
+
+
+def _unpack_codes_oracle(packed, bits, shape):
+    """The bit-tensor formula ``_unpack_codes`` replaced: unpack, then weigh."""
+    total = shape[0] * shape[1] * bits
+    flat = np.unpackbits(packed)[:total].reshape(shape[0], shape[1], bits)
+    weights = 1 << np.arange(bits - 1, -1, -1)
+    return (flat * weights).sum(axis=2).astype(np.int64)
+
+
+# Odd k and D: for 1, 2 and 4 bits, k*D*bits is then no multiple of 8 and
+# the last byte carries padding bits.
+@settings(max_examples=200, deadline=None)
+@given(bits=st.sampled_from(SUPPORTED_BITS),
+       k=st.integers(0, 4).map(lambda i: 2 * i + 1),
+       dim=st.integers(0, 20).map(lambda i: 2 * i + 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_unpack_codes_matches_bit_tensor_oracle(bits, k, dim, seed):
+    rng = np.random.default_rng(seed)
+    packed = rng.integers(0, 256, size=-(-k * dim * bits // 8), dtype=np.uint8)
+    codes = _unpack_codes(packed, bits, (k, dim))
+    assert codes.dtype == np.int64
+    assert np.array_equal(codes, _unpack_codes_oracle(packed, bits, (k, dim)))
+    assert np.array_equal(_unpack_codes(_pack_codes(codes, bits), bits, (k, dim)), codes)
