@@ -169,10 +169,10 @@ def _check_finite(*arrays) -> None:
             raise NumericalError("non-finite values detected in model state")
 
 
-def _evaluate(encoder, model, ds: dio.Dataset, k_list) -> dict:
-    encoded = encoder.encode_batch(ds.features)
-    preds = np.argmax(similarity_matrix(model, encoded), axis=1)
-    cm = metrics.confusion_matrix(preds, ds.labels, model.n_classes)
+def _evaluate(model, encoded, labels, k_list) -> dict:
+    """Top-1 and top-k accuracy, confusion matrix and per-class rates."""
+    preds = similarity_matrix(model, encoded).argmax(axis=1)
+    cm = metrics.confusion_matrix(preds, labels, model.n_classes)
     per_class = {}
     for c in range(model.n_classes):
         rates = metrics.sensitivity_specificity(cm, c)
@@ -181,12 +181,20 @@ def _evaluate(encoder, model, ds: dio.Dataset, k_list) -> dict:
             "specificity": rates.specificity if rates.specificity_defined else None,
         }
     return {
-        "accuracy": metrics.accuracy(preds, ds.labels),
-        "top_k_accuracy": {str(k): metrics.top_k_accuracy(model, encoded, ds.labels, k)
+        "accuracy": metrics.accuracy(preds, labels),
+        "top_k_accuracy": {str(k): metrics.top_k_accuracy(model, encoded, labels, k)
                            for k in k_list},
         "confusion_matrix": cm.tolist(),
         "per_class": per_class,
     }
+
+
+def _roc(model, encoded, labels, cls: int, scorer):
+    """One-vs-rest ROC of class ``cls``; None when it is absent or exhaustive."""
+    truth = (labels == cls).astype(int)
+    if truth.min() == truth.max():
+        return None
+    return metrics.roc_curve(scorer(model, encoded, cls), truth)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +238,6 @@ def cmd_train(args) -> int:
     spec, train_ds, (valid_ds,) = _normalize(train_ds, [valid_ds],
                                              resolved["data.normalize"])
     encoder, model, report = train(cfg, train_ds, valid_ds)
-    # Every class occurs in the training rows, so there is one name per class.
-    model.labels = list(train_ds.names)
     if args.dump_regen:
         write_dump_csv(os.path.join(out, "regen_dump.csv"), report.rows)
     _check_finite(model.classes, encoder.base, encoder.phase)
@@ -301,40 +307,30 @@ def cmd_eval(args) -> int:
         "eval.model": args.model, "eval.data": args.data,
         "eval.topk": args.topk, "eval.norm": args.norm or "",
     })
-    report = _evaluate(encoder, model, ds, k_list)
+    report = _evaluate(model, encoder.encode_batch(ds.features), ds.labels, k_list)
     write_json_atomic(os.path.join(out, "eval.json"), report)
     return EXIT_OK
 
 
+def _mean(values) -> float:
+    """The mean, or NaN for no values."""
+    return float(np.mean(values)) if values else float("nan")
+
+
 def _sweep_point(cfg, train_ds, valid_ds, test_ds):
+    """A grid point's ``sweep.csv`` row and its (class, ROC curve) pairs."""
     encoder, model, _ = train(cfg, train_ds, valid_ds)
     encoded = encoder.encode_batch(test_ds.features)
-    preds = np.argmax(similarity_matrix(model, encoded), axis=1)
-    cm = metrics.confusion_matrix(preds, test_ds.labels, model.n_classes)
-    sens, spec = [], []
-    for c in range(model.n_classes):
-        rates = metrics.sensitivity_specificity(cm, c)
-        if rates.sensitivity_defined:
-            sens.append(rates.sensitivity)
-        if rates.specificity_defined:
-            spec.append(rates.specificity)
-    aucs = []
-    rocs = []
-    for c in range(model.n_classes):
-        truth = (test_ds.labels == c).astype(int)
-        if truth.min() == truth.max():
-            continue
-        curve = metrics.roc_curve(metrics.margin_scores(model, encoded, c), truth)
-        aucs.append(curve.auc)
-        rocs.append((c, curve))
-    return {
-        "alpha": cfg.alpha, "beta": cfg.beta, "theta": cfg.theta,
-        "accuracy": metrics.accuracy(preds, test_ds.labels),
-        "macro_sensitivity": float(np.mean(sens)) if sens else float("nan"),
-        "macro_specificity": float(np.mean(spec)) if spec else float("nan"),
-        "auc": float(np.mean(aucs)) if aucs else float("nan"),
-        "rocs": rocs,
-    }
+    report = _evaluate(model, encoded, test_ds.labels, [])
+    rocs = [(c, curve) for c in range(model.n_classes)
+            if (curve := _roc(model, encoded, test_ds.labels, c,
+                              metrics.margin_scores)) is not None]
+    rates = report["per_class"].values()
+    sens = [r["sensitivity"] for r in rates if r["sensitivity"] is not None]
+    spec = [r["specificity"] for r in rates if r["specificity"] is not None]
+    row = [cfg.alpha, cfg.beta, cfg.theta, report["accuracy"],
+           _mean(sens), _mean(spec), _mean([curve.auc for _, curve in rocs])]
+    return [repr(v) for v in row], rocs
 
 
 def cmd_sweep_weights(args) -> int:
@@ -359,29 +355,27 @@ def cmd_sweep_weights(args) -> int:
     resolved["sweep.alphas"] = args.alphas
     resolved["sweep.betas"] = args.betas
     resolved["sweep.thetas"] = args.thetas
+    fractions = [float(x) for x in str(resolved["data.fractions"]).split(",")]
+    if len(fractions) == 3 and fractions[2] <= 0:
+        # A sweep scores a held-out test split, so it makes one.
+        fractions = [0.6, 0.2, 0.2]
+        resolved["data.fractions"] = "0.6,0.2,0.2"
     write_config_echo(os.path.join(out, "config.txt"), resolved)
 
     ds = _load_dataset(args.data, resolved["data.label_column"])
-    fractions = [float(x) for x in str(resolved["data.fractions"]).split(",")]
-    if fractions[2] <= 0:
-        fractions = [0.6, 0.2, 0.2]
     train_ds, valid_ds, test_ds = dio.split(ds, fractions, stratified=True,
                                             seed=cfg_base.seed)
     _, train_ds, (valid_ds, test_ds) = _normalize(
         train_ds, [valid_ds, test_ds], resolved["data.normalize"])
 
     results = [_sweep_point(cfg, train_ds, valid_ds, test_ds) for cfg in configs]
-
-    rows = []
-    for i, res in enumerate(results):
-        rows.append([repr(res["alpha"]), repr(res["beta"]), repr(res["theta"]),
-                     repr(res["accuracy"]), repr(res["macro_sensitivity"]),
-                     repr(res["macro_specificity"]), repr(res["auc"])])
-        for cls, curve in res["rocs"]:
+    for i, (_, rocs) in enumerate(results):
+        for cls, curve in rocs:
             _write_roc_csv(os.path.join(out, f"roc_point{i}_class{cls}.csv"), curve)
     header = ["alpha", "beta", "theta", "accuracy", "macro_sensitivity",
               "macro_specificity", "auc"]
-    write_csv_atomic(os.path.join(out, "sweep.csv"), header, rows)
+    write_csv_atomic(os.path.join(out, "sweep.csv"), header,
+                     [row for row, _ in results])
     return EXIT_OK
 
 
@@ -447,12 +441,11 @@ def cmd_roc(args) -> int:
         "roc.class_id": args.class_id, "roc.score": args.score,
         "roc.norm": args.norm or "",
     })
-    encoded = encoder.encode_batch(ds.features)
-    truth = (ds.labels == args.class_id).astype(int)
-    if truth.min() == truth.max():
-        raise DataError(f"class {args.class_id} is absent or exhaustive in the data")
     scorer = metrics.margin_scores if args.score == "margin" else metrics.raw_scores
-    curve = metrics.roc_curve(scorer(model, encoded, args.class_id), truth)
+    curve = _roc(model, encoder.encode_batch(ds.features), ds.labels, args.class_id,
+                 scorer)
+    if curve is None:
+        raise DataError(f"class {args.class_id} is absent or exhaustive in the data")
     _write_roc_csv(os.path.join(out, "roc.csv"), curve)
     write_json_atomic(os.path.join(out, "roc.json"),
                       {"auc": curve.auc, "score": args.score,

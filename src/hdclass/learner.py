@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import regen
+from . import metrics, regen
 from .core import (ClassModel, DimensionError, Encoder, ranking, similarity_matrix,
                    similarity_scores)
 
@@ -242,11 +242,6 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
 _score_matrix = similarity_matrix
 
 
-def _accuracy(model: ClassModel, encoded: np.ndarray, labels: np.ndarray) -> float:
-    preds = np.argmax(_score_matrix(model, encoded), axis=1)
-    return float(np.mean(preds == labels))
-
-
 def effective_dimensionality(dim: int, regen_rate: float, iters: int) -> int:
     """Physical dimensionality plus the nominal regenerated total.
 
@@ -292,11 +287,13 @@ def train(config: TrainConfig, train_set, valid_set):
     """Full training loop; returns ``(encoder, model, report)``.
 
     ``train_set`` and ``valid_set`` expose ``features`` (m x n) and
-    ``labels`` (length m, dense 0-based).  Convergence: validation accuracy
-    failing to improve by at least ``min_delta`` for ``patience``
-    consecutive iterations.  The final iteration (whether by convergence or
-    by hitting ``max_iters``) does not regenerate, so the returned model
-    never carries freshly zeroed, untrained dimensions.
+    ``labels`` (length m, dense 0-based); the model's classes take the
+    training set's ``names`` where it has them, else their ids.
+    Convergence: validation accuracy failing to improve by at least
+    ``min_delta`` for ``patience`` consecutive iterations.  The final
+    iteration (whether by convergence or by hitting ``max_iters``) does not
+    regenerate, so the returned model never carries freshly zeroed,
+    untrained dimensions.
 
     Both sets are encoded once up front; after a regeneration only the
     redrawn columns are encoded again (``Encoder.encode_columns``).  So a
@@ -337,7 +334,8 @@ def train(config: TrainConfig, train_set, valid_set):
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(config.seed, STREAM_SHUFFLE)))
 
-    model = ClassModel.zeros(k, config.dim)
+    names = getattr(train_set, "names", None)
+    model = ClassModel.zeros(k, config.dim, None if names is None else names[:k])
     report = TrainReport()
     effective = config.dim
     best_valid = -np.inf
@@ -356,8 +354,10 @@ def train(config: TrainConfig, train_set, valid_set):
             shuffle_rng.shuffle(order)
         adaptive_fit_epoch(model, encoded[order], y_train[order], config.eta)
 
-        train_acc = _accuracy(model, encoded, y_train)
-        valid_acc = _accuracy(model, valid_encoded, y_valid)
+        train_acc = metrics.accuracy(
+            _score_matrix(model, encoded).argmax(axis=1), y_train)
+        valid_acc = metrics.accuracy(
+            _score_matrix(model, valid_encoded).argmax(axis=1), y_valid)
 
         if valid_acc > snapshot_acc:
             snapshot_acc = valid_acc

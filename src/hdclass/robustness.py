@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics
 from .core import ClassModel, similarity_matrix
 from .serialize import write_csv_atomic
 
@@ -99,16 +100,10 @@ def hamming_distance(a: QuantizedModel, b: QuantizedModel) -> int:
     return int(np.sum(xa ^ xb))
 
 
-def _model_accuracy(model: ClassModel, encoded: np.ndarray,
-                    labels: np.ndarray) -> float:
-    preds = np.argmax(similarity_matrix(model, encoded), axis=1)
-    return float(np.mean(preds == np.asarray(labels)))
-
-
 def run_trial(qm: QuantizedModel, encoded: np.ndarray, labels: np.ndarray,
               clean_accuracy: float, error_rate: float, seed: int) -> NoiseTrial:
     corrupted = dequantize(flip_bits(qm, error_rate, seed))
-    acc = _model_accuracy(corrupted, encoded, labels)
+    acc = metrics.accuracy(similarity_matrix(corrupted, encoded).argmax(axis=1), labels)
     return NoiseTrial(error_rate, seed, (clean_accuracy - acc) * 100.0)
 
 
@@ -136,7 +131,8 @@ def noise_sweep(models_by_dim: dict, grid, trials: int, seed: int) -> list[Sweep
         key = (dim, bits)
         if key not in clean_cache:
             qm = quantize(model, bits)
-            clean = _model_accuracy(dequantize(qm), encoded, labels)
+            clean = metrics.accuracy(
+                similarity_matrix(dequantize(qm), encoded).argmax(axis=1), labels)
             clean_cache[key] = (qm, clean)
         qm, clean = clean_cache[key]
         losses = np.zeros(trials)

@@ -14,10 +14,12 @@ import pytest
 from conftest import decode_array, encode_array, format_1_document
 from hdclass.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, main,
                          resolve_train_config)
-from hdclass.data import NormalizationSpec, apply_normalizer, load_csv
-from hdclass.learner import TrainConfig
-from hdclass.metrics import top_k_accuracy
-from hdclass.serialize import load_model
+from hdclass.core import ranking, similarity_matrix
+from hdclass.data import (NormalizationSpec, apply_normalizer, fit_normalizer, load_csv,
+                          save_csv, split, synth_blobs)
+from hdclass.learner import TrainConfig, train
+from hdclass.metrics import margin_scores, roc_curve, top_k_accuracy
+from hdclass.serialize import load_model, save_model
 
 TRAIN_FIELDS = dataclasses.fields(TrainConfig)
 
@@ -425,6 +427,51 @@ class TestSweepWeights:
         assert len(rows) == 3  # header + 2 grid points
         assert rows[0][0] == "alpha"
 
+    @pytest.mark.parametrize("given,used", [(None, "0.6,0.2,0.2"),
+                                            ("0.5,0.25,0.25", "0.5,0.25,0.25")])
+    def test_config_echo_records_the_split_fractions(self, tmp_path, blobs_csv,
+                                                     given, used):
+        out = tmp_path / "sweep"
+        extra = ["--fractions", given] if given else []
+        assert run("sweep-weights", "--data", blobs_csv, "--alphas", "2.0",
+                   "--betas", "1.0", "--thetas", "0.5", "--dim", "16",
+                   "--max-iters", "1", *extra, "--out", str(out)) == EXIT_OK
+        echo = (out / "config.txt").read_text().splitlines()
+        assert f"data.fractions = {used}" in echo
+
+    def test_two_fractions_is_config_error(self, tmp_path, blobs_csv, caplog):
+        assert run("sweep-weights", "--data", blobs_csv, "--alphas", "2.0",
+                   "--betas", "1.0", "--thetas", "0.5", "--fractions", "0.8,0.2",
+                   "--out", str(tmp_path / "sweep")) == EXIT_CONFIG
+        assert _logged_error(caplog, "need 3 nonnegative fractions")
+
+    def test_values_match_a_library_recomputation(self, tmp_path, blobs_csv):
+        out = tmp_path / "sweep"
+        assert run("sweep-weights", "--data", blobs_csv,
+                   "--alphas", "1.0,2.0", "--betas", "1.0", "--thetas", "0.5",
+                   "--dim", "32", "--max-iters", "2", "--seed", "0",
+                   "--out", str(out)) == EXIT_OK
+        rows = _read_rows(out / "sweep.csv")[1:]
+        # The sweep's default split (no test share given) and z-scoring.
+        parts = split(load_csv(blobs_csv), (0.6, 0.2, 0.2), stratified=True, seed=0)
+        norm = fit_normalizer(parts[0])
+        tr, va, te = (apply_normalizer(norm, part) for part in parts)
+        for i, alpha in enumerate([1.0, 2.0]):
+            cfg = TrainConfig(dim=32, max_iters=2, seed=0, alpha=alpha)
+            encoder, model, _ = train(cfg, tr, va)
+            encoded = encoder.encode_batch(te.features)
+            preds = ranking(similarity_matrix(model, encoded), 1)[:, 0]
+            sens = [np.mean(preds[te.labels == c] == c) for c in range(3)]
+            spec = [np.mean(preds[te.labels != c] != c) for c in range(3)]
+            curves = [roc_curve(margin_scores(model, encoded, c),
+                                (te.labels == c).astype(int)) for c in range(3)]
+            expected = [alpha, 1.0, 0.5, top_k_accuracy(model, encoded, te.labels, 1),
+                        np.mean(sens), np.mean(spec), np.mean([c.auc for c in curves])]
+            assert [float(v) for v in rows[i]] == [float(v) for v in expected]
+            for c, curve in enumerate(curves):
+                points = _read_rows(out / f"roc_point{i}_class{c}.csv")[1:]
+                assert [(float(f), float(t)) for f, t in points] == curve.points
+
     def test_invalid_grid_lists_offenders(self, tmp_path, blobs_csv, caplog):
         assert run("sweep-weights", "--data", blobs_csv,
                    "--alphas", "1.0", "--betas", "1.0", "--thetas", "0.5,1.5",
@@ -477,6 +524,20 @@ class TestClassNames:
         _, _, train_dir, _ = names_case
         doc = json.load(open(os.path.join(train_dir, "model.json")))
         assert doc["labels"] == ["0", "1", "2"]
+
+    def test_library_train_names_its_classes(self, tmp_path, caplog):
+        ds = synth_blobs(6, 3, 40, 3.0, 1)
+        tr, va, _ = split(ds, (0.7, 0.3, 0.0), stratified=True)
+        encoder, model, _ = train(TrainConfig(dim=32, max_iters=2, mode="static"),
+                                  tr, va)
+        assert model.labels == ["0", "1", "2"]
+        path, data = str(tmp_path / "model.json"), str(tmp_path / "blobs.csv")
+        save_model(path, encoder, model)
+        save_csv(data, ds)
+        with caplog.at_level(logging.WARNING):
+            assert run("eval", "--model", path, "--data", data,
+                       "--out", str(tmp_path / "eval")) == EXIT_OK
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
     def test_eval_on_a_class_subset(self, tmp_path, names_case):
         full, without_1, train_dir, _ = names_case

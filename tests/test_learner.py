@@ -390,7 +390,7 @@ class TestTrainLoop:
                                    separation=1.0)
         encoders, redrawn, checked = [], set(), []
         create, regenerate = Encoder.create.__func__, Encoder.regenerate
-        epoch, accuracy = learner.adaptive_fit_epoch, learner._accuracy
+        epoch, score = learner.adaptive_fit_epoch, learner._score_matrix
 
         def recording_create(cls, *args, **kwargs):
             encoders.append(create(cls, *args, **kwargs))
@@ -411,20 +411,22 @@ class TestTrainLoop:
             check(encoded, tr.features)
             return epoch(model, encoded, labels, eta)
 
-        def checking_accuracy(model, encoded, labels):
+        def checking_score(model, encoded):
             check(encoded, {tr.n_samples: tr.features,
                             va.n_samples: va.features}[encoded.shape[0]])
-            return accuracy(model, encoded, labels)
+            return score(model, encoded)
 
         monkeypatch.setattr(Encoder, "create", classmethod(recording_create))
         monkeypatch.setattr(Encoder, "regenerate", recording_regenerate)
         monkeypatch.setattr(learner, "adaptive_fit_epoch", checking_epoch)
-        monkeypatch.setattr(learner, "_accuracy", checking_accuracy)
+        monkeypatch.setattr(learner, "_score_matrix", checking_score)
         assert tr.n_samples != va.n_samples
         cfg = TrainConfig(dim=64, mode="dynamic", max_iters=6, patience=6,
                           min_delta=0.0, regen_rate=40.0)
         _, _, report = train(cfg, tr, va)
-        assert len(checked) == 3 * len(report.rows)
+        # Each iteration checks the epoch and the train and validation
+        # scoring; each but the last also checks the distance rows.
+        assert len(checked) == 4 * len(report.rows) - 1
         assert 0 < checked[-1] < 64
 
     def test_convergence_stops_early(self):

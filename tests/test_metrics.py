@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hdclass import cli, learner, robustness
-from hdclass.core import ClassModel
+from hdclass.core import ClassModel, Encoder
 from hdclass.data import Dataset
-from hdclass.learner import top_k
+from hdclass.learner import TrainConfig, top_k
 from hdclass.metrics import (
     accuracy,
     confusion_matrix,
@@ -67,26 +67,39 @@ class TestTopKAccuracy:
                                                                    abs=1e-12)
 
     @pytest.mark.parametrize("batch_top1", ["eval", "train", "noise"])
-    def test_batch_top1_agrees_on_exact_ties(self, batch_top1):
+    def test_batch_top1_agrees_on_exact_ties(self, batch_top1, monkeypatch):
         # Classes 0 and 1 point the same way (C1 = 3 * C0), so every sample
         # has mathematically equal cosine to both; rounding decides the
-        # winner, and every top-1 path must decide it the same way.
+        # winner, and every production top-1 path must decide it the same way.
         rng = np.random.default_rng(7)
         c0 = rng.normal(size=64)
         model = ClassModel(np.stack([c0, 3.0 * c0, rng.normal(size=64)]))
         H = rng.normal(size=(2000, 64))
         y = np.zeros(2000, dtype=int)
 
-        class Identity:
-            @staticmethod
-            def encode_batch(features):
-                return features
+        if batch_top1 == "eval":
+            acc = cli._evaluate(model, H, y, [1])["accuracy"]
+        elif batch_top1 == "train":
+            # train() records the validation accuracy of the tie model on
+            # the rows H themselves.
+            def tie_epoch(trained, encoded, labels, eta):
+                trained.classes[:] = model.classes
+                trained.refresh_norms()
 
-        acc = {
-            "eval": lambda: cli._evaluate(Identity(), model, Dataset(H, y), [1])["accuracy"],
-            "train": lambda: learner._accuracy(model, H, y),
-            "noise": lambda: robustness._model_accuracy(model, H, y),
-        }[batch_top1]()
+            monkeypatch.setattr(learner, "adaptive_fit_epoch", tie_epoch)
+            monkeypatch.setattr(Encoder, "encode_batch", lambda self, X: np.array(X))
+            cfg = TrainConfig(dim=64, mode="static", max_iters=1)
+            _, _, report = learner.train(cfg, Dataset(H[:3], [0, 1, 2]), Dataset(H, y))
+            acc = report.rows[0].valid_accuracy
+        else:
+            # A 1-bit memory dequantizes to +-scale/2 per class, so the tie
+            # model's memory is again a C1 = 3 * C0 tie model; at rate 0 the
+            # trial scores it against the top_k_accuracy baseline.
+            qm = robustness.quantize(model, 1)
+            model = robustness.dequantize(qm)
+            assert np.array_equal(model.classes[1], 3.0 * model.classes[0])
+            acc = top_k_accuracy(model, H, y, 1)
+            assert robustness.run_trial(qm, H, y, acc, 0.0, 0).quality_loss == 0.0
         assert acc == top_k_accuracy(model, H, y, 1)
 
     def test_full_k_is_one(self):
