@@ -169,12 +169,12 @@ def _check_finite(*arrays) -> None:
             raise NumericalError("non-finite values detected in model state")
 
 
-def _evaluate(model, encoded, labels, k_list) -> dict:
-    """Top-1 and top-k accuracy, confusion matrix and per-class rates."""
-    preds = similarity_matrix(model, encoded).argmax(axis=1)
-    cm = metrics.confusion_matrix(preds, labels, model.n_classes)
+def _evaluate(scores, labels) -> dict:
+    """Top-1 accuracy, confusion matrix and per-class rates of a score matrix."""
+    preds = scores.argmax(axis=1)
+    cm = metrics.confusion_matrix(preds, labels, scores.shape[1])
     per_class = {}
-    for c in range(model.n_classes):
+    for c in range(scores.shape[1]):
         rates = metrics.sensitivity_specificity(cm, c)
         per_class[str(c)] = {
             "sensitivity": rates.sensitivity if rates.sensitivity_defined else None,
@@ -182,19 +182,17 @@ def _evaluate(model, encoded, labels, k_list) -> dict:
         }
     return {
         "accuracy": metrics.accuracy(preds, labels),
-        "top_k_accuracy": {str(k): metrics.top_k_accuracy(model, encoded, labels, k)
-                           for k in k_list},
         "confusion_matrix": cm.tolist(),
         "per_class": per_class,
     }
 
 
-def _roc(model, encoded, labels, cls: int, scorer):
-    """One-vs-rest ROC of class ``cls``; None when it is absent or exhaustive."""
+def _roc(class_scores, labels, cls: int):
+    """ROC of class ``cls`` from its scores; None when it is absent or exhaustive."""
     truth = (labels == cls).astype(int)
     if truth.min() == truth.max():
         return None
-    return metrics.roc_curve(scorer(model, encoded, cls), truth)
+    return metrics.roc_curve(class_scores, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +305,10 @@ def cmd_eval(args) -> int:
         "eval.model": args.model, "eval.data": args.data,
         "eval.topk": args.topk, "eval.norm": args.norm or "",
     })
-    report = _evaluate(model, encoder.encode_batch(ds.features), ds.labels, k_list)
+    encoded = encoder.encode_batch(ds.features)
+    report = _evaluate(similarity_matrix(model, encoded), ds.labels)
+    report["top_k_accuracy"] = {
+        str(k): metrics.top_k_accuracy(model, encoded, ds.labels, k) for k in k_list}
     write_json_atomic(os.path.join(out, "eval.json"), report)
     return EXIT_OK
 
@@ -320,11 +321,11 @@ def _mean(values) -> float:
 def _sweep_point(cfg, train_ds, valid_ds, test_ds):
     """A grid point's ``sweep.csv`` row and its (class, ROC curve) pairs."""
     encoder, model, _ = train(cfg, train_ds, valid_ds)
-    encoded = encoder.encode_batch(test_ds.features)
-    report = _evaluate(model, encoded, test_ds.labels, [])
+    scores = similarity_matrix(model, encoder.encode_batch(test_ds.features))
+    report = _evaluate(scores, test_ds.labels)
     rocs = [(c, curve) for c in range(model.n_classes)
-            if (curve := _roc(model, encoded, test_ds.labels, c,
-                              metrics.margin_scores)) is not None]
+            if (curve := _roc(metrics.margin_scores(scores, c), test_ds.labels,
+                              c)) is not None]
     rates = report["per_class"].values()
     sens = [r["sensitivity"] for r in rates if r["sensitivity"] is not None]
     spec = [r["specificity"] for r in rates if r["specificity"] is not None]
@@ -441,9 +442,10 @@ def cmd_roc(args) -> int:
         "roc.class_id": args.class_id, "roc.score": args.score,
         "roc.norm": args.norm or "",
     })
-    scorer = metrics.margin_scores if args.score == "margin" else metrics.raw_scores
-    curve = _roc(model, encoder.encode_batch(ds.features), ds.labels, args.class_id,
-                 scorer)
+    scores = similarity_matrix(model, encoder.encode_batch(ds.features))
+    class_scores = (metrics.margin_scores(scores, args.class_id)
+                    if args.score == "margin" else scores[:, args.class_id])
+    curve = _roc(class_scores, ds.labels, args.class_id)
     if curve is None:
         raise DataError(f"class {args.class_id} is absent or exhaustive in the data")
     _write_roc_csv(os.path.join(out, "roc.csv"), curve)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,8 @@ class Dataset:
 
 
 def load_csv(path: str, label_column=-1, has_header: bool = True,
-             delimiter: str = ",", names=None) -> Dataset:
-    """Parse a delimited file into features plus integer-mapped labels.
+             names=None) -> Dataset:
+    """Parse a comma-separated file into features plus integer-mapped labels.
 
     ``label_column`` may be a column name (requires a header) or an index;
     negative indices count from the right.  Given a vocabulary ``names``,
@@ -64,7 +65,7 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
     width = label_idx = None
     feature_rows, raw_labels = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             for row in reader:
                 if not row:
@@ -72,10 +73,10 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
                 if has_header and header is None:
                     header = row
                     continue
-                if width is None:
-                    width = len(row)
+                if width is None:  # a header sets the width of every row
+                    width = len(row if header is None else header)
                     label_idx = _label_index(path, label_column, header, width)
-                elif len(row) != width:
+                if len(row) != width:
                     raise ParseError(f"{path}: line {reader.line_num}: expected "
                                      f"{width} columns, found {len(row)}")
                 label = row.pop(label_idx).strip()
@@ -131,11 +132,11 @@ def _label_sort_key(label: str):
     return (1, 0.0, label) if value is None else (0, value, label)
 
 
-def save_csv(path: str, ds: Dataset, delimiter: str = ",") -> None:
+def save_csv(path: str, ds: Dataset) -> None:
     """Write a Dataset back out with a header; inverse of ``load_csv``."""
     names = ds.names or [str(i) for i in range(ds.n_classes)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow([f"feat_{i}" for i in range(ds.n_features)] + ["label"])
         for j in range(ds.n_samples):
             writer.writerow([repr(float(v)) for v in ds.features[j]]
@@ -160,8 +161,11 @@ class NormalizationSpec:
         mode = doc["mode"]
         if mode not in (ZSCORE, MINMAX):
             raise ValueError(f"unknown normalization mode {mode!r}")
-        shift = np.asarray(doc["shift"], dtype=np.float64)
-        scale = np.asarray(doc["scale"], dtype=np.float64)
+        try:
+            shift = np.asarray(doc["shift"], dtype=np.float64)
+            scale = np.asarray(doc["scale"], dtype=np.float64)
+        except OverflowError:  # a JSON integer beyond the float64 range
+            raise ValueError("shift and scale must be finite") from None
         if shift.ndim != 1 or shift.shape != scale.shape:
             raise ValueError("shift and scale must be 1-D and of equal length, "
                              f"got shapes {shift.shape} and {scale.shape}")
@@ -256,8 +260,8 @@ def synth_blobs(n_features: int, k_classes: int, per_class: int,
     """
     if min(n_features, k_classes, per_class) < 1:
         raise ValueError("counts must all be >= 1")
-    if separation < 0:
-        raise ValueError(f"separation must be >= 0, got {separation}")
+    if not (math.isfinite(separation) and separation >= 0):
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     means = rng.standard_normal((k_classes, n_features))
     if k_classes > 1:

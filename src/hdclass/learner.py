@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +53,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimensionality must be >= 1, got {self.dim}")
-        if self.eta <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.eta}")
-        if min(self.alpha, self.beta, self.theta) <= 0:
-            raise ValueError("alpha, beta and theta must be positive")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ValueError(f"learning rate must be positive and finite, got {self.eta}")
+        if not all(w > 0 and math.isfinite(w) for w in (self.alpha, self.beta, self.theta)):
+            raise ValueError("alpha, beta and theta must be positive and finite")
         if self.theta >= self.beta:
             raise ValueError(
                 f"theta must be < beta, got theta={self.theta}, beta={self.beta}")
@@ -66,8 +67,8 @@ class TrainConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.min_delta < 0:
-            raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
+        if not (self.min_delta >= 0 and math.isfinite(self.min_delta)):
+            raise ValueError(f"min_delta must be finite and >= 0, got {self.min_delta}")
         if self.mode not in (DYNAMIC, STATIC):
             raise ValueError(f"mode must be '{DYNAMIC}' or '{STATIC}', got {self.mode!r}")
         if self.n_formula not in regen.N_FORMULAS:
@@ -256,28 +257,29 @@ def effective_dimensionality(dim: int, regen_rate: float, iters: int) -> int:
     return dim + int(np.floor(dim * regen_rate / 100.0)) * iters
 
 
-def _build_distance_rows(model: ClassModel, encoded: np.ndarray,
+def _build_distance_rows(model: ClassModel, encoded: np.ndarray, scores: np.ndarray,
                          labels: np.ndarray, cfg: TrainConfig):
     """Triage every sample and emit the M (partial) and N (incorrect) rows.
 
-    Each side is one matrix, rows in sample order; the row formulas are
-    elementwise, so every row is what a per-sample call would give.
+    ``scores`` is the similarity matrix of ``encoded``.  Each side is one
+    matrix, rows in sample order; the row formulas are elementwise, so
+    every row is what a per-sample call would give.
 
     Rows are computed on unit-normalized hypervectors and prototypes so the
     per-dimension distance terms compare directions, not magnitudes;
     otherwise prototype growth over training swamps the signal and the
     intersection of the two sides goes empty.
     """
-    top1, top2 = ranking(_score_matrix(model, encoded), 2).T
-    Hn = regen.normalize_rows(encoded)
-    Cn = regen.normalize_rows(model.classes)
+    top1, top2 = ranking(scores, 2).T
     wrong = top1 != labels
-    partial = wrong & (top2 == labels)
-    incorrect = wrong & ~partial
+    Hn = regen.normalize_rows(encoded[wrong])
+    Cn = regen.normalize_rows(model.classes)
+    y, top1, top2 = labels[wrong], top1[wrong], top2[wrong]
+    partial, incorrect = top2 == y, top2 != y
     partial_rows = regen.partial_row(
-        Hn[partial], Cn[labels[partial]], Cn[top1[partial]], cfg.alpha, cfg.beta)
+        Hn[partial], Cn[y[partial]], Cn[top1[partial]], cfg.alpha, cfg.beta)
     incorrect_rows = regen.incorrect_row(
-        Hn[incorrect], Cn[labels[incorrect]], Cn[top1[incorrect]],
+        Hn[incorrect], Cn[y[incorrect]], Cn[top1[incorrect]],
         Cn[top2[incorrect]], cfg.alpha, cfg.beta, cfg.theta,
         formula=cfg.n_formula)
     return partial_rows, incorrect_rows
@@ -354,8 +356,8 @@ def train(config: TrainConfig, train_set, valid_set):
             shuffle_rng.shuffle(order)
         adaptive_fit_epoch(model, encoded[order], y_train[order], config.eta)
 
-        train_acc = metrics.accuracy(
-            _score_matrix(model, encoded).argmax(axis=1), y_train)
+        scores = _score_matrix(model, encoded)
+        train_acc = metrics.accuracy(scores.argmax(axis=1), y_train)
         valid_acc = metrics.accuracy(
             _score_matrix(model, valid_encoded).argmax(axis=1), y_valid)
 
@@ -375,7 +377,7 @@ def train(config: TrainConfig, train_set, valid_set):
         undesired = None
         if config.mode == DYNAMIC and not stopping:
             partial_rows, incorrect_rows = _build_distance_rows(
-                model, encoded, y_train, config)
+                model, encoded, scores, y_train, config)
             undesired = regen.select_undesired(
                 partial_rows, incorrect_rows, config.regen_rate, config.dim)
             if undesired.dims:

@@ -130,19 +130,9 @@ def roc_curve(scores, truth) -> RocCurve:
     return RocCurve(points, auc)
 
 
-def margin_scores(model: ClassModel, encoded, target: int) -> np.ndarray:
-    """Per-sample one-vs-rest score: own-class similarity minus best other."""
-    sims = similarity_matrix(model, encoded)
-    if not 0 <= target < model.n_classes:
-        raise ValueError(f"class index {target} outside [0, {model.n_classes})")
-    own = sims[:, target]
-    others = np.delete(sims, target, axis=1)
-    return own - others.max(axis=1)
-
-
-def raw_scores(model: ClassModel, encoded, target: int) -> np.ndarray:
-    """Per-sample similarity to the target class alone."""
-    sims = similarity_matrix(model, encoded)
-    if not 0 <= target < model.n_classes:
-        raise ValueError(f"class index {target} outside [0, {model.n_classes})")
-    return sims[:, target]
+def margin_scores(scores, target: int) -> np.ndarray:
+    """Per-sample one-vs-rest score of an m x k score matrix: own-class
+    similarity minus best other."""
+    if not 0 <= target < scores.shape[1]:
+        raise ValueError(f"class index {target} outside [0, {scores.shape[1]})")
+    return scores[:, target] - np.delete(scores, target, axis=1).max(axis=1)

@@ -10,10 +10,14 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import decode_array, encode_array, format_1_document
-from hdclass.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, main,
-                         resolve_train_config)
+from hdclass import cli, core, learner, metrics, robustness
+from hdclass.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, TRAIN_DEFAULTS, ConfigError,
+                         build_parser, main, resolve_train_config,
+                         train_config_from_resolved)
 from hdclass.core import ranking, similarity_matrix
 from hdclass.data import (NormalizationSpec, apply_normalizer, fit_normalizer, load_csv,
                           save_csv, split, synth_blobs)
@@ -224,6 +228,43 @@ class TestTrainOptionsSource:
         ]
 
 
+CONFIG_VALUES = ["", "0", "-1", "7", "2.5", "0.5", "1e3", "1e400", "nan", "inf",
+                 "-inf", "9" * 40, "0x10", "1_0", "١", "true", "ture", "Off", "dynamic",
+                 "static", "listing", "minmax", "0.5,0.5,0.0", "a b", "=", "#"]
+
+
+@st.composite
+def config_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["pair", "pair", "pair", "comment", "blank", "text"]))
+        if kind == "pair":
+            key = draw(st.one_of(st.sampled_from(sorted(TRAIN_DEFAULTS)), st.text(max_size=8)))
+            value = draw(st.one_of(st.sampled_from(CONFIG_VALUES), st.text(max_size=8)))
+            lines.append(f"{key}{draw(st.sampled_from(['=', ' = ', '==']))}{value}")
+        elif kind == "comment":
+            lines.append("# " + draw(st.text(max_size=8)))
+        elif kind == "text":
+            lines.append(draw(st.text(max_size=12)))
+        else:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=config_texts())
+def test_fuzzed_config_file_raises_only_config_errors(tmp_path_factory, text):
+    """Any config file yields a TrainConfig or an error that exits 1."""
+    path = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
+    # Lone surrogates become bytes that are not UTF-8.
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    args = build_parser().parse_args(["train", "--data", "x", "--config", str(path)])
+    try:
+        train_config_from_resolved(resolve_train_config(args))
+    except (ConfigError, ValueError):
+        pass
+
+
 BAD_FILE_CASES = ["missing_norm", "norm_without_shift", "norm_not_json",
                   "model_is_directory", "rng_state_not_dict",
                   "classes_narrower_than_dim", "nan_prototype", "inf_base_row",
@@ -416,6 +457,65 @@ class TestNoise:
             == EXIT_DATA
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--eta", "nan"], ["train", "--eta", "inf"], ["train", "--alpha", "nan"],
+    ["train", "--beta", "nan"], ["train", "--theta", "nan"],
+    ["train", "--min-delta", "nan"], ["synth", "--separation", "nan"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+def test_non_finite_number_is_config_error(tmp_path, blobs_csv, caplog, argv):
+    out = tmp_path / "out"
+    data = ["--data", blobs_csv, "--dim", "16", "--max-iters", "2"]
+    assert run(*argv, *(data if argv[0] == "train" else []),
+               "--out", str(out)) == EXIT_CONFIG
+    assert _logged_error(caplog, "finite")
+    assert not (out / "model.json").exists() and not (out / "blobs.csv").exists()
+
+
+class TestScoreOnce:
+    """Each (model, row set) pair is scored by one ``similarity_matrix`` call."""
+
+    @pytest.fixture()
+    def scored(self, monkeypatch):
+        rows, score = [], core.similarity_matrix
+
+        def counting(model, encoded):
+            rows.append(len(encoded))
+            return score(model, encoded)
+
+        for module in (cli, core, learner, metrics, robustness):
+            monkeypatch.setattr(module, "similarity_matrix", counting)
+        monkeypatch.setattr(learner, "_score_matrix", counting)
+        return rows
+
+    @pytest.fixture()
+    def splits(self):
+        # Distinct sizes, so each call names the row set it scored.
+        ds = synth_blobs(6, 4, 30, 2.0, 0)
+        return split(ds, (0.6, 0.15, 0.25), stratified=True, seed=0)
+
+    CONFIG = TrainConfig(dim=32, mode="dynamic", regen_rate=40.0, max_iters=4,
+                         patience=4, min_delta=0.0)
+
+    def test_dynamic_train_scores_each_set_once_per_iteration(self, scored, splits):
+        tr, va, _ = splits
+        _, _, report = train(self.CONFIG, tr, va)
+        assert any(r.regenerated for r in report.rows)
+        assert scored == [tr.n_samples, va.n_samples] * self.CONFIG.max_iters
+
+    def test_sweep_point_scores_the_test_rows_once(self, scored, splits):
+        tr, va, te = splits
+        cli._sweep_point(self.CONFIG, tr, va, te)
+        assert scored == ([tr.n_samples, va.n_samples] * self.CONFIG.max_iters
+                          + [te.n_samples])
+
+    @pytest.mark.parametrize("score", ["margin", "raw"])
+    def test_roc_scores_once(self, tmp_path, trained, blobs_csv, scored, score):
+        assert run("roc", "--model", os.path.join(trained, "model.json"),
+                   "--data", blobs_csv, "--class-id", "1", "--score", score,
+                   "--out", str(tmp_path / "roc")) == EXIT_OK
+        assert scored == [len(load_csv(blobs_csv).labels)]
+
+
 class TestSweepWeights:
     def test_grid_outputs(self, tmp_path, blobs_csv):
         out = tmp_path / "sweep"
@@ -463,7 +563,7 @@ class TestSweepWeights:
             preds = ranking(similarity_matrix(model, encoded), 1)[:, 0]
             sens = [np.mean(preds[te.labels == c] == c) for c in range(3)]
             spec = [np.mean(preds[te.labels != c] != c) for c in range(3)]
-            curves = [roc_curve(margin_scores(model, encoded, c),
+            curves = [roc_curve(margin_scores(similarity_matrix(model, encoded), c),
                                 (te.labels == c).astype(int)) for c in range(3)]
             expected = [alpha, 1.0, 0.5, top_k_accuracy(model, encoded, te.labels, 1),
                         np.mean(sens), np.mean(spec), np.mean([c.auc for c in curves])]

@@ -1,5 +1,8 @@
 """Unit tests for CSV IO, normalization, splitting, and synthetic blobs."""
 
+import json
+import math
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -66,6 +69,12 @@ class TestLoadCsv:
         path = self.write(tmp_path, "a,b,label\n1,2,x\n1,x\n")
         with pytest.raises(ParseError, match="line 3"):
             load_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,x", "1,2,3,x"])
+    def test_rows_must_match_the_header_width(self, tmp_path, row):
+        path = self.write(tmp_path, f"a,b,label\n{row}\n")
+        with pytest.raises(ParseError, match="line 2: expected 3 columns"):
+            load_csv(path, label_column="label")
 
     def test_non_numeric_feature_names_line(self, tmp_path):
         path = self.write(tmp_path, "a,b,label\n1,oops,x\n")
@@ -183,7 +192,9 @@ class TestNormalization:
         {"mode": "zscore", "shift": [0.0], "scale": [float("nan")]},
         {"mode": "zscore", "shift": [float("inf")], "scale": [1.0]},
         {"mode": "minmax", "shift": [0.0], "scale": [-1.0]},
-    ], ids=["mode", "lengths", "not_1d", "nan_scale", "inf_shift", "negative_scale"])
+        {"mode": "zscore", "shift": [10**400], "scale": [1.0]},
+    ], ids=["mode", "lengths", "not_1d", "nan_scale", "inf_shift", "negative_scale",
+            "int_beyond_float"])
     def test_spec_from_dict_rejects_unusable_specs(self, doc):
         with pytest.raises(ValueError):
             NormalizationSpec.from_dict(doc)
@@ -286,3 +297,67 @@ class TestSynthBlobs:
             synth_blobs(0, 2, 5, 1.0, seed=0)
         with pytest.raises(ValueError):
             synth_blobs(2, 2, 5, -1.0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# loader fuzzing: a malformed file fails only with the errors the CLI maps
+# to an exit code, never with a traceback.
+
+SPEC_DOC = {"mode": "zscore", "shift": [0.5, -1.0, 2.0], "scale": [1.0, 0.0, 3.5]}
+# JSON gives Python ints of any size, NaN and Infinity.
+ODD_VALUES = [None, True, 0, -1, 2.5, math.nan, math.inf, 10**400, "", "x", "1",
+              "minmax", [], [1.0], [[1.0]], ["x"], [None], [10**400], {}, {"a": 1}]
+
+
+@st.composite
+def mutated_specs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(ODD_VALUES))
+    doc = json.loads(json.dumps(SPEC_DOC))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(SPEC_DOC)))
+        kind = draw(st.sampled_from(["drop", "retype", "truncate", "element"]))
+        if kind == "drop":
+            doc.pop(key, None)
+        elif kind == "retype":
+            doc[key] = draw(st.sampled_from(ODD_VALUES))
+        elif kind == "truncate" and isinstance(doc.get(key), (str, list)):
+            doc[key] = doc[key][:draw(st.integers(0, max(len(doc[key]) - 1, 0)))]
+        elif kind == "element" and isinstance(doc.get(key), list) and doc[key]:
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(
+                st.sampled_from(ODD_VALUES))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_specs())
+def test_fuzzed_spec_raises_only_mapped_errors(doc):
+    """A malformed norm document fails only with errors the CLI maps to exit 2."""
+    try:
+        NormalizationSpec.from_dict(doc)
+    except (ValueError, KeyError, TypeError):
+        pass
+
+
+CSV_ALPHABET = list("0123456789.,,,-+eE \"\n\r\tabxnf_\x00") + ["nan", "inf", "١", "é"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.sampled_from([b"", b"label\n", b"f0,f1,label\n"]),
+       body=st.one_of(st.lists(st.sampled_from(CSV_ALPHABET), max_size=60).map("".join)
+                      .map(str.encode), st.binary(max_size=40)),
+       label_column=st.sampled_from([-1, 0, 2, -5, "label", "absent"]),
+       names=st.sampled_from([None, ["a", "b"], ["1", "2", "x"]]))
+@example(header=b"a,label\n", body=b"1,x\n\xff,y\n", label_column=-1, names=None)
+def test_fuzzed_csv_raises_only_parse_errors(header, body, label_column, names):
+    """``load_csv`` on any bytes returns a Dataset or raises ParseError or
+    UnicodeDecodeError, both of which the CLI maps to exit 2."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = f"{folder}/fuzz.csv"
+        with open(path, "wb") as fh:
+            fh.write(header + body)
+        try:
+            ds = load_csv(path, label_column=label_column, names=names)
+        except (ParseError, UnicodeDecodeError):
+            return
+    assert ds.features.shape[0] == ds.labels.shape[0] > 0

@@ -239,7 +239,8 @@ class TestDistanceRows:
         H[:3] = 0.0
         y = rng.integers(0, k, size=m)
         cfg = TrainConfig(dim=dim, n_formula=n_formula)
-        partial, incorrect = _build_distance_rows(model, H, y, cfg)
+        partial, incorrect = _build_distance_rows(
+            model, H, similarity_matrix(model, H), y, cfg)
         expected_partial, expected_incorrect = self.per_sample_rows(model, H, y, cfg)
         assert len(partial) and len(incorrect)
         assert np.array_equal(partial, expected_partial)
@@ -248,7 +249,7 @@ class TestDistanceRows:
     def test_no_misclassified_samples_give_empty_sides(self):
         model = ClassModel(np.eye(3))
         partial, incorrect = _build_distance_rows(
-            model, np.eye(3), np.arange(3), TrainConfig(dim=3))
+            model, np.eye(3), np.eye(3), np.arange(3), TrainConfig(dim=3))
         assert partial.shape == incorrect.shape == (0, 3)
         assert not regen.select_undesired(partial, incorrect, 40.0, 3).dims
 
@@ -425,8 +426,8 @@ class TestTrainLoop:
                           min_delta=0.0, regen_rate=40.0)
         _, _, report = train(cfg, tr, va)
         # Each iteration checks the epoch and the train and validation
-        # scoring; each but the last also checks the distance rows.
-        assert len(checked) == 4 * len(report.rows) - 1
+        # scoring; the distance rows reuse the train scoring.
+        assert len(checked) == 3 * len(report.rows)
         assert 0 < checked[-1] < 64
 
     def test_convergence_stops_early(self):

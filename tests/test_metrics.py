@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from hdclass import cli, learner, robustness
-from hdclass.core import ClassModel, Encoder
+from hdclass.core import ClassModel, Encoder, similarity_matrix
 from hdclass.data import Dataset
 from hdclass.learner import TrainConfig, top_k
 from hdclass.metrics import (
     accuracy,
     confusion_matrix,
     margin_scores,
-    raw_scores,
     roc_curve,
     sensitivity_specificity,
     top_k_accuracy,
@@ -78,7 +77,7 @@ class TestTopKAccuracy:
         y = np.zeros(2000, dtype=int)
 
         if batch_top1 == "eval":
-            acc = cli._evaluate(model, H, y, [1])["accuracy"]
+            acc = cli._evaluate(similarity_matrix(model, H), y)["accuracy"]
         elif batch_top1 == "train":
             # train() records the validation accuracy of the tie model on
             # the rows H themselves.
@@ -204,19 +203,11 @@ class TestScores:
         self.H = rng.normal(size=(6, 8))
 
     def test_margin_is_own_minus_best_other(self):
-        from hdclass.core import similarity_matrix
-
         sims = similarity_matrix(self.model, self.H)
-        margins = margin_scores(self.model, self.H, 1)
+        margins = margin_scores(sims, 1)
         expected = sims[:, 1] - np.maximum(sims[:, 0], sims[:, 2])
         assert np.allclose(margins, expected, atol=1e-12)
 
-    def test_raw_is_target_column(self):
-        from hdclass.core import similarity_matrix
-
-        sims = similarity_matrix(self.model, self.H)
-        assert np.array_equal(raw_scores(self.model, self.H, 2), sims[:, 2])
-
     def test_target_bounds(self):
         with pytest.raises(ValueError):
-            margin_scores(self.model, self.H, 3)
+            margin_scores(similarity_matrix(self.model, self.H), 3)
