@@ -23,7 +23,6 @@ from . import data as dio
 from . import metrics, robustness
 from .core import similarity_matrix
 from .learner import TrainConfig, train
-from .regen import write_dump_csv
 from .serialize import (load_model, save_model, write_csv_atomic, write_json_atomic,
                         write_text_atomic)
 
@@ -87,6 +86,15 @@ def write_config_echo(path: str, resolved: dict) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _echo_args(out: str, args) -> None:
+    """Echo every parsed option but ``--out`` as a ``<command>.<dest>`` line;
+    for the commands that take no config file."""
+    write_config_echo(os.path.join(out, "config.txt"), {
+        f"{args.command}.{dest}": ("" if value is None else
+                                   ",".join(value) if isinstance(value, list) else value)
+        for dest, value in vars(args).items() if dest not in ("command", "func", "out")})
+
+
 def _coerce(key: str, value):
     like = TRAIN_DEFAULTS[key]
     if isinstance(like, bool) and isinstance(value, str):
@@ -132,12 +140,16 @@ def _out_dir(args, command: str) -> str:
         out = args.out
     else:
         out = os.path.join(os.environ.get(OUT_ROOT_ENV, "."), command)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
-def _load_dataset(path: str, label_column="-1", names=None) -> dio.Dataset:
-    """Read a CSV file; with ``names``, its labels map to ids by those names."""
+def _load_dataset(path: str, label_column, names=None) -> dio.Dataset:
+    """Read a CSV file; with ``names``, its labels map to ids by those names.
+    A NaN or infinite feature value is a DataError naming its data row."""
     if not os.path.exists(path):
         raise DataError(f"dataset not found: {path}")
     try:
@@ -145,9 +157,14 @@ def _load_dataset(path: str, label_column="-1", names=None) -> dio.Dataset:
     except (TypeError, ValueError):
         col = label_column
     try:
-        return dio.load_csv(path, label_column=col, names=names)
+        ds = dio.load_csv(path, label_column=col, names=names)
     except (dio.ParseError, OSError, UnicodeDecodeError) as exc:
         raise DataError(str(exc)) from exc
+    if not np.isfinite(ds.features).all():
+        row, cell = np.argwhere(~np.isfinite(ds.features))[0]
+        raise DataError(f"{path}: data row {row + 1}: non-finite feature value "
+                        f"{float(ds.features[row, cell])!r}")
+    return ds
 
 
 def _normalize(train_ds, other_sets, mode: str):
@@ -202,11 +219,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(args, "synth")
     ds = dio.synth_blobs(args.features, args.classes, args.per_class,
                          args.separation, args.seed)
-    write_config_echo(os.path.join(out, "config.txt"), {
-        "synth.features": args.features, "synth.classes": args.classes,
-        "synth.per_class": args.per_class, "synth.separation": args.separation,
-        "synth.seed": args.seed,
-    })
+    _echo_args(out, args)
     dio.save_csv(os.path.join(out, "blobs.csv"), ds)
     return EXIT_OK
 
@@ -237,7 +250,7 @@ def cmd_train(args) -> int:
                                              resolved["data.normalize"])
     encoder, model, report = train(cfg, train_ds, valid_ds)
     if args.dump_regen:
-        write_dump_csv(os.path.join(out, "regen_dump.csv"), report.rows)
+        _write_dump_csv(os.path.join(out, "regen_dump.csv"), report.rows)
     _check_finite(model.classes, encoder.base, encoder.phase)
 
     save_model(os.path.join(out, "model.json"), encoder, model)
@@ -258,27 +271,32 @@ def _read_checked(what: str, path: str, reader):
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_model_checked(path: str):
-    return _read_checked("model", path, load_model)
-
-
 def _read_norm(path: str) -> dio.NormalizationSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return dio.NormalizationSpec.from_dict(json.load(fh))
 
 
-def _class_names(labels: list, path: str):
-    """A model's class names, or None for a container that has none."""
-    if all(isinstance(label, str) for label in labels):
-        return labels
-    log.warning("model %s holds class ids, not names, as every format 1 container "
-                "does; the data labels map to its classes by sorted order", path)
-    return None
-
-
-def _load_eval_data(args, names, *encoders):
-    """The ``--data`` rows, labels mapped by ``names``, normalized by ``--norm``."""
-    ds = _load_dataset(args.data, args.label_column or "-1", names=names)
+def _load_scored(args, paths):
+    """The ``(encoder, model)`` pair of each path in ``paths`` and the
+    ``--data`` rows, labels mapped by the models' class names and
+    normalized by ``--norm``.  The models must differ in ``dim`` and agree
+    on their class names."""
+    loaded, labels = {}, None
+    for path in paths:
+        encoder, model = _read_checked("model", path, load_model)
+        if model.dim in loaded:
+            raise ConfigError(f"{path}: another --model already has dim {model.dim}")
+        if labels is None:
+            labels = model.labels
+        elif model.labels != labels:
+            raise DataError(f"{path}: class names {model.labels} differ from "
+                            f"{labels} of {paths[0]}")
+        loaded[model.dim] = (encoder, model)
+    names = labels if all(isinstance(label, str) for label in labels) else None
+    if names is None:
+        log.warning("model %s holds class ids, not names, as every format 1 container "
+                    "does; the data labels map to its classes by sorted order", paths[0])
+    ds = _load_dataset(args.data, args.label_column, names=names)
     if args.norm:
         spec = _read_checked("norm file", args.norm, _read_norm)
         if spec.shift.shape[0] != ds.n_features:
@@ -286,25 +304,21 @@ def _load_eval_data(args, names, *encoders):
                 f"norm file {args.norm} covers {spec.shift.shape[0]} features, "
                 f"dataset has {ds.n_features}")
         ds = dio.apply_normalizer(spec, ds)
-    for encoder in encoders:
+    for encoder, _ in loaded.values():
         if ds.n_features != encoder.n_features:
             raise DataError(
                 f"feature count mismatch: encoder expects {encoder.n_features}, "
                 f"dataset has {ds.n_features}")
-    return ds
+    return list(loaded.values()), ds
 
 
 def cmd_eval(args) -> int:
     out = _out_dir(args, "eval")
-    encoder, model = _load_model_checked(args.model)
-    ds = _load_eval_data(args, _class_names(model.labels, args.model), encoder)
+    [(encoder, model)], ds = _load_scored(args, [args.model])
     k_list = [int(k) for k in args.topk.split(",")]
     if any(not 1 <= k <= model.n_classes for k in k_list):
         raise ConfigError(f"top-k values must lie in [1, {model.n_classes}]")
-    write_config_echo(os.path.join(out, "config.txt"), {
-        "eval.model": args.model, "eval.data": args.data,
-        "eval.topk": args.topk, "eval.norm": args.norm or "",
-    })
+    _echo_args(out, args)
     encoded = encoder.encode_batch(ds.features)
     report = _evaluate(similarity_matrix(model, encoded), ds.labels)
     report["top_k_accuracy"] = {
@@ -382,34 +396,16 @@ def cmd_sweep_weights(args) -> int:
 
 def cmd_noise(args) -> int:
     out = _out_dir(args, "noise")
-    loaded = {}
-    labels = None
-    for path in args.model:
-        encoder, model = _load_model_checked(path)
-        if model.dim in loaded:
-            raise ConfigError(f"{path}: another --model already has dim {model.dim}")
-        if labels is None:
-            labels = model.labels
-        elif model.labels != labels:
-            raise DataError(f"{path}: class names {model.labels} differ from "
-                            f"{labels} of {args.model[0]}")
-        loaded[model.dim] = (encoder, model)
-    ds = _load_eval_data(args, _class_names(labels, args.model[0]),
-                         *(encoder for encoder, _ in loaded.values()))
-    models_by_dim = {dim: (model, encoder.encode_batch(ds.features), ds.labels)
-                     for dim, (encoder, model) in loaded.items()}
+    loaded, ds = _load_scored(args, args.models)
+    models_by_dim = {model.dim: (model, encoder.encode_batch(ds.features), ds.labels)
+                     for encoder, model in loaded}
     bits_list = [int(b) for b in args.bits.split(",")]
     rates = [float(r) for r in args.rates.split(",")]
-    write_config_echo(os.path.join(out, "config.txt"), {
-        "noise.models": ",".join(args.model), "noise.data": args.data,
-        "noise.bits": args.bits, "noise.rates": args.rates,
-        "noise.trials": args.trials, "noise.seed": args.seed,
-        "noise.norm": args.norm or "",
-    })
+    _echo_args(out, args)
     grid = [(dim, bits, rate) for dim in sorted(models_by_dim)
             for bits in bits_list for rate in rates]
     cells = robustness.noise_sweep(models_by_dim, grid, args.trials, args.seed)
-    robustness.write_sweep_csv(os.path.join(out, "noise.csv"), cells)
+    _write_noise_csv(os.path.join(out, "noise.csv"), cells)
     write_json_atomic(os.path.join(out, "summary.json"), _ordering_summary(cells))
     return EXIT_OK
 
@@ -433,15 +429,10 @@ def _ordering_summary(cells) -> dict:
 
 def cmd_roc(args) -> int:
     out = _out_dir(args, "roc")
-    encoder, model = _load_model_checked(args.model)
-    ds = _load_eval_data(args, _class_names(model.labels, args.model), encoder)
+    [(encoder, model)], ds = _load_scored(args, [args.model])
     if not 0 <= args.class_id < model.n_classes:
         raise ConfigError(f"class id {args.class_id} outside [0, {model.n_classes})")
-    write_config_echo(os.path.join(out, "config.txt"), {
-        "roc.model": args.model, "roc.data": args.data,
-        "roc.class_id": args.class_id, "roc.score": args.score,
-        "roc.norm": args.norm or "",
-    })
+    _echo_args(out, args)
     scores = similarity_matrix(model, encoder.encode_batch(ds.features))
     class_scores = (metrics.margin_scores(scores, args.class_id)
                     if args.score == "margin" else scores[:, args.class_id])
@@ -460,6 +451,26 @@ def _write_roc_csv(path: str, curve) -> None:
     write_csv_atomic(path, ["fpr", "tpr"], rows)
 
 
+def _write_noise_csv(path: str, cells) -> None:
+    write_csv_atomic(path, ["dim", "bits", "rate", "trials", "mean_loss", "std_loss"],
+                     [[c.dim, c.bits, repr(c.rate), c.trials, repr(c.mean_loss),
+                       repr(c.std_loss)] for c in cells])
+
+
+def _write_dump_csv(path: str, records) -> None:
+    """One row per dimension of each iteration record with a ``selection``."""
+    rows = []
+    for r in records:
+        sel = r.selection
+        if sel is None:
+            continue
+        rows.extend([r.iteration, j, repr(float(sel.m_aggregate[j])),
+                     repr(float(sel.n_aggregate[j])), int(j in sel.dims)]
+                    for j in range(sel.m_aggregate.shape[0]))
+    write_csv_atomic(path, ["iteration", "dimension", "m_aggregate", "n_aggregate",
+                            "selected"], rows)
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -472,6 +483,16 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, dest=dest, action="store_const", const=True)
         else:
             p.add_argument(flag, dest=dest, type=type(default))
+
+
+def _add_scoring_flags(p: argparse.ArgumentParser, **model_options) -> None:
+    """The flags eval, roc and noise share: ``--model`` (with ``model_options``),
+    ``--data``, ``--norm``, ``--label-column`` and ``--out``."""
+    p.add_argument("--model", required=True, **model_options)
+    p.add_argument("--data", required=True)
+    p.add_argument("--norm")
+    p.add_argument("--label-column", dest="label_column", default="-1")
+    p.add_argument("--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -496,12 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--norm")
+    _add_scoring_flags(p)
     p.add_argument("--topk", default="1,2")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-weights", help="grid sweep over alpha/beta/theta")
@@ -514,26 +531,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_weights)
 
     p = sub.add_parser("noise", help="bit-flip robustness sweep")
-    p.add_argument("--model", action="append", required=True,
-                   help="trained model container; repeat per dimensionality")
-    p.add_argument("--data", required=True)
-    p.add_argument("--norm")
+    _add_scoring_flags(p, dest="models", action="append",
+                       help="trained model container; repeat per dimensionality")
     p.add_argument("--bits", default="1,8")
     p.add_argument("--rates", default="0,5,10")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("roc", help="export a one-vs-rest ROC curve")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--norm")
+    _add_scoring_flags(p)
     p.add_argument("--class-id", dest="class_id", type=int, required=True)
     p.add_argument("--score", choices=["margin", "raw"], default="margin")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_roc)
 
     return parser

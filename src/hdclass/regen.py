@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionError, ranking
-from .serialize import write_csv_atomic
 
 #: Row formulas for the incorrect-sample matrix.  "prose" rewards
 #: dimensions far from the true class and near both wrong classes with a
@@ -119,16 +118,3 @@ def select_undesired(partial_rows, incorrect_rows, regen_rate: float,
     n_top = set(ranking(n_agg, nominal).tolist())
     return UndesiredSet(m_top & n_top, nominal, m_agg, n_agg)
 
-
-def write_dump_csv(path: str, records) -> None:
-    """One row per dimension of each iteration record with a ``selection``."""
-    rows = []
-    for r in records:
-        sel = r.selection
-        if sel is None:
-            continue
-        rows.extend([r.iteration, j, repr(float(sel.m_aggregate[j])),
-                     repr(float(sel.n_aggregate[j])), int(j in sel.dims)]
-                    for j in range(sel.m_aggregate.shape[0]))
-    write_csv_atomic(path, ["iteration", "dimension", "m_aggregate", "n_aggregate",
-                            "selected"], rows)

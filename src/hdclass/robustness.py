@@ -16,7 +16,6 @@ import numpy as np
 
 from . import metrics
 from .core import ClassModel, similarity_matrix
-from .serialize import write_csv_atomic
 
 SUPPORTED_BITS = (1, 2, 4, 8)
 
@@ -145,12 +144,6 @@ def noise_sweep(models_by_dim: dict, grid, trials: int, seed: int) -> list[Sweep
         cells.append(SweepCell(dim, bits, rate, trials,
                                float(losses.mean()), float(losses.std())))
     return cells
-
-
-def write_sweep_csv(path: str, cells: list[SweepCell]) -> None:
-    write_csv_atomic(path, ["dim", "bits", "rate", "trials", "mean_loss", "std_loss"],
-                     [[c.dim, c.bits, repr(c.rate), c.trials, repr(c.mean_loss),
-                       repr(c.std_loss)] for c in cells])
 
 
 def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:

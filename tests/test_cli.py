@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line harness."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -711,3 +712,85 @@ class TestClassNames:
             outputs.append((out / output).read_bytes())
         assert len(warnings) == 1 and str(v1) in warnings[0]
         assert outputs[0] == outputs[1]
+
+
+SCORING_EXTRA = {"roc": ["--class-id", "1"], "noise": ["--trials", "2"]}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["train", "sweep-weights", "eval", "roc", "noise"])
+def test_non_finite_feature_is_data_error(tmp_path, trained, blobs_csv, caplog,
+                                          command, value):
+    rows = _read_rows(blobs_csv)
+    rows[5][2] = value
+    data = _write_rows(tmp_path / "non_finite.csv", rows)
+    if command in ("train", "sweep-weights"):
+        extra = ["--dim", "16", "--max-iters", "2"]
+        if command == "sweep-weights":
+            extra += ["--alphas", "2.0", "--betas", "1.0", "--thetas", "0.5"]
+    else:
+        extra = ["--model", os.path.join(trained, "model.json"),
+                 *SCORING_EXTRA.get(command, [])]
+    out = tmp_path / "out"
+    assert run(command, "--data", data, *extra, "--out", str(out)) == EXIT_DATA
+    assert _logged_error(caplog, f"{data}: data row 5: non-finite feature value {value}")
+    assert sorted(os.listdir(out)) in ([], ["config.txt"])
+
+
+@pytest.mark.parametrize("where", ["file", "under_file"])
+@pytest.mark.parametrize("argv", [
+    ["synth"], ["train", "--data", "x.csv"],
+    ["sweep-weights", "--data", "x.csv", "--alphas", "2", "--betas", "1",
+     "--thetas", "0.5"],
+    ["eval", "--model", "m.json", "--data", "x.csv"],
+    ["roc", "--model", "m.json", "--data", "x.csv", "--class-id", "0"],
+    ["noise", "--model", "m.json", "--data", "x.csv"],
+], ids=lambda argv: argv[0])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, caplog, argv, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker if where == "file" else blocker / "sub"
+    assert run(*argv, "--out", str(out)) == EXIT_CONFIG
+    assert _logged_error(caplog, str(out))
+    assert blocker.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("column", ["0", "label"])
+@pytest.mark.parametrize("command", ["eval", "roc", "noise"])
+def test_label_column_scores_a_label_first_file(tmp_path, trained, blobs_csv, command,
+                                                column):
+    label_first = _write_rows(tmp_path / "label_first.csv",
+                              [row[-1:] + row[:-1] for row in _read_rows(blobs_csv)])
+    scored = ["--model", os.path.join(trained, "model.json"),
+              "--norm", os.path.join(trained, "norm.json"),
+              *SCORING_EXTRA.get(command, [])]
+    last, first = tmp_path / "last", tmp_path / "first"
+    assert run(command, *scored, "--data", blobs_csv, "--out", str(last)) == EXIT_OK
+    assert run(command, *scored, "--data", label_first, "--label-column", column,
+               "--out", str(first)) == EXIT_OK
+    for name in {"eval": ["eval.json"], "roc": ["roc.csv", "roc.json"],
+                 "noise": ["noise.csv", "summary.json"]}[command]:
+        assert (first / name).read_bytes() == (last / name).read_bytes(), name
+    assert f"{command}.label_column = {column}" in (
+        first / "config.txt").read_text().splitlines()
+
+
+def _option_dests(command):
+    """The ``dest`` of every option of ``command`` but ``--help`` and ``--out``."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for action in commands.choices[command]._actions} - {"help", "out"}
+
+
+@pytest.mark.parametrize("command", ["synth", "eval", "roc", "noise"])
+def test_echo_holds_every_option(tmp_path, trained, blobs_csv, command):
+    out = tmp_path / "out"
+    argv = [] if command == "synth" else [
+        "--model", os.path.join(trained, "model.json"), "--data", blobs_csv,
+        *SCORING_EXTRA.get(command, [])]
+    assert run(command, *argv, "--out", str(out)) == EXIT_OK
+    lines = (out / "config.txt").read_text().splitlines()
+    assert sorted(line.split(" = ", 1)[0] for line in lines) == sorted(
+        f"{command}.{dest}" for dest in _option_dests(command))
+    if command != "synth":
+        assert f"{command}.norm = " in lines

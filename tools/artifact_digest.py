@@ -5,8 +5,9 @@ primary artifact it writes.
     python3 tools/artifact_digest.py OUT_DIR
 
 Each output line is ``sha256  path``, the path relative to ``OUT_DIR``,
-sorted by path.  The ``config.txt`` echoes are skipped, since they record
-the run's own paths.  A refactor that must keep every artifact
+sorted by path.  A ``config.txt`` echo is digested with each occurrence of
+``OUT_DIR`` replaced by the token ``<OUT>``, so that two runs in different
+directories compare equal.  A refactor that must keep every artifact
 byte-identical diffs this output between two checkouts.  The script uses
 the standard library and the hdclass package of this checkout's ``src/``.
 """
@@ -28,6 +29,7 @@ def commands(out: str) -> list[list[str]]:
     blobs = os.path.join(out, "synth", "blobs.csv")
     blobs4 = os.path.join(out, "synth4", "blobs.csv")
     model = os.path.join(out, "train", "model.json")
+    model64 = os.path.join(out, "train64", "model.json")
     norm = os.path.join(out, "train", "norm.json")
     scored = ["--model", model, "--data", blobs, "--norm", norm]
     sweep = ["--alphas", "1.0,2.0", "--betas", "1.0", "--thetas", "0.25,0.5",
@@ -58,6 +60,11 @@ def commands(out: str) -> list[list[str]]:
           for c in range(3) for score in ("margin", "raw")],
         ["noise", *scored, "--bits", "1,2,4,8", "--rates", "0,0.1,5,20",
          "--trials", "3", "--seed", "2", "--out", os.path.join(out, "noise_grid")],
+        # Two dimensionalities trained on the same rows, so one split and norm.
+        ["train", "--data", blobs, "--dim", "64", "--max-iters", "3", "--seed", "0",
+         "--fractions", "0.7,0.3,0.0", "--out", os.path.join(out, "train64")],
+        ["noise", *scored, "--model", model64, "--bits", "1,8", "--rates", "0,10",
+         "--trials", "3", "--seed", "2", "--out", os.path.join(out, "noise_dims")],
         ["sweep-weights", "--data", blobs4, *sweep, "--mode", "static",
          "--out", os.path.join(out, "sweep_static")],
         ["sweep-weights", "--data", blobs4, *sweep, "--mode", "dynamic",
@@ -69,11 +76,12 @@ def digests(out: str) -> list[str]:
     lines = []
     for folder, _, files in os.walk(out):
         for name in files:
-            if name == "config.txt":
-                continue
             path = os.path.join(folder, name)
             with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
+                content = fh.read()
+            if name == "config.txt":
+                content = content.replace(os.fsencode(out), b"<OUT>")
+            digest = hashlib.sha256(content).hexdigest()
             lines.append(f"{digest}  {os.path.relpath(path, out)}")
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
