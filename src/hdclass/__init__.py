@@ -12,23 +12,18 @@ from .core import (
 )
 from .data import Dataset, synth_blobs
 from .learner import (
-    Outcome,
-    OutcomeTriage,
     TrainConfig,
     TrainReport,
     adaptive_fit_epoch,
     effective_dimensionality,
-    predict,
     top_k,
     train,
-    triage,
 )
 from .serialize import load_model, save_model
 
 __all__ = [
     "ClassModel", "DimensionError", "Encoder", "similarity_matrix",
     "similarity_scores", "Dataset", "synth_blobs",
-    "Outcome", "OutcomeTriage", "TrainConfig", "TrainReport",
-    "adaptive_fit_epoch", "effective_dimensionality", "predict", "top_k",
-    "train", "triage", "load_model", "save_model",
+    "TrainConfig", "TrainReport", "adaptive_fit_epoch",
+    "effective_dimensionality", "top_k", "train", "load_model", "save_model",
 ]

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -124,6 +125,19 @@ def resolve_train_config(args) -> dict:
     return {key: _coerce(key, value) for key, value in resolved.items()}
 
 
+def _parse_list(flag: str, text: str, convert=float) -> list:
+    """The items of the comma list ``text`` through ``convert``; an empty or
+    non-finite item is a ConfigError naming ``flag``."""
+    try:
+        values = [convert(item) for item in text.split(",")]
+    except ValueError:
+        values = [math.nan]
+    if not all(abs(v) < math.inf for v in values):
+        raise ConfigError(f"{flag}: expected a comma list of finite "
+                          f"{'integers' if convert is int else 'numbers'}, got {text!r}")
+    return values
+
+
 def train_config_from_resolved(resolved: dict) -> TrainConfig:
     try:
         return TrainConfig(**{f.name: resolved[f"train.{f.name}"]
@@ -228,6 +242,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args, "train")
     resolved = resolve_train_config(args)
     cfg = train_config_from_resolved(resolved)
+    fractions = _parse_list("--fractions", resolved["data.fractions"])
     write_config_echo(os.path.join(out, "config.txt"), resolved)
 
     ds = _load_dataset(args.data, resolved["data.label_column"])
@@ -239,7 +254,6 @@ def cmd_train(args) -> int:
                 f"feature count mismatch between splits: {train_ds.n_features} "
                 f"vs {valid_ds.n_features}")
     else:
-        fractions = [float(x) for x in str(resolved["data.fractions"]).split(",")]
         train_ds, valid_ds, _ = dio.split(ds, fractions, stratified=True, seed=cfg.seed)
 
     if not cfg.shuffle and _class_grouped(train_ds.labels):
@@ -315,7 +329,7 @@ def _load_scored(args, paths):
 def cmd_eval(args) -> int:
     out = _out_dir(args, "eval")
     [(encoder, model)], ds = _load_scored(args, [args.model])
-    k_list = [int(k) for k in args.topk.split(",")]
+    k_list = _parse_list("--topk", args.topk, int)
     if any(not 1 <= k <= model.n_classes for k in k_list):
         raise ConfigError(f"top-k values must lie in [1, {model.n_classes}]")
     _echo_args(out, args)
@@ -352,12 +366,10 @@ def cmd_sweep_weights(args) -> int:
     out = _out_dir(args, "sweep")
     resolved = resolve_train_config(args)
     cfg_base = train_config_from_resolved(resolved)
-    alphas = [float(x) for x in args.alphas.split(",")]
-    betas = [float(x) for x in args.betas.split(",")]
-    thetas = [float(x) for x in args.thetas.split(",")]
+    alphas = _parse_list("--alphas", args.alphas)
+    betas = _parse_list("--betas", args.betas)
+    thetas = _parse_list("--thetas", args.thetas)
     grid = [(a, b, t) for a in alphas for b in betas for t in thetas]
-    if not grid:
-        raise ConfigError("empty weight grid")
     configs, bad = [], []
     for i, (a, b, t) in enumerate(grid):
         try:
@@ -370,7 +382,7 @@ def cmd_sweep_weights(args) -> int:
     resolved["sweep.alphas"] = args.alphas
     resolved["sweep.betas"] = args.betas
     resolved["sweep.thetas"] = args.thetas
-    fractions = [float(x) for x in str(resolved["data.fractions"]).split(",")]
+    fractions = _parse_list("--fractions", resolved["data.fractions"])
     if len(fractions) == 3 and fractions[2] <= 0:
         # A sweep scores a held-out test split, so it makes one.
         fractions = [0.6, 0.2, 0.2]
@@ -397,11 +409,17 @@ def cmd_sweep_weights(args) -> int:
 def cmd_noise(args) -> int:
     out = _out_dir(args, "noise")
     loaded, ds = _load_scored(args, args.models)
+    bits_list = _parse_list("--bits", args.bits, int)
+    rates = _parse_list("--rates", args.rates)
+    if not set(bits_list) <= set(robustness.SUPPORTED_BITS):
+        raise ConfigError(f"--bits must each be one of {robustness.SUPPORTED_BITS}")
+    if not all(0 <= rate <= 100 for rate in rates):
+        raise ConfigError(f"--rates must each lie in [0, 100], got {args.rates!r}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    _echo_args(out, args)
     models_by_dim = {model.dim: (model, encoder.encode_batch(ds.features), ds.labels)
                      for encoder, model in loaded}
-    bits_list = [int(b) for b in args.bits.split(",")]
-    rates = [float(r) for r in args.rates.split(",")]
-    _echo_args(out, args)
     grid = [(dim, bits, rate) for dim in sorted(models_by_dim)
             for bits in bits_list for rate in rates]
     cells = robustness.noise_sweep(models_by_dim, grid, args.trials, args.seed)
@@ -567,7 +585,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
 

@@ -212,7 +212,8 @@ def split(ds: Dataset, fractions, stratified: bool = False,
           seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
     """Disjoint, exhaustive (train, valid, test) partition."""
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or fractions[0] <= 0:
+    # ``not f >= 0`` rejects NaN too; an infinite fraction fails the sum.
+    if len(fractions) != 3 or any(not f >= 0 for f in fractions) or fractions[0] <= 0:
         raise ValueError(f"need 3 nonnegative fractions with train > 0, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")

@@ -12,7 +12,6 @@ entirely and matches the behaviour of conventional fixed-encoder training.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,9 +59,7 @@ class TrainConfig:
         if self.theta >= self.beta:
             raise ValueError(
                 f"theta must be < beta, got theta={self.theta}, beta={self.beta}")
-        if not 0 < self.regen_rate <= 100:
-            raise ValueError(
-                f"regeneration rate must be in (0, 100], got {self.regen_rate}")
+        regen.nominal_count(self.dim, self.regen_rate)  # checks the rate
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.patience < 1:
@@ -73,28 +70,6 @@ class TrainConfig:
             raise ValueError(f"mode must be '{DYNAMIC}' or '{STATIC}', got {self.mode!r}")
         if self.n_formula not in regen.N_FORMULAS:
             raise ValueError(f"unknown n_formula: {self.n_formula!r}")
-
-
-class Outcome(enum.Enum):
-    CORRECT = "correct"
-    PARTIALLY_CORRECT = "partially_correct"
-    INCORRECT = "incorrect"
-
-
-@dataclass
-class OutcomeTriage:
-    """Where a sample's true label landed in the top-2 ranking."""
-
-    outcome: Outcome
-    true_label: int
-    top1: int | None = None
-    top2: int | None = None
-
-    def __post_init__(self):
-        if self.outcome is Outcome.PARTIALLY_CORRECT and self.top1 is None:
-            raise ValueError("partially-correct triage must carry the top-1 class")
-        if self.outcome is Outcome.INCORRECT and (self.top1 is None or self.top2 is None):
-            raise ValueError("incorrect triage must carry both top-2 classes")
 
 
 @dataclass
@@ -147,28 +122,11 @@ def _check_labels(model: ClassModel, labels) -> np.ndarray:
     return y.astype(np.intp)
 
 
-def predict(model: ClassModel, h) -> int:
-    """Most similar class; ties resolved toward the lowest class index."""
-    return int(np.argmax(similarity_scores(model, h)))
-
-
 def top_k(model: ClassModel, h, k: int) -> list[int]:
     """Class indices by descending similarity, ties by ascending index."""
     if not 1 <= k <= model.n_classes:
         raise ValueError(f"k must be in [1, {model.n_classes}], got {k}")
     return ranking(similarity_scores(model, h), k).tolist()
-
-
-def triage(model: ClassModel, h, true_label: int) -> OutcomeTriage:
-    """Categorize a sample by the rank of its true label in the top 2."""
-    if not 0 <= true_label < model.n_classes:
-        raise ValueError(f"unknown class label {true_label}")
-    first, second = top_k(model, h, 2)
-    if true_label == first:
-        return OutcomeTriage(Outcome.CORRECT, true_label)
-    if true_label == second:
-        return OutcomeTriage(Outcome.PARTIALLY_CORRECT, true_label, top1=first)
-    return OutcomeTriage(Outcome.INCORRECT, true_label, top1=first, top2=second)
 
 
 # Rows scored per matrix product in the adaptive epoch, and the margin that
@@ -246,15 +204,13 @@ _score_matrix = similarity_matrix
 def effective_dimensionality(dim: int, regen_rate: float, iters: int) -> int:
     """Physical dimensionality plus the nominal regenerated total.
 
-    Each iteration contributes floor(dim * rate / 100) dimensions.
+    Each iteration contributes ``regen.nominal_count(dim, rate)`` dimensions.
     """
     if dim < 1:
         raise ValueError(f"dimensionality must be >= 1, got {dim}")
-    if not 0 < regen_rate <= 100:
-        raise ValueError(f"regeneration rate must be in (0, 100], got {regen_rate}")
     if iters < 0:
         raise ValueError(f"iteration count must be >= 0, got {iters}")
-    return dim + int(np.floor(dim * regen_rate / 100.0)) * iters
+    return dim + regen.nominal_count(dim, regen_rate) * iters
 
 
 def _build_distance_rows(model: ClassModel, encoded: np.ndarray, scores: np.ndarray,

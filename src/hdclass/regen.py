@@ -99,17 +99,22 @@ def aggregate(rows: list[np.ndarray] | np.ndarray, dim: int) -> np.ndarray:
     return normalize_rows(mat).sum(axis=0)
 
 
+def nominal_count(dim: int, regen_rate: float) -> int:
+    """The per-side candidate cap, floor(dim * rate / 100), computed exactly."""
+    if not 0 < regen_rate <= 100:
+        raise ValueError(f"regeneration rate must be in (0, 100], got {regen_rate}")
+    return int(dim * regen_rate // 100)
+
+
 def select_undesired(partial_rows, incorrect_rows, regen_rate: float,
                      dim: int) -> UndesiredSet:
-    """Intersect the per-side top-R% dimension sets.
+    """Intersect the per-side top-``nominal_count`` dimension sets.
 
     Either side being empty (no samples of that category this iteration)
     yields an empty selection, so that iteration regenerates nothing.  The
     aggregates are kept in the result either way; an empty side's is zeros.
     """
-    if not 0 < regen_rate <= 100:
-        raise ValueError(f"regeneration rate must be in (0, 100], got {regen_rate}")
-    nominal = int(np.floor(regen_rate / 100.0 * dim))
+    nominal = nominal_count(dim, regen_rate)
     m_agg = aggregate(partial_rows, dim)
     n_agg = aggregate(incorrect_rows, dim)
     if len(partial_rows) == 0 or len(incorrect_rows) == 0 or nominal == 0:

@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line harness."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -11,7 +13,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import decode_array, encode_array, format_1_document
@@ -472,6 +474,117 @@ def test_non_finite_number_is_config_error(tmp_path, blobs_csv, caplog, argv):
     assert not (out / "model.json").exists() and not (out / "blobs.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--fractions=0.5,0.5,nan"), ("train", "--fractions=nan,nan,nan"),
+    ("train", "--fractions=0.5,,0.5"), ("sweep-weights", "--fractions=nan,0.5,0.5"),
+    ("sweep-weights", "--alphas=1,,2"), ("sweep-weights", "--betas=inf"),
+    ("sweep-weights", "--thetas=0.5,nan"), ("eval", "--topk=1,,2"),
+    ("noise", "--bits=1,x"), ("noise", "--rates=5,nan"),
+], ids=lambda value: value.lstrip("-"))
+def test_bad_comma_list_is_config_error(tmp_path, trained, blobs_csv, caplog, command,
+                                        flag):
+    base = {
+        "train": ["--data", blobs_csv, "--dim", "16", "--max-iters", "2"],
+        "sweep-weights": ["--data", blobs_csv, "--dim", "16", "--max-iters", "2",
+                          "--alphas", "2", "--betas", "1", "--thetas", "0.5"],
+    }.get(command, ["--model", os.path.join(trained, "model.json"), "--data", blobs_csv])
+    out = tmp_path / "out"
+    assert run(command, *base, flag, "--out", str(out)) == EXIT_CONFIG
+    assert _logged_error(caplog, flag.split("=")[0] + ": expected a comma list of finite")
+    assert not (out / "config.txt").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("eval", ["--topk", "9"]), ("roc", ["--class-id", "9"]), ("noise", ["--bits", "3"]),
+    ("noise", ["--rates", "101"]), ("noise", ["--trials", "0"]),
+], ids=lambda value: value if isinstance(value, str) else "=".join(value).lstrip("-"))
+def test_rejected_flag_leaves_no_config_echo(tmp_path, trained, blobs_csv, command,
+                                             flags):
+    out = tmp_path / "out"
+    assert run(command, "--model", os.path.join(trained, "model.json"),
+               "--data", blobs_csv, *flags, "--out", str(out)) == EXIT_CONFIG
+    assert not (out / "config.txt").exists()
+
+
+FUZZ_ITEMS = ["0", "-1", "nan", "inf", "", "1,,2", str(10**30), str(2**64), "ünï",
+              "３"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A valid tiny argv per command, without ``--out``."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    assert run("synth", "--features", "3", "--classes", "3", "--per-class", "8",
+               "--out", str(root / "synth")) == EXIT_OK
+    data = str(root / "synth" / "blobs.csv")
+    assert run("train", "--data", data, "--dim", "8", "--max-iters", "2",
+               "--out", str(root / "train")) == EXIT_OK
+    scored = ["--model", str(root / "train" / "model.json"), "--data", data]
+    train = ["--data", data, "--dim", "8", "--max-iters", "2"]
+    return {
+        "synth": ["--features", "3", "--classes", "2", "--per-class", "5"],
+        "train": train,
+        "sweep-weights": [*train, "--alphas", "2", "--betas", "1", "--thetas", "0.5"],
+        "eval": scored,
+        "roc": [*scored, "--class-id", "0"],
+        "noise": [*scored, "--trials", "2"],
+    }
+
+
+def _actions(command):
+    """The argparse actions of ``command``."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return commands.choices[command]._actions
+
+
+def _value_flags(command):
+    """Every option of ``command`` that takes a value, but ``--out``."""
+    return sorted(action.option_strings[0] for action in _actions(command)
+                  if action.option_strings and action.nargs != 0 and action.dest != "out")
+
+
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(FUZZ_ITEMS),
+    st.lists(st.sampled_from([*FUZZ_ITEMS, "0.5", "1", "2"]), min_size=2,
+             max_size=3).map(",".join))
+
+
+def _fuzz_flags(command, *examples):
+    """A hypothesis test that sets one flag of a valid ``command`` run to a
+    hostile value: main returns a documented exit code with no traceback,
+    and exits 0 only with a config echo that holds no non-finite number."""
+    @settings(max_examples=25, deadline=None)
+    @given(flag=st.sampled_from(_value_flags(command)), value=FUZZ_VALUES)
+    def test(tmp_path_factory, fuzz_base, flag, value):
+        out = tmp_path_factory.mktemp("fuzz")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run(command, *fuzz_base[command], f"{flag}={value}", "--out", str(out))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        if code == EXIT_OK:
+            for line in (out / "config.txt").read_text().splitlines():
+                for item in line.split(" = ", 1)[1].split(","):
+                    try:
+                        number = float(item)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(number), line
+
+    for flag, value in examples:
+        test = example(flag=flag, value=value)(test)
+    return test
+
+
+test_fuzzed_synth_flag = _fuzz_flags("synth", ("--per-class", str(10**30)))
+test_fuzzed_train_flag = _fuzz_flags("train", ("--fractions", "0.5,0.5,nan"))
+test_fuzzed_sweep_weights_flag = _fuzz_flags("sweep-weights")
+test_fuzzed_eval_flag = _fuzz_flags("eval")
+test_fuzzed_roc_flag = _fuzz_flags("roc")
+test_fuzzed_noise_flag = _fuzz_flags("noise")
+
+
 class TestScoreOnce:
     """Each (model, row set) pair is scored by one ``similarity_matrix`` call."""
 
@@ -777,9 +890,7 @@ def test_label_column_scores_a_label_first_file(tmp_path, trained, blobs_csv, co
 
 def _option_dests(command):
     """The ``dest`` of every option of ``command`` but ``--help`` and ``--out``."""
-    commands = next(action for action in build_parser()._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    return {action.dest for action in commands.choices[command]._actions} - {"help", "out"}
+    return {action.dest for action in _actions(command)} - {"help", "out"}
 
 
 @pytest.mark.parametrize("command", ["synth", "eval", "roc", "noise"])

@@ -242,6 +242,14 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, (0.0, 0.5, 0.5))
 
+    @pytest.mark.parametrize("fractions", [
+        (0.5, 0.5, math.nan), (math.nan,) * 3, (1.0, 0.0, math.inf),
+        (math.inf, 0.0, 0.0), (1.0, -math.inf, 0.0)])
+    def test_non_finite_fractions_are_rejected(self, fractions):
+        ds = synth_blobs(4, 2, 10, 2.0, seed=0)
+        with pytest.raises(ValueError):
+            split(ds, fractions, stratified=True)
+
     def test_stratified_needs_enough_samples(self):
         ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 1]))
         with pytest.raises(ValueError):

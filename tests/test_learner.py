@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 from hdclass import learner, regen
 from hdclass.core import ClassModel, Encoder, similarity_matrix
 from hdclass.learner import (
-    Outcome,
-    OutcomeTriage,
     TrainConfig,
     adaptive_fit_epoch,
     effective_dimensionality,
-    predict,
     top_k,
     train,
-    triage,
     _build_distance_rows,
 )
 from conftest import make_benchmark, eval_accuracy
@@ -154,11 +150,11 @@ class TestAdaptiveFit:
 class TestPredictTopK:
     def test_predict_argmax(self):
         model = ClassModel(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-        assert predict(model, [0.0, 1.0]) == 1
+        assert top_k(model, [0.0, 1.0], 1) == [1]
 
     def test_tie_breaks_to_lowest_index(self):
         model = ClassModel(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert predict(model, [1.0, 0.0]) == 0
+        assert top_k(model, [1.0, 0.0], 1) == [0]
         assert top_k(model, [1.0, 0.0], 2) == [0, 1]
 
     def test_top_k_ordering(self):
@@ -174,40 +170,45 @@ class TestPredictTopK:
 
 
 class TestTriage:
+    """``_build_distance_rows`` on one sample of a 3-prototype model.  The
+    sample [0.6, 0.8] is a unit vector ranking the classes (1, 0, 2)."""
+
     def setup_method(self):
         self.model = ClassModel(np.array(
             [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
+        self.cfg = TrainConfig(dim=2)
+        self.C = regen.normalize_rows(self.model.classes)
+
+    def rows(self, h, label):
+        H = np.array([h])
+        return _build_distance_rows(self.model, H, similarity_matrix(self.model, H),
+                                    np.array([label]), self.cfg)
 
     def test_correct(self):
-        t = triage(self.model, [1.0, 0.0], 0)
-        assert t.outcome is Outcome.CORRECT
-        assert t.top1 is None
+        partial, incorrect = self.rows([1.0, 0.0], 0)
+        assert partial.shape == incorrect.shape == (0, 2)
 
     def test_partially_correct(self):
-        t = triage(self.model, [0.6, 0.8], 0)
-        assert t.outcome is Outcome.PARTIALLY_CORRECT
-        assert t.top1 == 1
+        partial, incorrect = self.rows([0.6, 0.8], 0)
+        assert incorrect.shape == (0, 2)
+        # One partial row, with top1 = 1.
+        assert np.array_equal(partial, [regen.partial_row(
+            [0.6, 0.8], self.C[0], self.C[1], self.cfg.alpha, self.cfg.beta)])
 
     def test_incorrect(self):
-        t = triage(self.model, [0.6, 0.8], 2)
-        assert t.outcome is Outcome.INCORRECT
-        assert (t.top1, t.top2) == (1, 0)
-
-    def test_invalid_label(self):
-        with pytest.raises(ValueError):
-            triage(self.model, [1.0, 0.0], 3)
-
-    def test_triage_payload_validation(self):
-        with pytest.raises(ValueError):
-            OutcomeTriage(Outcome.PARTIALLY_CORRECT, 0)
-        with pytest.raises(ValueError):
-            OutcomeTriage(Outcome.INCORRECT, 0, top1=1)
+        partial, incorrect = self.rows([0.6, 0.8], 2)
+        assert partial.shape == (0, 2)
+        # One incorrect row, with (top1, top2) = (1, 0).
+        assert np.array_equal(incorrect, [regen.incorrect_row(
+            [0.6, 0.8], self.C[2], self.C[1], self.C[0], self.cfg.alpha,
+            self.cfg.beta, self.cfg.theta)])
 
 
 class TestDistanceRows:
     @staticmethod
     def per_sample_rows(model, H, y, cfg):
-        """Reference oracle: triage and one row-formula call per sample."""
+        """Reference oracle: rank each sample with ``top_k`` and make one
+        row-formula call per misclassified sample."""
         def unit(a):
             norms = np.linalg.norm(a, axis=1, keepdims=True)
             return a / np.where(norms == 0.0, 1.0, norms)
@@ -215,13 +216,14 @@ class TestDistanceRows:
         Hn, Cn = unit(H), unit(model.classes)
         partial, incorrect = [], []
         for j in range(H.shape[0]):
-            t = triage(model, H[j], int(y[j]))
-            if t.outcome is Outcome.PARTIALLY_CORRECT:
+            true = int(y[j])
+            top1, top2 = top_k(model, H[j], 2)
+            if top2 == true:
                 partial.append(regen.partial_row(
-                    Hn[j], Cn[t.true_label], Cn[t.top1], cfg.alpha, cfg.beta))
-            elif t.outcome is Outcome.INCORRECT:
+                    Hn[j], Cn[true], Cn[top1], cfg.alpha, cfg.beta))
+            elif top1 != true:
                 incorrect.append(regen.incorrect_row(
-                    Hn[j], Cn[t.true_label], Cn[t.top1], Cn[t.top2], cfg.alpha,
+                    Hn[j], Cn[true], Cn[top1], Cn[top2], cfg.alpha,
                     cfg.beta, cfg.theta, formula=cfg.n_formula))
         dim = H.shape[1]
         return (np.array(partial).reshape(-1, dim),

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hdclass.core import DimensionError
+from hdclass.learner import effective_dimensionality
 from hdclass.regen import (
     UndesiredSet,
     aggregate,
     incorrect_row,
+    nominal_count,
     partial_row,
     select_undesired,
 )
@@ -100,6 +104,11 @@ class TestSelectUndesired:
         assert sel.nominal_count == 2
         assert len(sel.dims) <= 2
 
+    def test_nominal_is_exact_where_rate_over_100_rounds_down(self):
+        # 29 / 100 * 100 is 28.999999999999996 in floating point.
+        rows = [np.arange(100.0)]
+        assert select_undesired(rows, rows, 29, 100).nominal_count == 29
+
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             select_undesired([], [], 0.0, 4)
@@ -109,3 +118,9 @@ class TestSelectUndesired:
     def test_cap_enforced_on_construction(self):
         with pytest.raises(ValueError):
             UndesiredSet({1, 2, 3}, 2)
+
+
+@given(dim=st.integers(1, 4096), rate=st.integers(1, 100))
+def test_one_cap_rule_is_exact_integer_arithmetic(dim, rate):
+    assert nominal_count(dim, rate) == dim * rate // 100
+    assert effective_dimensionality(dim, rate, 1) - dim == dim * rate // 100
