@@ -2,10 +2,11 @@
 
 Every command resolves its configuration from built-in defaults, then an
 optional flat config file (``section.key = value`` lines), then explicit
-flags (flag wins), echoes the resolved config into the output directory
-before computing anything, and writes deterministic artifacts only (logs
-go to stderr).  Exit codes: 0 success, 1 config error, 2 data error,
-3 numerical failure.
+flags (flag wins).  It reads and checks its inputs, then echoes the resolved
+config into the output directory, then computes, and writes deterministic
+artifacts only (logs go to stderr).  Exit codes: 0 success, 1 config error
+(a MemoryError too, such as a ``--dim`` too large to allocate, which comes
+after the echo), 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -139,11 +140,8 @@ def _parse_list(flag: str, text: str, convert=float) -> list:
 
 
 def train_config_from_resolved(resolved: dict) -> TrainConfig:
-    try:
-        return TrainConfig(**{f.name: resolved[f"train.{f.name}"]
-                              for f in dataclasses.fields(TrainConfig)})
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig(**{f.name: resolved[f"train.{f.name}"]
+                          for f in dataclasses.fields(TrainConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +177,6 @@ def _load_dataset(path: str, label_column, names=None) -> dio.Dataset:
         raise DataError(f"{path}: data row {row + 1}: non-finite feature value "
                         f"{float(ds.features[row, cell])!r}")
     return ds
-
-
-def _normalize(train_ds, other_sets, mode: str):
-    if mode == "none":
-        return None, train_ds, other_sets
-    spec = dio.fit_normalizer(train_ds, mode)
-    return (spec, dio.apply_normalizer(spec, train_ds),
-            [dio.apply_normalizer(spec, ds) for ds in other_sets])
 
 
 def _class_grouped(labels: np.ndarray) -> bool:
@@ -238,30 +228,41 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args, "train")
+def _load_training(args, test_split: bool):
+    """The resolved config, TrainConfig, norm spec (None for ``none``) and
+    normalized (train, valid) sets of a ``train`` or ``sweep-weights`` run,
+    plus the test set under ``test_split``, where valid fractions with a test
+    share of 0 split 0.6/0.2/0.2.  Reads and checks everything; writes nothing."""
     resolved = resolve_train_config(args)
     cfg = train_config_from_resolved(resolved)
-    fractions = _parse_list("--fractions", resolved["data.fractions"])
-    write_config_echo(os.path.join(out, "config.txt"), resolved)
-
+    fractions = dio.check_fractions(_parse_list("--fractions", resolved["data.fractions"]))
+    if test_split and fractions[2] == 0:
+        fractions = (0.6, 0.2, 0.2)
+        resolved["data.fractions"] = "0.6,0.2,0.2"
     ds = _load_dataset(args.data, resolved["data.label_column"])
-    if args.valid:
-        train_ds, valid_ds = ds, _load_dataset(args.valid, resolved["data.label_column"],
-                                               names=ds.names)
-        if valid_ds.n_features != train_ds.n_features:
-            raise DataError(
-                f"feature count mismatch between splits: {train_ds.n_features} "
-                f"vs {valid_ds.n_features}")
+    if getattr(args, "valid", None):
+        sets = [ds, _load_dataset(args.valid, resolved["data.label_column"],
+                                  names=ds.names)]
+        if sets[1].n_features != ds.n_features:
+            raise DataError(f"feature count mismatch between splits: {ds.n_features} "
+                            f"vs {sets[1].n_features}")
     else:
-        train_ds, valid_ds, _ = dio.split(ds, fractions, stratified=True, seed=cfg.seed)
+        parts = dio.split(ds, fractions, stratified=True, seed=cfg.seed)
+        sets = parts[:3 if test_split else 2]
+    if not cfg.shuffle and _class_grouped(sets[0].labels):
+        log.warning("the training rows are grouped by class and train.shuffle is off; the "
+                    "sequential update learns poorly in this order, so consider --shuffle")
+    spec = None
+    if resolved["data.normalize"] != "none":
+        spec = dio.fit_normalizer(sets[0], resolved["data.normalize"])
+        sets = [dio.apply_normalizer(spec, part) for part in sets]
+    return resolved, cfg, spec, sets
 
-    if not cfg.shuffle and _class_grouped(train_ds.labels):
-        log.warning("the training rows are grouped by class and train.shuffle is "
-                    "off; the sequential update learns poorly in this order, so "
-                    "consider --shuffle")
-    spec, train_ds, (valid_ds,) = _normalize(train_ds, [valid_ds],
-                                             resolved["data.normalize"])
+
+def cmd_train(args) -> int:
+    out = _out_dir(args, "train")
+    resolved, cfg, spec, (train_ds, valid_ds) = _load_training(args, test_split=False)
+    write_config_echo(os.path.join(out, "config.txt"), resolved)
     encoder, model, report = train(cfg, train_ds, valid_ds)
     if args.dump_regen:
         _write_dump_csv(os.path.join(out, "regen_dump.csv"), report.rows)
@@ -364,8 +365,9 @@ def _sweep_point(cfg, train_ds, valid_ds, test_ds):
 
 def cmd_sweep_weights(args) -> int:
     out = _out_dir(args, "sweep")
-    resolved = resolve_train_config(args)
-    cfg_base = train_config_from_resolved(resolved)
+    # A sweep scores a held-out test split, so it makes one.
+    resolved, cfg_base, _, (train_ds, valid_ds, test_ds) = _load_training(
+        args, test_split=True)
     alphas = _parse_list("--alphas", args.alphas)
     betas = _parse_list("--betas", args.betas)
     thetas = _parse_list("--thetas", args.thetas)
@@ -382,18 +384,7 @@ def cmd_sweep_weights(args) -> int:
     resolved["sweep.alphas"] = args.alphas
     resolved["sweep.betas"] = args.betas
     resolved["sweep.thetas"] = args.thetas
-    fractions = _parse_list("--fractions", resolved["data.fractions"])
-    if len(fractions) == 3 and fractions[2] <= 0:
-        # A sweep scores a held-out test split, so it makes one.
-        fractions = [0.6, 0.2, 0.2]
-        resolved["data.fractions"] = "0.6,0.2,0.2"
     write_config_echo(os.path.join(out, "config.txt"), resolved)
-
-    ds = _load_dataset(args.data, resolved["data.label_column"])
-    train_ds, valid_ds, test_ds = dio.split(ds, fractions, stratified=True,
-                                            seed=cfg_base.seed)
-    _, train_ds, (valid_ds, test_ds) = _normalize(
-        train_ds, [valid_ds, test_ds], resolved["data.normalize"])
 
     results = [_sweep_point(cfg, train_ds, valid_ds, test_ds) for cfg in configs]
     for i, (_, rocs) in enumerate(results):
@@ -585,7 +576,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
 

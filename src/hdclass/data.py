@@ -208,15 +208,22 @@ def apply_normalizer(spec: NormalizationSpec, ds: Dataset) -> Dataset:
     return Dataset(out, ds.labels.copy(), ds.names, dict(ds.meta))
 
 
-def split(ds: Dataset, fractions, stratified: bool = False,
-          seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint, exhaustive (train, valid, test) partition."""
+def check_fractions(fractions) -> tuple[float, float, float]:
+    """The (train, valid, test) fractions as floats: three nonnegative values,
+    train > 0, that sum to 1; anything else is a ValueError."""
     fractions = tuple(float(f) for f in fractions)
     # ``not f >= 0`` rejects NaN too; an infinite fraction fails the sum.
     if len(fractions) != 3 or any(not f >= 0 for f in fractions) or fractions[0] <= 0:
         raise ValueError(f"need 3 nonnegative fractions with train > 0, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+    return fractions
+
+
+def split(ds: Dataset, fractions, stratified: bool = False,
+          seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
+    """Disjoint, exhaustive (train, valid, test) partition."""
+    fractions = check_fractions(fractions)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     m = ds.n_samples
     parts: list[list[int]] = [[], [], []]

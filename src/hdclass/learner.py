@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError(f"mode must be '{DYNAMIC}' or '{STATIC}', got {self.mode!r}")
         if self.n_formula not in regen.N_FORMULAS:
             raise ValueError(f"unknown n_formula: {self.n_formula!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -45,6 +45,15 @@ def blobs_csv(tmp_path):
     return str(out / "blobs.csv")
 
 
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    """A 3-feature, 3-class blobs file of 8 rows per class."""
+    out = tmp_path_factory.mktemp("tiny")
+    assert run("synth", "--features", "3", "--classes", "3", "--per-class", "8",
+               "--out", str(out)) == EXIT_OK
+    return str(out / "blobs.csv")
+
+
 @pytest.fixture()
 def trained(tmp_path, blobs_csv):
     out = tmp_path / "train"
@@ -197,14 +206,15 @@ class TestTrainOptionsSource:
         assert resolve_train_config(args)[f"train.{field.name}"] == value
 
     @pytest.mark.parametrize("field", TRAIN_FIELDS, ids=lambda f: f.name)
-    def test_config_key_is_echoed(self, tmp_path, field):
+    def test_config_key_is_echoed(self, tmp_path, tiny_csv, field):
         value = _nudged(field.default)
         cfg = tmp_path / "one.cfg"
-        cfg.write_text(f"train.{field.name} = {value}\n")
+        # A small run, with the nudged value last so that it wins.
+        keys = {"dim": 16, "max_iters": 2, field.name: value}
+        cfg.write_text("".join(f"train.{key} = {v}\n" for key, v in keys.items()))
         out = tmp_path / "echo"
-        # The config echo is written before the dataset is read.
-        assert run("train", "--data", str(tmp_path / "absent.csv"),
-                   "--config", str(cfg), "--out", str(out)) == EXIT_DATA
+        assert run("train", "--data", tiny_csv, "--config", str(cfg),
+                   "--out", str(out)) == EXIT_OK
         lines = (out / "config.txt").read_text().splitlines()
         assert f"train.{field.name} = {value}" in lines
 
@@ -506,17 +516,47 @@ def test_rejected_flag_leaves_no_config_echo(tmp_path, trained, blobs_csv, comma
     assert not (out / "config.txt").exists()
 
 
+TRAINING_REJECTS = [["--normalize", "bogus"], ["--fractions", "0,0,1"],
+                    ["--fractions", "0.5,0.6,0"], ["--fractions", "0.5,0.5,-1"],
+                    ["--fractions", "0,0,0"], ["--seed", "-1"]]
+
+
+@pytest.mark.parametrize("command, flags", [
+    *[(command, flags) for command in ("train", "sweep-weights")
+      for flags in TRAINING_REJECTS],
+    ("train", ["--valid", "narrow.csv"]),
+], ids=lambda value: value if isinstance(value, str) else "=".join(value).lstrip("-"))
+def test_rejected_training_value_leaves_no_output(tmp_path, tiny_csv, fuzz_base, command,
+                                                  flags):
+    """Each value is checked before the config echo, so nothing is written."""
+    if flags[0] == "--valid":
+        narrow = [row[1:] for row in _read_rows(tiny_csv)]
+        flags = ["--valid", _write_rows(tmp_path / flags[1], narrow)]
+    out = tmp_path / "out"
+    assert run(command, *fuzz_base[command], *flags,
+               "--out", str(out)) in (EXIT_CONFIG, EXIT_DATA)
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-weights"])
+def test_unallocatable_dim_is_config_error(tmp_path, fuzz_base, caplog, command):
+    """2**50 encoder rows fail to allocate at once; the echo is already written."""
+    out = tmp_path / "out"
+    assert run(command, *fuzz_base[command], "--dim", str(2**50),
+               "--out", str(out)) == EXIT_CONFIG
+    assert _logged_error(caplog, "allocate")
+    assert os.listdir(out) == ["config.txt"]
+
+
 FUZZ_ITEMS = ["0", "-1", "nan", "inf", "", "1,,2", str(10**30), str(2**64), "ünï",
               "３"]
 
 
 @pytest.fixture(scope="module")
-def fuzz_base(tmp_path_factory):
+def fuzz_base(tmp_path_factory, tiny_csv):
     """A valid tiny argv per command, without ``--out``."""
     root = tmp_path_factory.mktemp("fuzz_inputs")
-    assert run("synth", "--features", "3", "--classes", "3", "--per-class", "8",
-               "--out", str(root / "synth")) == EXIT_OK
-    data = str(root / "synth" / "blobs.csv")
+    data = tiny_csv
     assert run("train", "--data", data, "--dim", "8", "--max-iters", "2",
                "--out", str(root / "train")) == EXIT_OK
     scored = ["--model", str(root / "train" / "model.json"), "--data", data]
@@ -578,8 +618,10 @@ def _fuzz_flags(command, *examples):
 
 
 test_fuzzed_synth_flag = _fuzz_flags("synth", ("--per-class", str(10**30)))
-test_fuzzed_train_flag = _fuzz_flags("train", ("--fractions", "0.5,0.5,nan"))
-test_fuzzed_sweep_weights_flag = _fuzz_flags("sweep-weights")
+# 2**50 encoder rows (tens of PiB) fail to allocate at once on any host.
+test_fuzzed_train_flag = _fuzz_flags("train", ("--fractions", "0.5,0.5,nan"),
+                                     ("--dim", str(2**50)))
+test_fuzzed_sweep_weights_flag = _fuzz_flags("sweep-weights", ("--dim", str(2**50)))
 test_fuzzed_eval_flag = _fuzz_flags("eval")
 test_fuzzed_roc_flag = _fuzz_flags("roc")
 test_fuzzed_noise_flag = _fuzz_flags("noise")
@@ -642,6 +684,7 @@ class TestSweepWeights:
         assert rows[0][0] == "alpha"
 
     @pytest.mark.parametrize("given,used", [(None, "0.6,0.2,0.2"),
+                                            ("1.0,0.0,0.0", "0.6,0.2,0.2"),
                                             ("0.5,0.25,0.25", "0.5,0.25,0.25")])
     def test_config_echo_records_the_split_fractions(self, tmp_path, blobs_csv,
                                                      given, used):
@@ -847,7 +890,7 @@ def test_non_finite_feature_is_data_error(tmp_path, trained, blobs_csv, caplog,
     out = tmp_path / "out"
     assert run(command, "--data", data, *extra, "--out", str(out)) == EXIT_DATA
     assert _logged_error(caplog, f"{data}: data row 5: non-finite feature value {value}")
-    assert sorted(os.listdir(out)) in ([], ["config.txt"])
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("where", ["file", "under_file"])

@@ -15,6 +15,7 @@ from hdclass.data import (
     NormalizationSpec,
     ParseError,
     apply_normalizer,
+    check_fractions,
     fit_normalizer,
     load_csv,
     save_csv,
@@ -241,6 +242,11 @@ class TestSplit:
             split(ds, (0.5, 0.3, 0.3))
         with pytest.raises(ValueError):
             split(ds, (0.0, 0.5, 0.5))
+
+    def test_check_fractions_returns_three_floats(self):
+        assert check_fractions([1, "0", 0.0]) == (1.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            check_fractions((0.5, 0.6, 0.0))
 
     @pytest.mark.parametrize("fractions", [
         (0.5, 0.5, math.nan), (math.nan,) * 3, (1.0, 0.0, math.inf),

@@ -43,7 +43,7 @@ class TestTrainConfig:
         {"dim": 0}, {"eta": 0.0}, {"alpha": -1.0}, {"theta": 1.0, "beta": 1.0},
         {"regen_rate": 0.0}, {"regen_rate": 101.0}, {"max_iters": 0},
         {"patience": 0}, {"min_delta": -0.1}, {"mode": "other"},
-        {"n_formula": "bogus"},
+        {"n_formula": "bogus"}, {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

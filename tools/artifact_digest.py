@@ -31,6 +31,7 @@ def commands(out: str) -> list[list[str]]:
     model = os.path.join(out, "train", "model.json")
     model64 = os.path.join(out, "train64", "model.json")
     norm = os.path.join(out, "train", "norm.json")
+    valid = os.path.join(out, "synth_valid", "blobs.csv")
     scored = ["--model", model, "--data", blobs, "--norm", norm]
     sweep = ["--alphas", "1.0,2.0", "--betas", "1.0", "--thetas", "0.25,0.5",
              "--dim", "16", "--max-iters", "8", "--patience", "8", "--seed", "0",
@@ -69,6 +70,13 @@ def commands(out: str) -> list[list[str]]:
          "--out", os.path.join(out, "sweep_static")],
         ["sweep-weights", "--data", blobs4, *sweep, "--mode", "dynamic",
          "--regen-rate", "40", "--out", os.path.join(out, "sweep_dynamic")],
+        # A validation file instead of a split, and a sweep's own test share.
+        ["synth", "--features", "6", "--classes", "3", "--per-class", "20",
+         "--separation", "3.0", "--seed", "5", "--out", os.path.join(out, "synth_valid")],
+        ["train", "--data", blobs, "--valid", valid, "--dim", "32", "--max-iters", "3",
+         "--seed", "0", "--out", os.path.join(out, "train_valid")],
+        ["sweep-weights", "--data", blobs4, *sweep, "--mode", "static",
+         "--fractions", "0.5,0.25,0.25", "--out", os.path.join(out, "sweep_fractions")],
     ]
 
 
