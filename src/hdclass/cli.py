@@ -24,7 +24,7 @@ import numpy as np
 from . import data as dio
 from . import metrics, robustness
 from .core import similarity_matrix
-from .learner import TrainConfig, train
+from .learner import TrainConfig, check_training_sets, train
 from .serialize import (load_model, save_model, write_csv_atomic, write_json_atomic,
                         write_text_atomic)
 
@@ -249,6 +249,7 @@ def _load_training(args, test_split: bool):
     else:
         parts = dio.split(ds, fractions, stratified=True, seed=cfg.seed)
         sets = parts[:3 if test_split else 2]
+    check_training_sets(sets[0], sets[1])
     if not cfg.shuffle and _class_grouped(sets[0].labels):
         log.warning("the training rows are grouped by class and train.shuffle is off; the "
                     "sequential update learns poorly in this order, so consider --shuffle")

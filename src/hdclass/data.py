@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +61,104 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
     without one, the file's own labels map to dense ids by sorted order,
     so the mapping is stable across runs and row orders.  Errors name the
     physical line, counting newlines inside quoted fields.
+
+    A file with no ``"`` byte is read in one ``np.loadtxt`` pass where that
+    pass can be checked against the row parser (``_load_plain``); every
+    other file, and every file that pass rejects, goes to the row parser.
+    Both give the same Dataset bit for bit, and only the row parser raises.
     """
+    ds = _load_plain(path, label_column, has_header, names)
+    if ds is None:
+        ds = _load_rows(path, label_column, has_header, names)
+    return ds
+
+
+# Bytes that send a file to the row parser unread: the quote, which lets a
+# cell hold commas and line ends, and \x1c-\x1f, which np.loadtxt strips
+# around a number as whitespace while float() rejects them.
+_ROW_PARSER_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_SCAN_BYTES = 1 << 20
+
+
+def _line_stats(path: str) -> tuple[int, int] | None:
+    """The number of non-empty lines of a file and the length in bytes of
+    its longest, with ``\\r``, ``\\n`` and ``\\r\\n`` all ending a line as in
+    the csv module; None when the file holds one of ``_ROW_PARSER_BYTES``.
+    Reads ``_SCAN_BYTES`` at a time, so memory does not grow with the file."""
+    lines = longest = offset = 0
+    last_end = -1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            if any(b in chunk for b in _ROW_PARSER_BYTES):
+                return None
+            octets = np.frombuffer(chunk, dtype=np.uint8)
+            ends = offset + np.flatnonzero((octets == 10) | (octets == 13))
+            lengths = np.diff(ends, prepend=last_end) - 1  # of lines ending here
+            lines += int(np.count_nonzero(lengths))
+            longest = max(longest, int(lengths.max(initial=0)))
+            if ends.size:
+                last_end = int(ends[-1])
+            offset += len(chunk)
+    tail = offset - last_end - 1  # a last line without a line end
+    return lines + (tail > 0), max(longest, tail)
+
+
+def _load_plain(path: str, label_column, has_header: bool, names) -> Dataset | None:
+    """``load_csv`` in one ``np.loadtxt`` pass over every column, or None.
+
+    None, so that the row parser decides, on a quote or \\x1c-\\x1f byte, a
+    line longer than the csv module's field size limit, rows that are not
+    the first line's width, no data rows, and any exception or warning.
+    ``np.loadtxt`` checks that the rows agree in width; the count of
+    non-empty lines checks that it read the rows the row parser would, so
+    that, say, a blank first line cannot pass for the header.
+    The label column's converter strips each label and gives it an id in
+    order of first sight (or by ``names``); the ids are remapped to sorted
+    order afterwards.
+    """
+    known = None if names is None else {name: i for i, name in enumerate(names)}
+    seen = {}
+
+    def label_id(cell: str) -> int:
+        label = cell.strip()
+        return known[label] if known is not None else seen.setdefault(label, len(seen))
+
+    try:
+        stats = _line_stats(path)
+        if stats is None or stats[1] > csv.field_size_limit():
+            return None
+        n_rows = stats[0] - has_header
+        if n_rows < 1:
+            return None
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = fh.readline().rstrip("\n")
+            header = first.split(",") if has_header else None
+            if not has_header:
+                fh.seek(0)
+            width = first.count(",") + 1
+            label_idx = _label_index(path, label_column, header, width)
+            # Given the open file, not its path, loadtxt cannot read a ".gz"
+            # or ".xz" name as a compressed file or a path as a URL.
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None,
+                               ndmin=2, converters={label_idx: label_id})
+    except Exception:  # the row parser raises, or reads what this pass could not
+        return None
+    if table.shape != (n_rows, width):
+        return None
+    labels = table[:, label_idx].astype(np.intp)
+    features = np.delete(table, label_idx, axis=1)
+    if known is None:
+        names = sorted(seen, key=_label_sort_key)
+        rank = {name: i for i, name in enumerate(names)}
+        labels = np.array([rank[label] for label in seen], dtype=np.intp)[labels]
+    meta = {"source": path, "n_features": width - 1, "n_classes": len(names)}
+    return Dataset(features, labels, list(names), meta)
+
+
+def _load_rows(path: str, label_column, has_header: bool, names) -> Dataset:
+    """``load_csv`` one ``csv.reader`` row at a time: the reference parser,
+    which reads every file and words every error."""
     known = None if names is None else {name: i for i, name in enumerate(names)}
     header = None
     width = label_idx = None
@@ -133,14 +232,26 @@ def _label_sort_key(label: str):
 
 
 def save_csv(path: str, ds: Dataset) -> None:
-    """Write a Dataset back out with a header; inverse of ``load_csv``."""
+    """Write a Dataset back out with a header; inverse of ``load_csv``.
+
+    The bytes are those of ``csv.writer``: each feature is its ``repr``,
+    each class name is quoted as ``csv.writer`` quotes it, lines end in
+    ``\\r\\n``.  A row is one string join; only the names go through
+    ``csv.writer``, once per class."""
     names = ds.names or [str(i) for i in range(ds.n_classes)]
+    # A name as the last cell of a row, with the comma before it when the
+    # row has features (csv.writer quotes a lone empty cell, not a last one).
+    lead = [""] if ds.n_features else []
+    tails = []
+    for name in names:
+        cell = io.StringIO()
+        csv.writer(cell).writerow(lead + [name])
+        tails.append(cell.getvalue()[:-2])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feat_{i}" for i in range(ds.n_features)] + ["label"])
-        for j in range(ds.n_samples):
-            writer.writerow([repr(float(v)) for v in ds.features[j]]
-                            + [names[int(ds.labels[j])]])
+        fh.write(",".join([f"feat_{i}" for i in range(ds.n_features)] + ["label"])
+                 + "\r\n")
+        for row, label in zip(ds.features, ds.labels.tolist()):
+            fh.write(",".join(map(repr, row.tolist())) + tails[label] + "\r\n")
 
 
 @dataclass

@@ -243,6 +243,28 @@ def _build_distance_rows(model: ClassModel, encoded: np.ndarray, scores: np.ndar
     return partial_rows, incorrect_rows
 
 
+def check_training_sets(train_set, valid_set) -> int:
+    """The class count ``train`` derives from these sets; a ValueError when it
+    cannot train on them: an empty set, splits that disagree on the feature
+    count, fewer than 2 training classes, or validation labels beyond them."""
+    X_train = np.asarray(train_set.features, dtype=np.float64)
+    y_train = np.asarray(train_set.labels, dtype=np.intp)
+    X_valid = np.asarray(valid_set.features, dtype=np.float64)
+    y_valid = np.asarray(valid_set.labels, dtype=np.intp)
+    if X_train.shape[0] == 0:
+        raise ValueError("training set is empty")
+    if X_valid.shape[0] == 0:
+        raise ValueError("validation set is empty")
+    if X_valid.ndim != 2 or X_valid.shape[1] != X_train.shape[1]:
+        raise ValueError("train and validation splits disagree on feature count")
+    k = int(y_train.max()) + 1
+    if k < 2:
+        raise ValueError("training set must contain at least 2 classes")
+    if y_valid.max() >= k:
+        raise ValueError("validation labels outside the training label universe")
+    return k
+
+
 def train(config: TrainConfig, train_set, valid_set):
     """Full training loop; returns ``(encoder, model, report)``.
 
@@ -269,21 +291,11 @@ def train(config: TrainConfig, train_set, valid_set):
     encoder's RNG stream is left where the run finished, so further
     regeneration continues deterministically.
     """
+    k = check_training_sets(train_set, valid_set)
     X_train = np.asarray(train_set.features, dtype=np.float64)
     y_train = np.asarray(train_set.labels, dtype=np.intp)
     X_valid = np.asarray(valid_set.features, dtype=np.float64)
     y_valid = np.asarray(valid_set.labels, dtype=np.intp)
-    if X_train.shape[0] == 0:
-        raise ValueError("training set is empty")
-    if X_valid.shape[0] == 0:
-        raise ValueError("validation set is empty")
-    if X_valid.ndim != 2 or X_valid.shape[1] != X_train.shape[1]:
-        raise ValueError("train and validation splits disagree on feature count")
-    k = int(y_train.max()) + 1
-    if k < 2:
-        raise ValueError("training set must contain at least 2 classes")
-    if y_valid.size and y_valid.max() >= k:
-        raise ValueError("validation labels outside the training label universe")
 
     encoder_seed = int(np.random.SeedSequence(
         entropy=(config.seed, STREAM_ENCODER)).generate_state(1)[0])

@@ -507,12 +507,19 @@ def test_bad_comma_list_is_config_error(tmp_path, trained, blobs_csv, caplog, co
 @pytest.mark.parametrize("command, flags", [
     ("eval", ["--topk", "9"]), ("roc", ["--class-id", "9"]), ("noise", ["--bits", "3"]),
     ("noise", ["--rates", "101"]), ("noise", ["--trials", "0"]),
+    ("train", ["--fractions", "1.0,0.0,0.0"]), ("train", ["--data", "one-class.csv"]),
 ], ids=lambda value: value if isinstance(value, str) else "=".join(value).lstrip("-"))
 def test_rejected_flag_leaves_no_config_echo(tmp_path, trained, blobs_csv, command,
                                              flags):
+    if command == "train":
+        base = ["--data", blobs_csv, "--dim", "16", "--max-iters", "2"]
+        if flags[0] == "--data":  # the rows of class "0" only
+            one_class = [row for row in _read_rows(blobs_csv) if row[-1] in ("label", "0")]
+            flags = ["--data", _write_rows(tmp_path / flags[1], one_class)]
+    else:
+        base = ["--model", os.path.join(trained, "model.json"), "--data", blobs_csv]
     out = tmp_path / "out"
-    assert run(command, "--model", os.path.join(trained, "model.json"),
-               "--data", blobs_csv, *flags, "--out", str(out)) == EXIT_CONFIG
+    assert run(command, *base, *flags, "--out", str(out)) == EXIT_CONFIG
     assert not (out / "config.txt").exists()
 
 

@@ -1,5 +1,6 @@
 """Unit tests for CSV IO, normalization, splitting, and synthetic blobs."""
 
+import csv
 import json
 import math
 import tempfile
@@ -22,6 +23,7 @@ from hdclass.data import (
     split,
     synth_blobs,
 )
+from hdclass.data import _load_plain, _load_rows
 
 
 class TestLoadCsv:
@@ -351,6 +353,223 @@ def test_fuzzed_spec_raises_only_mapped_errors(doc):
         NormalizationSpec.from_dict(doc)
     except (ValueError, KeyError, TypeError):
         pass
+
+
+def reference_save_csv(path, ds):
+    """The ``csv.writer`` loop ``save_csv`` replaced, kept as its byte oracle."""
+    names = ds.names or [str(i) for i in range(ds.n_classes)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"feat_{i}" for i in range(ds.n_features)] + ["label"])
+        for j in range(ds.n_samples):
+            writer.writerow([repr(float(v)) for v in ds.features[j]]
+                            + [names[int(ds.labels[j])]])
+
+
+def assert_same_dataset(got, want):
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.features.shape == want.features.shape
+    assert got.features.flags.c_contiguous
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.names == want.names and got.meta == want.meta
+
+
+def assert_load_matches_row_parser(path, label_column=-1, has_header=True, names=None):
+    """``load_csv`` returns the row parser's Dataset bit for bit, or raises its
+    ParseError text; ``_load_plain`` returns either that Dataset or None."""
+    args = (label_column, has_header, names)
+    try:
+        want = _load_rows(path, *args)
+    except ParseError as exc:
+        assert _load_plain(path, *args) is None
+        with pytest.raises(ParseError) as got:
+            load_csv(path, *args)
+        assert str(got.value) == str(exc)
+        return None
+    plain = _load_plain(path, *args)
+    if plain is not None:
+        assert_same_dataset(plain, want)
+    assert_same_dataset(load_csv(path, *args), want)
+    return plain
+
+
+class TestSaveCsv:
+    @pytest.mark.parametrize("n_features", [3, 0])
+    def test_bytes_equal_the_csv_writer_loop(self, tmp_path, n_features):
+        values = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.1, 1e300,
+                  -2.5e-10, 3.0]
+        features = np.array(values * n_features, dtype=np.float64).reshape(
+            len(values), n_features)
+        names = ["a,b", 'say "hi"', "line\nbreak", " lead", ""]
+        ds = Dataset(features, [i % len(names) for i in range(len(values))], names)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_csv(str(got), ds)
+        reference_save_csv(str(want), ds)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_quoted_names_round_trip_through_the_row_parser(self, tmp_path):
+        features = np.array([[float("nan"), -0.0], [float("inf"), 5e-324],
+                             [1.5, -float("inf")], [0.1, 2.0]])
+        names = ["a,b", 'say "hi"', "line\nbreak", " lead"]
+        ds = Dataset(features, [0, 1, 2, 3], names)
+        path = str(tmp_path / "quoted.csv")
+        save_csv(path, ds)
+        assert _load_plain(path, -1, True, None) is None  # the quotes
+        back = load_csv(path)
+        assert back.features.tobytes() == features.tobytes()
+        assert back.names == sorted(name.strip() for name in names)
+        assert [back.names[i] for i in back.labels] == [name.strip() for name in names]
+
+    def test_written_file_takes_the_one_pass_load(self, tmp_path):
+        ds = synth_blobs(5, 3, 7, 2.0, seed=4)
+        path = str(tmp_path / "plain.csv")
+        save_csv(path, ds)
+        plain = _load_plain(path, -1, True, None)
+        assert plain is not None
+        assert_same_dataset(plain, _load_rows(path, -1, True, None))
+        assert plain.features.tobytes() == ds.features.tobytes()
+
+
+# Each hazard: (file text, load_csv arguments, whether the one-pass load
+# may read it).  A hazard it may not read must reach the row parser, which
+# reads it or words the error.
+LOAD_HAZARDS = {
+    "x1c_is_not_whitespace_to_float": ("a,label\n\x1c4,x\n", (), False),
+    "x1f_after_a_number": ("a,label\n4\x1f,x\n", (), False),
+    "underscore_digits": ("a,label\n1_000,x\n2,y\n", (), False),
+    "arabic_indic_digits": ("a,label\n\u0661\u0662,x\n2,y\n", (), False),
+    "fullwidth_digits": ("a,label\n\uff11\uff12,x\n2,y\n", (), False),
+    "hash_in_a_number": ("a,b,label\n1,2#3,x\n", (), False),
+    "hash_in_a_label": ("a,b,label\n1,2,x#y\n3,4,#\n", (), True),
+    "header_wider_than_rows": ("a,b,c,label\n1,2,x\n3,4,y\n", (), False),
+    "header_narrower_than_rows": ("a,label\n1,2,x\n", (), False),
+    "header_only": ("a,b,label\n", (), False),
+    "header_only_then_blank_lines": ("a,b,label\n\n\r\n", (), False),
+    "lone_cr_line_ends": ("a,b,label\r1,2,x\r3,4,y\r", (), True),
+    "crlf_line_ends": ("a,b,label\r\n1,2,x\r\n3,4,y\r\n", (), True),
+    "mixed_line_ends": ("a,b,label\r\n1,2,x\r3,4,y\n5,6,x", (), True),
+    "blank_lines": ("a,b,label\n\n1,2,x\n\r\n\n3,4,y\n\n", (), True),
+    "blank_first_line": ("\na,b,label\n1,2,x\n", (), False),
+    "numeric_header_after_a_blank_line": ("\n1,2,3\n4,5,6\n", (), False),
+    "one_column_header_after_a_blank_line": ("\n1\n2\n", (), False),
+    "headerless_after_a_blank_line": ("\n1,x\n2,y\n", (-1, False), False),
+    "unicode_line_separators_in_cells": ("a,label\n1\u2028,x\u2028y\n2,z\x85\x0c\n",
+                                         (), True),
+    "whitespace_only_line": ("a,b,label\n1,2,x\n  \n3,4,y\n", (), False),
+    "whitespace_only_line_of_a_label_file": ("label\nx\n \t\ny\n", (), True),
+    "quoted_newline": ('a,b,label\n1,2,"x\ny"\n3,4,y\n', (), False),
+    "quoted_number": ('a,b,label\n"1",2,x\n', (), False),
+    "unknown_label_under_names": ("a,label\n1,x\n2,w\n", (-1, True, ["x", "y"]), False),
+    "known_labels_under_names": ("a,label\n1, y \n2,x\n", (-1, True, ["x", "y", "z"]),
+                                 True),
+    "label_column_by_name": ("label,a,b\nx,1,2\ny,3,4\n", ("label",), True),
+    "label_column_at_index_0": ("label,a,b\nx,1,2\ny,3,4\n", (0,), True),
+    "label_column_name_without_header": ("x,1\ny,2\n", ("label", False), False),
+    "label_column_out_of_range": ("a,label\n1,x\n", (5,), False),
+    "padded_numbers": ("a,b,label\n 1.5 ,\t2\x0b,x\n\xa03\u2000,-0.0, y\n", (), True),
+    "number_spellings": ("a,b,c,label\nnan,-inf,1e400,x\n-nan,Infinity,5e-324,y\n",
+                         (), True),
+    "empty_cell": ("a,b,label\n1,,x\n", (), False),
+    "nul_in_a_label": ("a,label\n1,x\x00\n", (), True),
+    "field_over_the_csv_limit": ("a,label\n1," + "x" * (csv.field_size_limit() + 1) + "\n",
+                                 (), False),
+    "number_over_the_csv_limit": ("a,label\n" + " " * csv.field_size_limit() + "1,x\n",
+                                  (), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_HAZARDS))
+def test_load_hazard(tmp_path, name):
+    text, args, one_pass = LOAD_HAZARDS[name]
+    path = tmp_path / "hazard.csv"
+    path.write_bytes(text.encode("utf-8"))
+    plain = assert_load_matches_row_parser(str(path), *args)
+    assert (plain is not None) == one_pass
+
+
+def test_headerless_file_loads_in_one_pass(tmp_path):
+    """ISOLET's ``.data`` layout: no header, ``", "`` between cells and the
+    class as the last cell."""
+    path = tmp_path / "isolet.data"
+    path.write_text("0.25, -0.5, 1.\n-1, 0.75, 2.\n0.0, 1e-3, 1.\n")
+    plain = assert_load_matches_row_parser(str(path), -1, False, None)
+    assert plain is not None
+    assert plain.names == ["1.", "2."] and plain.labels.tolist() == [0, 1, 0]
+    quoted = tmp_path / "quoted.data"
+    quoted.write_text('0.25, -0.5, "1."\n-1, 0.75, 2.\n')
+    assert assert_load_matches_row_parser(str(quoted), -1, False, None) is None
+
+
+PLAIN_CELLS = st.one_of(
+    st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([" 1.5", "+2 ", "-0.0", "nan", "-inf", "1e400", "5e-324", "\t7\x0b",
+                     "\xa01\u2000"]))
+HAZARD_CELLS = st.sampled_from(["1_000", "\u0661\u0662", "\uff11\uff12", "\x1c4", "4\x1f",
+                                "", "x", "#3", "1#", '"1"'])
+PLAIN_LABELS = st.sampled_from(["a", "b", " a", "10", "2", "", "x#y", "\u00e9"])
+HAZARD_LABELS = st.sampled_from(['"q"', '"p\nq"', '"a,b"', "w"])
+ORACLE_NAMES = ["a", "b", "10", "2", "", "x#y", "\u00e9", "q"]
+
+
+def mostly(plain, hazard, one_in=15):
+    """``plain``, or ``hazard`` about once in ``one_in`` draws (once the
+    examples stop shrinking towards 0)."""
+    return st.integers(0, one_in - 1).flatmap(lambda i: hazard if i == 1 else plain)
+
+
+@st.composite
+def oracle_files(draw):
+    """``load_csv`` arguments and a CSV text near the one-pass load's gate:
+    mostly plain files, sometimes with ragged rows, a header of another
+    width, blank or whitespace-only lines, quotes or hazard cells, under
+    every line end."""
+    width = draw(st.integers(1, 4))
+    label_at_end = draw(st.booleans())
+    has_header = draw(mostly(st.just(True), st.just(False), 4))
+
+    def line(cells, label):
+        return ",".join(cells + [label] if label_at_end else [label] + cells)
+
+    widths = draw(st.lists(mostly(st.just(width), st.sampled_from([width - 1, width + 1])),
+                           min_size=draw(mostly(st.just(1), st.just(0), 10)), max_size=5))
+    lines = [line(draw(st.lists(mostly(PLAIN_CELLS, HAZARD_CELLS), min_size=w - 1,
+                                max_size=w - 1)), draw(mostly(PLAIN_LABELS, HAZARD_LABELS)))
+             for w in widths if w >= 1]
+    lines = [draw(mostly(st.just(row), st.sampled_from(["", " "]), 10)) for row in lines]
+    if has_header:
+        n = draw(mostly(st.just(width), st.sampled_from([width - 1, width + 1]), 8))
+        lines.insert(0, line([f"f{i}" for i in range(n - 1)], "label"))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return {"text": end.join(lines) + draw(st.sampled_from([end, ""])),
+            "has_header": has_header,
+            "label_column": draw(mostly(
+                st.sampled_from([-1 if label_at_end else 0] + ["label"] * has_header),
+                st.sampled_from([-1, 0, 1, "label", "f0"]), 8)),
+            "names": draw(mostly(st.none(), st.sampled_from([ORACLE_NAMES, ["a", "b"]]), 4))}
+
+
+def with_hazard_examples(test):
+    """Every ``LOAD_HAZARDS`` file as an explicit example of an oracle test."""
+    for text, args, _ in LOAD_HAZARDS.values():
+        label_column, has_header, names = args + (-1, True, None)[len(args):]
+        test = example({"text": text, "label_column": label_column,
+                        "has_header": has_header, "names": names})(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@with_hazard_examples
+@given(oracle_files())
+def test_one_pass_load_agrees_with_the_row_parser(case):
+    """Whenever the one-pass load returns, its Dataset is the row parser's
+    bit for bit; whenever the row parser raises, ``load_csv`` raises the
+    same ParseError text."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = f"{folder}/oracle.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(case["text"])
+        assert_load_matches_row_parser(path, case["label_column"], case["has_header"],
+                                       case["names"])
 
 
 CSV_ALPHABET = list("0123456789.,,,-+eE \"\n\r\tabxnf_\x00") + ["nan", "inf", "١", "é"]
