@@ -179,6 +179,14 @@ def _load_dataset(path: str, label_column, names=None) -> dio.Dataset:
     return ds
 
 
+def _check_describable(flag: str, value: int, *shape: int) -> None:
+    """A ConfigError naming ``flag`` when numpy cannot describe a float64
+    array of ``shape``: its byte size would overflow ``np.intp``."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{flag} {value}: a {' x '.join(map(str, shape))} float64 "
+                          f"array is larger than numpy can describe")
+
+
 def _class_grouped(labels: np.ndarray) -> bool:
     """True when the rows of each class form one contiguous run."""
     return np.count_nonzero(np.diff(labels)) + 1 == np.unique(labels).size
@@ -188,6 +196,17 @@ def _check_finite(*arrays) -> None:
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise NumericalError("non-finite values detected in model state")
+
+
+def _warn_if_stale(report, run: str) -> None:
+    """Log a WARNING when ``run`` returned a snapshot that predates every
+    regeneration, so the regeneration weights never reached its model."""
+    regenerated = [r.iteration for r in report.rows if r.regenerated]
+    if regenerated and report.snapshot_iteration <= regenerated[0]:
+        log.warning("%s returned the snapshot of iteration %d, which predates every "
+                    "regeneration (the first came at iteration %d), so alpha, beta and "
+                    "theta did not shape its model", run, report.snapshot_iteration,
+                    regenerated[0])
 
 
 def _evaluate(scores, labels) -> dict:
@@ -250,6 +269,7 @@ def _load_training(args, test_split: bool):
         parts = dio.split(ds, fractions, stratified=True, seed=cfg.seed)
         sets = parts[:3 if test_split else 2]
     check_training_sets(sets[0], sets[1])
+    _check_describable("--dim", cfg.dim, cfg.dim, ds.n_features)
     if not cfg.shuffle and _class_grouped(sets[0].labels):
         log.warning("the training rows are grouped by class and train.shuffle is off; the "
                     "sequential update learns poorly in this order, so consider --shuffle")
@@ -276,6 +296,7 @@ def cmd_train(args) -> int:
     log.info("trained %s iterations (converged=%s); returned the snapshot of "
              "iteration %s", report.iterations, report.converged,
              report.snapshot_iteration)
+    _warn_if_stale(report, "train")
     return EXIT_OK
 
 
@@ -350,7 +371,9 @@ def _mean(values) -> float:
 
 def _sweep_point(cfg, train_ds, valid_ds, test_ds):
     """A grid point's ``sweep.csv`` row and its (class, ROC curve) pairs."""
-    encoder, model, _ = train(cfg, train_ds, valid_ds)
+    encoder, model, trained = train(cfg, train_ds, valid_ds)
+    _warn_if_stale(trained, f"the grid point alpha={cfg.alpha!r}, beta={cfg.beta!r}, "
+                           f"theta={cfg.theta!r}")
     scores = similarity_matrix(model, encoder.encode_batch(test_ds.features))
     report = _evaluate(scores, test_ds.labels)
     rocs = [(c, curve) for c in range(model.n_classes)
@@ -409,6 +432,7 @@ def cmd_noise(args) -> int:
         raise ConfigError(f"--rates must each lie in [0, 100], got {args.rates!r}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    _check_describable("--trials", args.trials, args.trials)
     _echo_args(out, args)
     models_by_dim = {model.dim: (model, encoder.encode_batch(ds.features), ds.labels)
                      for encoder, model in loaded}

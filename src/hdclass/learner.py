@@ -131,11 +131,13 @@ def top_k(model: ClassModel, h, k: int) -> list[int]:
     return ranking(similarity_scores(model, h), k).tolist()
 
 
-# Rows scored per matrix product in the adaptive epoch, and the margin that
-# makes a batch verdict certain.  A gemm cosine and the one-row gemv cosine
-# each lie within D * eps / 2 of the exact value, so they differ by at most
-# D * eps (under 5e-10 for D up to 2e6): a true class that beats every
-# other by the margin in the batch wins under the one-row kernel too.
+# Rows of one batch check, and the margin that makes a batch verdict
+# certain.  The batch check runs only after this many rows in a row were
+# correct, so it is also the length of that streak.  A gemm cosine and the
+# one-row gemv cosine each lie within D * eps / 2 of the exact value, so
+# they differ by at most D * eps (under 5e-10 for D up to 2e6): a true class
+# that beats every other by the margin in the batch wins under the one-row
+# kernel too.
 _LAZY_BLOCK = 16
 _LAZY_MARGIN = 1e-9
 
@@ -152,49 +154,75 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
     order-dependent by design; norm caches are refreshed for the two
     touched prototypes after every update.
 
-    Samples are scored a block at a time with one matrix product.  A
-    sample whose true class still wins after ``_LAZY_MARGIN`` is taken off
-    its score is correct under the one-row kernel too, and is skipped.
-    Every other sample is scored on its own, in order, and after an update
-    the next block starts at the following sample, so the result is
-    bitwise that of scoring each sample on its own.
+    Each sample is scored on its own: ``C @ h`` is the matrix-vector
+    kernel a 1-row ``similarity_matrix`` call runs, and the cosines, their
+    argmax (ties to the lowest index, the first NaN wins, as
+    ``np.argmax``) and the update coefficients are Python floats; a zero
+    denominator scores 0.  The row norms are computed once per epoch (a
+    row's norm does not change).
 
-    Both scorings use ``similarity_matrix``'s arithmetic inline: the row
-    norms are computed once per epoch (a row's norm does not change), the
-    one-row product ``C @ h`` is the matrix-vector kernel a 1-row
-    ``similarity_matrix`` call runs, and zero denominators score 0.
+    Once ``_LAZY_BLOCK`` samples in a row were correct, the next
+    ``_LAZY_BLOCK`` are scored with one matrix product instead.  A sample
+    whose true class still wins after ``_LAZY_MARGIN`` is taken off its
+    score is correct under the one-row kernel too, and is skipped; the
+    others are scored on their own, in order, and an update hands the
+    samples after it back to one-row scoring.  So the result is bitwise
+    that of scoring each sample on its own.
     """
     H = _check_encoded(model, encoded)
     y = _check_labels(model, labels)
     if H.shape[0] != y.shape[0]:
         raise ValueError(f"{H.shape[0]} samples but {y.shape[0]} labels")
-    if eta <= 0:
-        raise ValueError(f"learning rate must be positive, got {eta}")
+    if not (eta > 0 and math.isfinite(eta)):
+        raise ValueError(f"learning rate must be positive and finite, got {eta}")
+    eta = float(eta)
     C, norms = model.classes, model.norms
+    rows, norm_list = list(C), norms.tolist()
+    # C.dot(h) is bitwise C @ h, at half its call cost, for a C-contiguous C
+    # and a unit-stride h; other layouts can take other kernels, so keep C @ h.
+    product = C.dot if C.flags.c_contiguous and H.strides[1] == H.itemsize else C.__matmul__
     hn = np.sqrt(np.vecdot(H, H))
+    hn_list, y_list = hn.tolist(), y.tolist()
+
+    def fit_row(j: int) -> bool:
+        """Score sample j on its own and update on a miss; True if it missed."""
+        h, hj = H[j], hn_list[j]
+        scores = [d / den if (den := hj * n) != 0.0 else 0.0
+                  for d, n in zip(product(h).tolist(), norm_list)]
+        # max() skips a NaN that is not first; a NaN sum (a NaN score, or
+        # inf - inf) leaves the choice to np.argmax.
+        total = sum(scores)
+        pred = scores.index(max(scores)) if total == total else int(np.argmax(scores))
+        true = y_list[j]
+        if pred == true:
+            return False
+        rows[pred] -= eta * (1.0 - scores[pred]) * h
+        rows[true] += eta * (1.0 - scores[true]) * h
+        for i in (pred, true):
+            r = rows[i]
+            norms[i] = norm_list[i] = math.sqrt(r.dot(r))
+        return True
+
     margin = _LAZY_MARGIN * (y[:, None] == np.arange(model.n_classes))
-    start = 0
-    while start < H.shape[0]:
-        stop = min(start + _LAZY_BLOCK, H.shape[0])
-        denom = hn[start:stop, None] * norms
-        scores = np.divide(H[start:stop] @ C.T, denom, out=denom, where=denom != 0.0)
-        scores -= margin[start:stop]
-        unsure = (scores.argmax(axis=1) != y[start:stop]).nonzero()[0].tolist()
-        first = start
-        start = stop
-        for j in unsure:
-            j += first
-            h = H[j]
-            denom = hn[j] * norms
-            scores = np.divide(C @ h, denom, out=denom, where=denom != 0.0)
-            pred = int(scores.argmax())
-            true = int(y[j])
-            if pred != true:
-                C[pred] -= eta * (1.0 - scores[pred]) * h
-                C[true] += eta * (1.0 - scores[true]) * h
-                model.refresh_norms((pred, true))
-                start = j + 1
+    m, j = H.shape[0], 0
+    while j < m:
+        # One row at a time until _LAZY_BLOCK rows in a row were correct,
+        # then a block at a time until a row of a block misses.
+        streak = 0
+        while j < m and streak < _LAZY_BLOCK:
+            streak = 0 if fit_row(j) else streak + 1
+            j += 1
+        while j < m:
+            stop = min(j + _LAZY_BLOCK, m)
+            denom = hn[j:stop, None] * norms
+            scores = np.divide(H[j:stop] @ C.T, denom, out=denom, where=denom != 0.0)
+            scores -= margin[j:stop]
+            unsure = (scores.argmax(axis=1) != y[j:stop]).nonzero()[0] + j
+            missed = next((i for i in unsure.tolist() if fit_row(i)), None)
+            if missed is not None:
+                j = missed + 1
                 break
+            j = stop
     return model
 
 

@@ -166,6 +166,36 @@ class TestTrain:
             assert run(*argv, "--shuffle", "--out", str(tmp_path / "mixed")) == EXIT_OK
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
+    def test_snapshot_older_than_every_regeneration_warns(self, tmp_path, caplog):
+        # On these rows the dynamic run returns its iteration-1 snapshot,
+        # taken before the first regeneration.
+        assert run("synth", "--features", "8", "--classes", "4", "--per-class", "60",
+                   "--separation", "2.0", "--seed", "3",
+                   "--out", str(tmp_path / "synth")) == EXIT_OK
+        argv = ["train", "--data", str(tmp_path / "synth" / "blobs.csv"), "--dim", "64",
+                "--max-iters", "6", "--regen-rate", "40", "--shuffle"]
+        with caplog.at_level(logging.WARNING):
+            assert run(*argv, "--out", str(tmp_path / "dynamic")) == EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "train returned the snapshot of iteration 1, which predates every regeneration "
+            "(the first came at iteration 1), so alpha, beta and theta did not shape its "
+            "model"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert run(*argv, "--mode", "static", "--out", str(tmp_path / "static")) == EXIT_OK
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert run("sweep-weights", "--data", argv[2], "--dim", "32", "--max-iters", "6",
+                       "--regen-rate", "40", "--shuffle", "--alphas", "1.0,2.0",
+                       "--betas", "1.0", "--thetas", "0.25",
+                       "--out", str(tmp_path / "sweep")) == EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert [w.split(" returned")[0] for w in warnings] == [
+            "the grid point alpha=1.0, beta=1.0, theta=0.25",
+            "the grid point alpha=2.0, beta=1.0, theta=0.25"]
+
     def test_dump_regen(self, tmp_path, blobs_csv):
         out = tmp_path / "t6"
         assert run("train", "--data", blobs_csv, "--dim", "32",
@@ -553,6 +583,21 @@ def test_unallocatable_dim_is_config_error(tmp_path, fuzz_base, caplog, command)
                "--out", str(out)) == EXIT_CONFIG
     assert _logged_error(caplog, "allocate")
     assert os.listdir(out) == ["config.txt"]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--dim", 10**30), ("train", "--dim", 2**62), ("sweep-weights", "--dim", 2**62),
+    ("noise", "--trials", 10**30), ("noise", "--trials", 2**62),
+])
+def test_size_numpy_cannot_describe_is_rejected_before_the_echo(tmp_path, fuzz_base, caplog,
+                                                                command, flag, value):
+    """A --dim whose D x n encoder base, or a --trials whose loss vector, is
+    beyond numpy's byte count exits 1 and writes nothing."""
+    out = tmp_path / "out"
+    assert run(command, *fuzz_base[command], flag, str(value),
+               "--out", str(out)) == EXIT_CONFIG
+    assert _logged_error(caplog, f"{flag} {value}: ")
+    assert os.listdir(out) == []
 
 
 FUZZ_ITEMS = ["0", "-1", "nan", "inf", "", "1,,2", str(10**30), str(2**64), "ünï",

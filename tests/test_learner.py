@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdclass import learner, regen
@@ -86,20 +86,27 @@ class TestAdaptiveFit:
                            rtol=1e-9)
 
     @settings(max_examples=150, deadline=None)
-    @given(m=st.integers(0, 80), k=st.integers(2, 8), dim=st.integers(1, 128),
-           start=st.sampled_from(["zero", "random", "tie"]),
+    @given(m=st.integers(0, 80), k=st.integers(2, 30), dim=st.integers(1, 128),
+           start=st.sampled_from(["zero", "random", "tie", "nonfinite"]),
            spread=st.sampled_from([0.3, 3.0]), eta=st.sampled_from([0.05, 1.0]),
            zero_rows=st.integers(0, 3), dup_rows=st.integers(0, 3),
-           layout=st.sampled_from(["C", "reversed", "F"]),
-           seed=st.integers(0, 2**32 - 1))
+           layout=st.sampled_from(["C", "reversed", "F", "columns reversed"]),
+           prefix=st.sampled_from([0, 48]), seed=st.integers(0, 2**32 - 1))
+    @example(m=40, k=5, dim=32, start="random", spread=3.0, eta=0.05, zero_rows=0,
+             dup_rows=0, layout="C", prefix=48, seed=0)
     def test_matches_sequential_loop(self, m, k, dim, start, spread, eta,
-                                     zero_rows, dup_rows, layout, seed):
+                                     zero_rows, dup_rows, layout, prefix, seed):
         # Samples near their class centre are mostly correct, so blocks are
         # skipped; "tie" makes classes 0 and 1 point the same way
-        # (C1 = 3 * C0), so rounding alone decides between them.  Zero rows
-        # score 0 against every class; duplicated rows revisit a sample
-        # after the model moved; the reversed view and the Fortran copy
-        # give the one-row product strided rows.
+        # (C1 = 3 * C0), so rounding alone decides between them; "nonfinite"
+        # puts one NaN or infinite entry into a prototype, so its class
+        # scores NaN and wins as in np.argmax.  Zero rows score 0 against
+        # every class; duplicated rows revisit a sample after the model
+        # moved; the reversed rows and the Fortran copy give the one-row
+        # product strided rows, and reversed columns a negative stride.  A
+        # prefix of 48 rows labelled as the start model predicts them is
+        # correct in the first epoch, so the batch check takes over and then
+        # hands the rows after it back.
         rng = np.random.default_rng(seed)
         centres = rng.normal(size=(k, dim))
         y = rng.integers(0, k, size=m)
@@ -108,19 +115,28 @@ class TestAdaptiveFit:
             H[rng.integers(0, m, size=zero_rows)] = 0.0
             dst, src = rng.integers(0, m, size=(2, dup_rows))
             H[dst], y[dst] = H[src], y[src]
-        if layout == "reversed":
-            H, y = H[::-1], y[::-1]
-        elif layout == "F":
-            H = np.asfortranarray(H)
         classes = np.zeros((k, dim)) if start == "zero" else rng.normal(size=(k, dim))
         if start == "tie":
             classes[1] = 3.0 * classes[0]
-        lazy, loop = ClassModel(classes.copy()), ClassModel(classes.copy())
-        for _ in range(3):
-            adaptive_fit_epoch(lazy, H, y, eta)
-            sequential_epoch(loop, H, y, eta)
-            assert np.array_equal(lazy.classes, loop.classes)
-            assert np.array_equal(lazy.norms, loop.norms)
+        elif start == "nonfinite":
+            classes[rng.integers(k), rng.integers(dim)] = rng.choice([np.nan, np.inf])
+        with np.errstate(invalid="ignore"):
+            P = centres[rng.integers(0, k, size=prefix)] + rng.normal(size=(prefix, dim))
+            H = np.concatenate([P, H])
+            y = np.concatenate([
+                similarity_matrix(ClassModel(classes), P).argmax(axis=1), y])
+            if layout == "reversed":
+                H, y = H[::-1], y[::-1]
+            elif layout == "F":
+                H = np.asfortranarray(H)
+            elif layout == "columns reversed":
+                H = np.ascontiguousarray(H[:, ::-1])[:, ::-1]
+            lazy, loop = ClassModel(classes.copy()), ClassModel(classes.copy())
+            for _ in range(3):
+                adaptive_fit_epoch(lazy, H, y, eta)
+                sequential_epoch(loop, H, y, eta)
+                assert np.array_equal(lazy.classes, loop.classes, equal_nan=True)
+                assert np.array_equal(lazy.norms, loop.norms, equal_nan=True)
 
     @pytest.mark.parametrize("labels", ["class0", "mixed"])
     def test_exact_tie_model_matches_sequential_loop(self, labels):
@@ -143,8 +159,9 @@ class TestAdaptiveFit:
 
     def test_eta_validation(self):
         model = ClassModel(np.eye(2))
-        with pytest.raises(ValueError):
-            adaptive_fit_epoch(model, np.eye(2), [0, 1], 0.0)
+        for eta in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                adaptive_fit_epoch(model, np.eye(2), [0, 1], eta)
 
 
 class TestPredictTopK:

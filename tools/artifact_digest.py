@@ -32,6 +32,7 @@ def commands(out: str) -> list[list[str]]:
     model64 = os.path.join(out, "train64", "model.json")
     norm = os.path.join(out, "train", "norm.json")
     valid = os.path.join(out, "synth_valid", "blobs.csv")
+    overlap = os.path.join(out, "synth_overlap", "blobs.csv")
     scored = ["--model", model, "--data", blobs, "--norm", norm]
     sweep = ["--alphas", "1.0,2.0", "--betas", "1.0", "--thetas", "0.25,0.5",
              "--dim", "16", "--max-iters", "8", "--patience", "8", "--seed", "0",
@@ -77,6 +78,13 @@ def commands(out: str) -> list[list[str]]:
          "--seed", "0", "--out", os.path.join(out, "train_valid")],
         ["sweep-weights", "--data", blobs4, *sweep, "--mode", "static",
          "--fractions", "0.5,0.25,0.25", "--out", os.path.join(out, "sweep_fractions")],
+        # overlap-dyn128's shape: overlapping classes, so a quarter of the
+        # epoch's rows update the model.
+        ["synth", "--features", "6", "--classes", "4", "--per-class", "200",
+         "--separation", "2.0731", "--seed", "4", "--out", os.path.join(out, "synth_overlap")],
+        ["train", "--data", overlap, "--dim", "128", "--max-iters", "20", "--patience", "20",
+         "--regen-rate", "40", "--seed", "0", "--shuffle",
+         "--out", os.path.join(out, "train_overlap")],
     ]
 
 
