@@ -131,17 +131,6 @@ def top_k(model: ClassModel, h, k: int) -> list[int]:
     return ranking(similarity_scores(model, h), k).tolist()
 
 
-# Rows of one batch check, and the margin that makes a batch verdict
-# certain.  The batch check runs only after this many rows in a row were
-# correct, so it is also the length of that streak.  A gemm cosine and the
-# one-row gemv cosine each lie within D * eps / 2 of the exact value, so
-# they differ by at most D * eps (under 5e-10 for D up to 2e6): a true class
-# that beats every other by the margin in the batch wins under the one-row
-# kernel too.
-_LAZY_BLOCK = 16
-_LAZY_MARGIN = 1e-9
-
-
 def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassModel:
     """One sequential pass of the adaptive update over the given samples.
 
@@ -158,16 +147,8 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
     kernel a 1-row ``similarity_matrix`` call runs, and the cosines, their
     argmax (ties to the lowest index, the first NaN wins, as
     ``np.argmax``) and the update coefficients are Python floats; a zero
-    denominator scores 0.  The row norms are computed once per epoch (a
-    row's norm does not change).
-
-    Once ``_LAZY_BLOCK`` samples in a row were correct, the next
-    ``_LAZY_BLOCK`` are scored with one matrix product instead.  A sample
-    whose true class still wins after ``_LAZY_MARGIN`` is taken off its
-    score is correct under the one-row kernel too, and is skipped; the
-    others are scored on their own, in order, and an update hands the
-    samples after it back to one-row scoring.  So the result is bitwise
-    that of scoring each sample on its own.
+    denominator scores 0.  The sample row norms are computed once per
+    epoch (a sample's norm does not change).
     """
     H = _check_encoded(model, encoded)
     y = _check_labels(model, labels)
@@ -176,53 +157,24 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
     if not (eta > 0 and math.isfinite(eta)):
         raise ValueError(f"learning rate must be positive and finite, got {eta}")
     eta = float(eta)
-    C, norms = model.classes, model.norms
-    rows, norm_list = list(C), norms.tolist()
+    C = model.classes
+    rows, norm_list = list(C), model.norms.tolist()
     # C.dot(h) is bitwise C @ h, at half its call cost, for a C-contiguous C
     # and a unit-stride h; other layouts can take other kernels, so keep C @ h.
     product = C.dot if C.flags.c_contiguous and H.strides[1] == H.itemsize else C.__matmul__
-    hn = np.sqrt(np.vecdot(H, H))
-    hn_list, y_list = hn.tolist(), y.tolist()
-
-    def fit_row(j: int) -> bool:
-        """Score sample j on its own and update on a miss; True if it missed."""
-        h, hj = H[j], hn_list[j]
+    hn_list = np.sqrt(np.vecdot(H, H)).tolist()
+    for h, hj, true in zip(H, hn_list, y.tolist()):
         scores = [d / den if (den := hj * n) != 0.0 else 0.0
                   for d, n in zip(product(h).tolist(), norm_list)]
         # max() skips a NaN that is not first; a NaN sum (a NaN score, or
         # inf - inf) leaves the choice to np.argmax.
         total = sum(scores)
         pred = scores.index(max(scores)) if total == total else int(np.argmax(scores))
-        true = y_list[j]
-        if pred == true:
-            return False
-        rows[pred] -= eta * (1.0 - scores[pred]) * h
-        rows[true] += eta * (1.0 - scores[true]) * h
-        for i in (pred, true):
-            r = rows[i]
-            norms[i] = norm_list[i] = math.sqrt(r.dot(r))
-        return True
-
-    margin = _LAZY_MARGIN * (y[:, None] == np.arange(model.n_classes))
-    m, j = H.shape[0], 0
-    while j < m:
-        # One row at a time until _LAZY_BLOCK rows in a row were correct,
-        # then a block at a time until a row of a block misses.
-        streak = 0
-        while j < m and streak < _LAZY_BLOCK:
-            streak = 0 if fit_row(j) else streak + 1
-            j += 1
-        while j < m:
-            stop = min(j + _LAZY_BLOCK, m)
-            denom = hn[j:stop, None] * norms
-            scores = np.divide(H[j:stop] @ C.T, denom, out=denom, where=denom != 0.0)
-            scores -= margin[j:stop]
-            unsure = (scores.argmax(axis=1) != y[j:stop]).nonzero()[0] + j
-            missed = next((i for i in unsure.tolist() if fit_row(i)), None)
-            if missed is not None:
-                j = missed + 1
-                break
-            j = stop
+        if pred != true:
+            rows[pred] -= eta * (1.0 - scores[pred]) * h
+            rows[true] += eta * (1.0 - scores[true]) * h
+            model.refresh_norms((pred, true))
+            norm_list = model.norms.tolist()
     return model
 
 

@@ -96,8 +96,7 @@ class TestAdaptiveFit:
              dup_rows=0, layout="C", prefix=48, seed=0)
     def test_matches_sequential_loop(self, m, k, dim, start, spread, eta,
                                      zero_rows, dup_rows, layout, prefix, seed):
-        # Samples near their class centre are mostly correct, so blocks are
-        # skipped; "tie" makes classes 0 and 1 point the same way
+        # Samples near their class centre are mostly correct; "tie" makes classes 0 and 1 point the same way
         # (C1 = 3 * C0), so rounding alone decides between them; "nonfinite"
         # puts one NaN or infinite entry into a prototype, so its class
         # scores NaN and wins as in np.argmax.  Zero rows score 0 against
@@ -105,8 +104,7 @@ class TestAdaptiveFit:
         # moved; the reversed rows and the Fortran copy give the one-row
         # product strided rows, and reversed columns a negative stride.  A
         # prefix of 48 rows labelled as the start model predicts them is
-        # correct in the first epoch, so the batch check takes over and then
-        # hands the rows after it back.
+        # correct in the first epoch, a long run of no-ops before the misses.
         rng = np.random.default_rng(seed)
         centres = rng.normal(size=(k, dim))
         y = rng.integers(0, k, size=m)
@@ -131,12 +129,12 @@ class TestAdaptiveFit:
                 H = np.asfortranarray(H)
             elif layout == "columns reversed":
                 H = np.ascontiguousarray(H[:, ::-1])[:, ::-1]
-            lazy, loop = ClassModel(classes.copy()), ClassModel(classes.copy())
+            fit, loop = ClassModel(classes.copy()), ClassModel(classes.copy())
             for _ in range(3):
-                adaptive_fit_epoch(lazy, H, y, eta)
+                adaptive_fit_epoch(fit, H, y, eta)
                 sequential_epoch(loop, H, y, eta)
-                assert np.array_equal(lazy.classes, loop.classes, equal_nan=True)
-                assert np.array_equal(lazy.norms, loop.norms, equal_nan=True)
+                assert np.array_equal(fit.classes, loop.classes, equal_nan=True)
+                assert np.array_equal(fit.norms, loop.norms, equal_nan=True)
 
     @pytest.mark.parametrize("labels", ["class0", "mixed"])
     def test_exact_tie_model_matches_sequential_loop(self, labels):
@@ -146,11 +144,11 @@ class TestAdaptiveFit:
         classes = np.stack([c0, 3.0 * c0, rng.normal(size=64)])
         H = rng.normal(size=(2000, 64))
         y = np.zeros(2000, dtype=int) if labels == "class0" else rng.integers(0, 3, 2000)
-        lazy, loop = ClassModel(classes.copy()), ClassModel(classes.copy())
-        adaptive_fit_epoch(lazy, H, y, 0.05)
+        fit, loop = ClassModel(classes.copy()), ClassModel(classes.copy())
+        adaptive_fit_epoch(fit, H, y, 0.05)
         sequential_epoch(loop, H, y, 0.05)
-        assert np.array_equal(lazy.classes, loop.classes)
-        assert np.array_equal(lazy.norms, loop.norms)
+        assert np.array_equal(fit.classes, loop.classes)
+        assert np.array_equal(fit.norms, loop.norms)
 
     def test_label_validation(self):
         model = ClassModel(np.eye(2))
