@@ -172,11 +172,22 @@ def _load_dataset(path: str, label_column, names=None) -> dio.Dataset:
         ds = dio.load_csv(path, label_column=col, names=names)
     except (dio.ParseError, OSError, UnicodeDecodeError) as exc:
         raise DataError(str(exc)) from exc
+    return _finite_rows(path, ds)
+
+
+def _finite_rows(where: str, ds: dio.Dataset) -> dio.Dataset:
+    """``ds``; a NaN or infinite value is a DataError naming ``where`` and its row."""
     if not np.isfinite(ds.features).all():
         row, cell = np.argwhere(~np.isfinite(ds.features))[0]
-        raise DataError(f"{path}: data row {row + 1}: non-finite feature value "
+        raise DataError(f"{where}: data row {row + 1}: non-finite feature value "
                         f"{float(ds.features[row, cell])!r}")
     return ds
+
+
+def _normalized(spec: dio.NormalizationSpec, sets, names) -> list:
+    """``sets`` normalized by ``spec``, each checked under its name in ``names``."""
+    return [_finite_rows(f"{name}, {spec.mode}-normalized", dio.apply_normalizer(spec, ds))
+            for name, ds in zip(names, sets)]
 
 
 def _check_describable(flag: str, value: int, *shape: int) -> None:
@@ -265,9 +276,11 @@ def _load_training(args, test_split: bool):
         if sets[1].n_features != ds.n_features:
             raise DataError(f"feature count mismatch between splits: {ds.n_features} "
                             f"vs {sets[1].n_features}")
+        names = [args.data, args.valid]
     else:
         parts = dio.split(ds, fractions, stratified=True, seed=cfg.seed)
         sets = parts[:3 if test_split else 2]
+        names = [f"{args.data} ({part} split)" for part in ("train", "valid", "test")]
     check_training_sets(sets[0], sets[1])
     _check_describable("--dim", cfg.dim, cfg.dim, ds.n_features)
     if not cfg.shuffle and _class_grouped(sets[0].labels):
@@ -276,7 +289,7 @@ def _load_training(args, test_split: bool):
     spec = None
     if resolved["data.normalize"] != "none":
         spec = dio.fit_normalizer(sets[0], resolved["data.normalize"])
-        sets = [dio.apply_normalizer(spec, part) for part in sets]
+        sets = _normalized(spec, sets, names)
     return resolved, cfg, spec, sets
 
 
@@ -340,7 +353,7 @@ def _load_scored(args, paths):
             raise DataError(
                 f"norm file {args.norm} covers {spec.shift.shape[0]} features, "
                 f"dataset has {ds.n_features}")
-        ds = dio.apply_normalizer(spec, ds)
+        [ds] = _normalized(spec, [ds], [args.data])
     for encoder, _ in loaded.values():
         if ds.n_features != encoder.n_features:
             raise DataError(

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .serialize import open_atomic
+
 log = logging.getLogger(__name__)
 
 ZSCORE = "zscore"
@@ -237,7 +239,7 @@ def save_csv(path: str, ds: Dataset) -> None:
     The bytes are those of ``csv.writer``: each feature is its ``repr``,
     each class name is quoted as ``csv.writer`` quotes it, lines end in
     ``\\r\\n``.  A row is one string join; only the names go through
-    ``csv.writer``, once per class."""
+    ``csv.writer``, once per class.  Rows stream through ``open_atomic``."""
     names = ds.names or [str(i) for i in range(ds.n_classes)]
     # A name as the last cell of a row, with the comma before it when the
     # row has features (csv.writer quotes a lone empty cell, not a last one).
@@ -247,7 +249,7 @@ def save_csv(path: str, ds: Dataset) -> None:
         cell = io.StringIO()
         csv.writer(cell).writerow(lead + [name])
         tails.append(cell.getvalue()[:-2])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         fh.write(",".join([f"feat_{i}" for i in range(ds.n_features)] + ["label"])
                  + "\r\n")
         for row, label in zip(ds.features, ds.labels.tolist()):

@@ -7,7 +7,7 @@ their little-endian float64 bytes, so the round trip is bitwise; the
 the versions that wrote the file.  The encoder's RNG state rides along so
 regeneration continues identically after a save/load cycle.  Format 1,
 which held the arrays as nested decimal lists and no names, is still
-read.  The atomic text, JSON and CSV writers behind the CLI's result files
+read.  The atomic writers behind the CLI's result files and ``save_csv``
 live here too.
 """
 
@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -121,13 +121,15 @@ def load_model(path: str) -> tuple[Encoder, ClassModel]:
         return model_from_dict(json.load(fh))
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write to a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+@contextlib.contextmanager
+def open_atomic(path: str):
+    """A text handle on a temp file in the target directory, renamed onto
+    ``path`` when the block completes.  If the block fails, the temp file
+    is removed and ``path`` keeps what it held."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -135,13 +137,17 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    with open_atomic(path) as fh:
+        fh.write(text)
+
+
 def write_json_atomic(path: str, doc) -> None:
     write_text_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def write_csv_atomic(path: str, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_text_atomic(path, buf.getvalue())
+    with open_atomic(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -945,6 +945,43 @@ def test_non_finite_feature_is_data_error(tmp_path, trained, blobs_csv, caplog,
     assert os.listdir(out) == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["eval", "roc", "noise"])
+def test_norm_scale_that_overflows_the_rows_is_data_error(tmp_path, trained, blobs_csv,
+                                                         caplog, command):
+    # A subnormal scale is finite, so the norm file loads, but dividing by it
+    # turns the data into infinities.
+    code, _ = _run_with_norm(tmp_path, trained, blobs_csv, command,
+                             scale=lambda d: [1e-320] * len(d["scale"]))
+    assert code == EXIT_DATA
+    assert _logged_error(caplog, f"{blobs_csv}, zscore-normalized: data row 1: "
+                                 "non-finite feature value")
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, valid", [("train", False), ("train", True),
+                                            ("sweep-weights", False)],
+                         ids=["train-split", "train-valid_file", "sweep-weights"])
+def test_features_that_overflow_the_normalizer_are_data_error(tmp_path, caplog, command,
+                                                              valid):
+    # Finite features near the float64 limit overflow the fitted mean, so
+    # every normalized row is NaN.
+    assert run("synth", "--features", "4", "--classes", "3", "--per-class", "10",
+               "--separation", "1e308", "--out", str(tmp_path / "s")) == EXIT_OK
+    data = str(tmp_path / "s" / "blobs.csv")
+    extra = ["--valid", data] if valid else []
+    if command == "sweep-weights":
+        extra += ["--alphas", "2.0", "--betas", "1.0", "--thetas", "0.5"]
+    out = tmp_path / "out"
+    assert run(command, "--data", data, *extra, "--dim", "16", "--max-iters", "2",
+               "--out", str(out)) == EXIT_DATA
+    where = data if valid else f"{data} (train split)"
+    assert _logged_error(caplog, f"{where}, zscore-normalized: data row 1: "
+                                 "non-finite feature value nan")
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("where", ["file", "under_file"])
 @pytest.mark.parametrize("argv", [
     ["synth"], ["train", "--data", "x.csv"],

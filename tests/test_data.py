@@ -420,6 +420,21 @@ class TestSaveCsv:
         assert back.names == sorted(name.strip() for name in names)
         assert [back.names[i] for i in back.labels] == [name.strip() for name in names]
 
+    @pytest.mark.parametrize("existing", [None, b"old,label\r\n"])
+    def test_failed_write_leaves_no_target_and_no_temp_file(self, tmp_path, existing):
+        # The second row's label has no name, so the write fails after the
+        # header and the first row have gone out.
+        ds = Dataset(np.ones((3, 2)), [0, 1, 0], names=["a"])
+        path = tmp_path / "blobs.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(IndexError):
+            save_csv(str(path), ds)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None
+                                                        else ["blobs.csv"])
+        if existing is not None:
+            assert path.read_bytes() == existing
+
     def test_written_file_takes_the_one_pass_load(self, tmp_path):
         ds = synth_blobs(5, 3, 7, 2.0, seed=4)
         path = str(tmp_path / "plain.csv")

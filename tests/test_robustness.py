@@ -9,8 +9,7 @@ from hdclass import robustness
 from hdclass.core import ClassModel
 from hdclass.robustness import (
     SUPPORTED_BITS,
-    _pack_codes,
-    _unpack_codes,
+    QuantizedModel,
     dequantize,
     flip_bits,
     flip_count,
@@ -33,7 +32,8 @@ class TestQuantize:
     def test_total_bits(self):
         qm = quantize(random_model(k=3, dim=64), 8)
         assert qm.total_bits == 3 * 64 * 8
-        assert qm.shape == (3, 64)
+        assert qm.packed.shape == (3, 64)
+        assert qm.packed.dtype == np.uint8
 
     def test_roundtrip_error_bound(self):
         # Mid-rise levels are s*(q+0.5); the clip at +max costs at most one
@@ -102,6 +102,21 @@ class TestFlipBits:
         half = int(round(qm.total_bits / 2))
         assert hamming_distance(qm, a) == half
         assert hamming_distance(qm, b) == half
+
+    @pytest.mark.parametrize("other", [
+        QuantizedModel(1, np.zeros((8, 64), np.uint8), np.ones(8), list(range(8))),
+        QuantizedModel(8, np.zeros((64, 1), np.uint8), np.ones(64), list(range(64))),
+        QuantizedModel(4, np.zeros((1, 64), np.uint8), np.ones(1), [0]),
+    ], ids=["1bit_8x64", "8bit_64x1", "4bit_1x64"])
+    def test_hamming_distance_needs_one_layout(self, other):
+        # Each memory holds codes of another width or shape than a 1x64 8-bit
+        # one, so no code lines up with its counterpart; the first two hold
+        # as many bits, and their XOR with it would broadcast.
+        qm = QuantizedModel(8, np.zeros((1, 64), np.uint8), np.ones(1), [0])
+        with pytest.raises(ValueError, match="layout"):
+            hamming_distance(qm, other)
+        with pytest.raises(ValueError, match="layout"):
+            hamming_distance(other, qm)
 
     def test_rate_validation(self):
         qm = quantize(random_model(), 8)
@@ -185,25 +200,51 @@ class TestNoiseSweep:
             assert hi >= lo - 0.5
 
 
-def _unpack_codes_oracle(packed, bits, shape):
-    """The bit-tensor formula ``_unpack_codes`` replaced: unpack, then weigh."""
-    total = shape[0] * shape[1] * bits
-    flat = np.unpackbits(packed)[:total].reshape(shape[0], shape[1], bits)
+def _bit_stream_oracle(model, bits, error_rate, seed):
+    """The packed-stream trial the byte-per-code memory replaced: pack the
+    codes MSB-first into one bit stream, flip the seeded positions there,
+    then unpack and weigh the bits back into codes and dequantize.  Returns
+    the corrupted codes and their values."""
+    k, dim = model.classes.shape
+    half = 1 << (bits - 1)
+    scales = np.max(np.abs(model.classes), axis=1) / half
+    codes = np.zeros((k, dim), dtype=np.int64)
+    nz = scales > 0
+    q = np.floor(model.classes[nz] / scales[nz, None])
+    codes[nz] = np.clip(q, -half, half - 1).astype(np.int64) + half
+    shifts = np.arange(bits - 1, -1, -1)
+    stream = np.packbits(((codes[..., None] >> shifts) & 1).astype(np.uint8).reshape(-1))
+    total = k * dim * bits
+    flat = np.unpackbits(stream)[:total].copy()
+    n_flips = int(round(error_rate / 100.0 * total))
+    if n_flips:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        flat[rng.choice(total, size=n_flips, replace=False)] ^= 1
     weights = 1 << np.arange(bits - 1, -1, -1)
-    return (flat * weights).sum(axis=2).astype(np.int64)
+    codes = (np.unpackbits(np.packbits(flat))[:total].reshape(k, dim, bits)
+             * weights).sum(axis=2)
+    values = (codes - half + 0.5) * scales[:, None]
+    values[scales == 0.0] = 0.0
+    return codes, values
 
 
 # Odd k and D: for 1, 2 and 4 bits, k*D*bits is then no multiple of 8 and
-# the last byte carries padding bits.
+# the old stream's last byte carried padding bits.
 @settings(max_examples=200, deadline=None)
 @given(bits=st.sampled_from(SUPPORTED_BITS),
-       k=st.integers(0, 4).map(lambda i: 2 * i + 1),
+       k=st.integers(1, 4).map(lambda i: 2 * i + 1),
        dim=st.integers(0, 20).map(lambda i: 2 * i + 1),
+       rate=st.one_of(st.sampled_from([0.0, 100.0]), st.floats(0.0, 100.0)),
+       zero_row=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_unpack_codes_matches_bit_tensor_oracle(bits, k, dim, seed):
+def test_flip_and_dequantize_match_bit_stream_oracle(bits, k, dim, rate, zero_row, seed):
     rng = np.random.default_rng(seed)
-    packed = rng.integers(0, 256, size=-(-k * dim * bits // 8), dtype=np.uint8)
-    codes = _unpack_codes(packed, bits, (k, dim))
-    assert codes.dtype == np.int64
-    assert np.array_equal(codes, _unpack_codes_oracle(packed, bits, (k, dim)))
-    assert np.array_equal(_unpack_codes(_pack_codes(codes, bits), bits, (k, dim)), codes)
+    classes = rng.normal(size=(k, dim))
+    if zero_row:
+        classes[0] = 0.0
+    model = ClassModel(classes)
+    flipped = flip_bits(quantize(model, bits), rate, seed)
+    codes, values = _bit_stream_oracle(model, bits, rate, seed)
+    assert np.array_equal(flipped.packed, codes)
+    got = dequantize(flipped).classes
+    assert np.array_equal(got.view(np.int64), values.view(np.int64))

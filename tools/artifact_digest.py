@@ -30,6 +30,7 @@ def commands(out: str) -> list[list[str]]:
     blobs4 = os.path.join(out, "synth4", "blobs.csv")
     model = os.path.join(out, "train", "model.json")
     model64 = os.path.join(out, "train64", "model.json")
+    model33 = os.path.join(out, "train33", "model.json")
     norm = os.path.join(out, "train", "norm.json")
     valid = os.path.join(out, "synth_valid", "blobs.csv")
     overlap = os.path.join(out, "synth_overlap", "blobs.csv")
@@ -67,6 +68,13 @@ def commands(out: str) -> list[list[str]]:
          "--fractions", "0.7,0.3,0.0", "--out", os.path.join(out, "train64")],
         ["noise", *scored, "--model", model64, "--bits", "1,8", "--rates", "0,10",
          "--trials", "3", "--seed", "2", "--out", os.path.join(out, "noise_dims")],
+        # 3 x 33 codes: at 1, 2 and 4 bits the memory's bit count is no
+        # multiple of 8.
+        ["train", "--data", blobs, "--dim", "33", "--max-iters", "3", "--seed", "0",
+         "--fractions", "0.7,0.3,0.0", "--out", os.path.join(out, "train33")],
+        ["noise", "--model", model33, "--data", blobs, "--norm", norm, "--bits", "1,2,4,8",
+         "--rates", "0,1,5,20,100", "--trials", "3", "--seed", "2",
+         "--out", os.path.join(out, "noise_dim33")],
         ["sweep-weights", "--data", blobs4, *sweep, "--mode", "static",
          "--out", os.path.join(out, "sweep_static")],
         ["sweep-weights", "--data", blobs4, *sweep, "--mode", "dynamic",
