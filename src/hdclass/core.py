@@ -92,26 +92,26 @@ class Encoder:
     def encode_batch(self, batch) -> np.ndarray:
         """Encode m feature vectors into an m x D matrix.
 
-        The projection runs one matrix-vector product per row, so row j
-        does not depend on the batch it came in and ``encode`` (a batch of
-        one) is bit-identical to it; the nonlinearity is then applied to
-        the whole projection in place.
+        The projection is one matrix product, ``(input_scale * X) @ base.T``,
+        and the nonlinearity is applied to it in place.  A row equals the
+        per-row matrix-vector encoding within rounding, not bitwise: BLAS
+        sums the n products in an order that depends on its kernel, the
+        batch shape and the thread count.  Encoding the same batch twice in
+        one process gives the same bytes.  ``encode`` is a batch of one,
+        which numpy sends to the matrix-vector kernel.
         """
         X = self._check_batch(batch)
-        proj = np.empty((X.shape[0], self.dim))
-        for j in range(X.shape[0]):
-            proj[j] = self.base @ (self.input_scale * X[j])
-        return _cos_sin(proj, self.phase)
+        return _cos_sin((self.input_scale * X) @ self.base.T, self.phase)
 
     def encode_columns(self, batch, dims) -> np.ndarray:
         """Columns ``dims`` of the encoding of m feature vectors (m x len(dims)).
 
-        The projection is one matrix product, so a column equals the same
-        column of :meth:`encode_batch` within rounding, not bitwise: the two
-        kernels sum the n products in different orders (measured up to
-        2.7e-15 at n=6 and 2.7e-14 at n=617).  Training uses it to refresh
-        only the columns a regeneration redrew; every other cached column
-        stays bitwise the fresh ``encode_batch`` value.
+        The projection is one matrix product against the selected base
+        rows, so a column equals the same column of a fresh
+        :meth:`encode_batch` within rounding, not bitwise: the two products
+        have different shapes, which BLAS may tile differently.  Training
+        uses it to refresh only the columns a regeneration redrew; every
+        other cached column stays bitwise the old value.
         """
         X = self._check_batch(batch)
         idx = np.asarray(dims, dtype=np.intp)
@@ -220,19 +220,33 @@ def similarity_scores(model: ClassModel, h) -> np.ndarray:
     return similarity_matrix(model, _as_float_vector(h, "h")[None, :])[0]
 
 
-def similarity_matrix(model: ClassModel, encoded: np.ndarray) -> np.ndarray:
+def row_norms(encoded: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as :func:`similarity_matrix` computes it."""
+    H = np.asarray(encoded, dtype=np.float64)
+    return np.sqrt(np.vecdot(H, H))
+
+
+def similarity_matrix(model: ClassModel, encoded: np.ndarray,
+                      norms: np.ndarray | None = None) -> np.ndarray:
     """m x k cosine similarities: the one scoring kernel of the package.
 
     One matrix product scaled by the row norms and the cached prototype
     norms; zero rows and zero prototypes carry no evidence and score 0.
     A single row goes through the matrix-vector kernel, so 1-row calls are
     bit-identical to ``model.classes @ h / (model.norms * norm(h))``.
+    ``norms`` is ``row_norms(encoded)`` for a caller that scores the same
+    rows against many models.
     """
     H = np.asarray(encoded, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != model.dim:
         raise DimensionError(
             f"encoded batch must be m x {model.dim}, got shape {H.shape}")
-    denom = np.sqrt(np.vecdot(H, H))[:, None] * model.norms
+    if norms is None:
+        norms = row_norms(H)
+    elif np.shape(norms) != H.shape[:1]:
+        raise DimensionError(
+            f"row norms must have length {H.shape[0]}, got shape {np.shape(norms)}")
+    denom = norms[:, None] * model.norms
     # Where the denominator is 0 the output keeps it, so those score 0.
     return np.divide(H @ model.classes.T, denom, out=denom, where=denom != 0.0)
 

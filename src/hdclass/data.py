@@ -293,14 +293,17 @@ def fit_normalizer(train: Dataset, mode: str = ZSCORE) -> NormalizationSpec:
     if train.n_samples == 0:
         raise ValueError("cannot fit a normalizer on an empty dataset")
     X = train.features
-    if mode == ZSCORE:
-        shift = X.mean(axis=0)
-        scale = X.std(axis=0)
-    elif mode == MINMAX:
-        shift = X.min(axis=0)
-        scale = X.max(axis=0) - shift
-    else:
-        raise ValueError(f"unknown normalization mode {mode!r}")
+    # Features near the float64 limit overflow the moments; the caller
+    # rejects the non-finite rows that follow, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == ZSCORE:
+            shift = X.mean(axis=0)
+            scale = X.std(axis=0)
+        elif mode == MINMAX:
+            shift = X.min(axis=0)
+            scale = X.max(axis=0) - shift
+        else:
+            raise ValueError(f"unknown normalization mode {mode!r}")
     if np.any(scale == 0.0):
         log.warning("constant feature columns detected: %s",
                     np.flatnonzero(scale == 0.0).tolist())
@@ -313,10 +316,13 @@ def apply_normalizer(spec: NormalizationSpec, ds: Dataset) -> Dataset:
     if X.shape[1] != spec.shift.shape[0]:
         raise ValueError(
             f"dataset has {X.shape[1]} features, spec expects {spec.shift.shape[0]}")
-    out = np.empty_like(X)
     const = spec.scale == 0.0
-    live = ~const
-    out[:, live] = (X[:, live] - spec.shift[live]) / spec.scale[live]
+    # One output array and no masked copy of X: constant columns divide by
+    # 1 and are then overwritten.  An overflow is left to the caller's
+    # check of the normalized rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.subtract(X, spec.shift)
+        out /= np.where(const, 1.0, spec.scale)
     out[:, const] = 0.0 if spec.mode == ZSCORE else 0.5
     return Dataset(out, ds.labels.copy(), ds.names, dict(ds.meta))
 

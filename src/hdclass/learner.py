@@ -261,7 +261,7 @@ def train(config: TrainConfig, train_set, valid_set):
     redrawn columns are encoded again (``Encoder.encode_columns``).  So a
     column never regenerated, and every column in static mode, stays
     bitwise equal to a fresh ``encode_batch``, and a regenerated column
-    equals it within rounding (the gemm and the per-row gemv kernels).
+    equals it within rounding (two matrix products of different shapes).
 
     The returned ``(encoder, model)`` pair is the snapshot with the highest
     validation accuracy seen over the whole run (earliest iteration on

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .core import ClassModel, similarity_matrix
+from .core import ClassModel, row_norms, similarity_matrix
 
 SUPPORTED_BITS = (1, 2, 4, 8)
 
@@ -92,10 +92,14 @@ def hamming_distance(a: QuantizedModel, b: QuantizedModel) -> int:
 
 
 def run_trial(qm: QuantizedModel, encoded: np.ndarray, labels: np.ndarray,
-              clean_accuracy: float, error_rate: float, seed: int) -> float:
-    """The accuracy drop, in percentage points, of one seeded corruption."""
+              clean_accuracy: float, error_rate: float, seed: int,
+              norms: np.ndarray | None = None) -> float:
+    """The accuracy drop, in percentage points, of one seeded corruption.
+
+    ``norms`` is ``row_norms(encoded)``, when the caller has it."""
     corrupted = dequantize(flip_bits(qm, error_rate, seed))
-    acc = metrics.accuracy(similarity_matrix(corrupted, encoded).argmax(axis=1), labels)
+    acc = metrics.accuracy(
+        similarity_matrix(corrupted, encoded, norms).argmax(axis=1), labels)
     return (clean_accuracy - acc) * 100.0
 
 
@@ -116,15 +120,18 @@ def noise_sweep(models_by_dim: dict, grid, trials: int, seed: int) -> list[Sweep
         raise ValueError(f"trial count must be >= 1, got {trials}")
     cells = []
     clean_cache: dict[tuple[int, int], tuple[QuantizedModel, float]] = {}
+    # Each model's test rows are scored many times; their norms once.
+    norms_by_dim = {dim: row_norms(encoded) for dim, (_, encoded, _) in models_by_dim.items()}
     for cell_idx, (dim, bits, rate) in enumerate(grid):
         if dim not in models_by_dim:
             raise KeyError(f"no trained model available for dimensionality {dim}")
         model, encoded, labels = models_by_dim[dim]
+        norms = norms_by_dim[dim]
         key = (dim, bits)
         if key not in clean_cache:
             qm = quantize(model, bits)
             clean = metrics.accuracy(
-                similarity_matrix(dequantize(qm), encoded).argmax(axis=1), labels)
+                similarity_matrix(dequantize(qm), encoded, norms).argmax(axis=1), labels)
             clean_cache[key] = (qm, clean)
         qm, clean = clean_cache[key]
         losses = np.zeros(trials)
@@ -132,7 +139,7 @@ def noise_sweep(models_by_dim: dict, grid, trials: int, seed: int) -> list[Sweep
             for t in range(trials):
                 trial_seed = int(np.random.SeedSequence(
                     entropy=(seed, cell_idx, t)).generate_state(1)[0])
-                losses[t] = run_trial(qm, encoded, labels, clean, rate, trial_seed)
+                losses[t] = run_trial(qm, encoded, labels, clean, rate, trial_seed, norms)
         cells.append(SweepCell(dim, bits, rate, trials,
                                float(losses.mean()), float(losses.std())))
     return cells

@@ -43,6 +43,15 @@ def eval_accuracy(encoder, model, test_ds) -> float:
     return float(np.mean(preds == test_ds.labels))
 
 
+def per_row_encoding(encoder, X):
+    """Reference oracle: the per-row loop ``encode_batch`` replaced, one
+    matrix-vector product a row.  Returns the encoding and the projection."""
+    proj = np.empty((X.shape[0], encoder.dim))
+    for j in range(X.shape[0]):
+        proj[j] = encoder.base @ (encoder.input_scale * X[j])
+    return np.cos(proj + encoder.phase) * np.sin(proj), proj
+
+
 def encode_array(values) -> str:
     """Base64 of little-endian float64 bytes, as model containers store arrays."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")

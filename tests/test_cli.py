@@ -945,7 +945,7 @@ def test_non_finite_feature_is_data_error(tmp_path, trained, blobs_csv, caplog,
     assert os.listdir(out) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["eval", "roc", "noise"])
 def test_norm_scale_that_overflows_the_rows_is_data_error(tmp_path, trained, blobs_csv,
                                                          caplog, command):
@@ -959,7 +959,7 @@ def test_norm_scale_that_overflows_the_rows_is_data_error(tmp_path, trained, blo
     assert os.listdir(tmp_path / "out") == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, valid", [("train", False), ("train", True),
                                             ("sweep-weights", False)],
                          ids=["train-split", "train-valid_file", "sweep-weights"])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdclass.core import (
@@ -10,9 +10,12 @@ from hdclass.core import (
     DimensionError,
     Encoder,
     ranking,
+    row_norms,
     similarity_matrix,
     similarity_scores,
 )
+
+from conftest import per_row_encoding
 
 
 def rowwise_similarity(model, H):
@@ -91,28 +94,66 @@ class TestEncode:
         expected = np.cos(proj + enc.phase) * np.sin(proj)
         assert np.array_equal(enc.encode(f), expected)
 
-    def test_batch_bitwise_equals_single(self):
-        enc = Encoder.create(8, 128, seed=11)
-        X = np.random.default_rng(1).normal(size=(17, 8))
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(0, 40), n=st.integers(1, 617), dim=st.integers(1, 96),
+           input_scale=st.floats(1e-3, 10.0), spread=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=256, n=617, dim=500, input_scale=617 ** -0.5, spread=1.0, seed=0)
+    def test_batch_rows_within_rounding_of_per_row_oracle(self, m, n, dim, input_scale,
+                                                          spread, seed):
+        # Both kernels sum the same n products of sX and B, each within the
+        # forward error bound gamma_n * (|sX| . |B|^T) of the exact dot
+        # product, so the two projections differ by at most twice that.
+        # cos(p + phi) * sin(p) has derivative cos(2p + phi), so it is
+        # 1-Lipschitz in p; each side then adds the rounding of p + phi
+        # (u * |p + phi|, through the 1-Lipschitz cos) and a few ulps of 1
+        # for cos, sin and their product.
+        rng = np.random.default_rng(seed)
+        enc = Encoder.create(n, dim, seed=seed)
+        enc.input_scale = input_scale
+        X = spread * rng.normal(size=(m, n))
+        oracle, proj = per_row_encoding(enc, X)
+        u = np.finfo(np.float64).eps / 2
+        gamma = n * u / (1 - n * u)
+        # |sX| . |B|^T is itself a computed sum; dividing by 1 - gamma
+        # bounds the exact one.
+        magnitude = np.abs(enc.input_scale * X) @ np.abs(enc.base).T / (1 - gamma)
+        dot_error = gamma * magnitude
+        evaluation = u * (np.abs(proj) + dot_error + 2.0 * np.pi) + 8 * u
+        bound = 2 * dot_error + 2 * evaluation
         batch = enc.encode_batch(X)
-        for j in range(X.shape[0]):
-            assert np.array_equal(batch[j], enc.encode(X[j]))
+        assert batch.shape == (m, dim)
+        assert np.all(np.abs(batch - oracle) <= bound)
 
-    def test_batch_matches_per_row_formula(self):
-        # The per-row loop the batch kernel replaced, kept as the oracle.
-        enc = Encoder.create(9, 64, seed=4)
-        enc.input_scale = 1.0 / 3.0
-        X = np.random.default_rng(2).normal(size=(23, 9))
-        for j, row in enumerate(enc.encode_batch(X)):
-            proj = enc.base @ (enc.input_scale * X[j])
-            assert np.array_equal(row, np.cos(proj + enc.phase) * np.sin(proj))
+    def test_same_batch_same_bytes(self):
+        enc = Encoder.create(617, 500, seed=8)
+        enc.input_scale = 617 ** -0.5
+        X = np.random.default_rng(3).normal(size=(300, 617))
+        assert enc.encode_batch(X).tobytes() == enc.encode_batch(X).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(0, 40), n=st.integers(1, 617), dim=st.integers(1, 96),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=256, n=617, dim=500, seed=0)
+    def test_regenerate_keeps_other_columns_bitwise(self, m, n, dim, seed):
+        # The cache rule train() relies on: a redraw changes only its own
+        # columns of a fresh encode_batch of the same batch.
+        rng = np.random.default_rng(seed)
+        enc = Encoder.create(n, dim, seed=seed)
+        enc.input_scale = 1.0 / np.sqrt(n)
+        X = rng.normal(size=(m, n))
+        before = enc.encode_batch(X)
+        idx = rng.choice(dim, size=int(rng.integers(0, dim + 1)), replace=False)
+        enc.regenerate(idx)
+        kept = np.setdiff1d(np.arange(dim), idx)
+        assert np.array_equal(enc.encode_batch(X)[:, kept], before[:, kept])
 
     @settings(max_examples=80, deadline=None)
     @given(m=st.integers(0, 30), n=st.integers(1, 617), dim=st.integers(1, 96),
            seed=st.integers(0, 2**32 - 1))
     def test_columns_match_batch(self, m, n, dim, seed):
-        # One gemm against the per-row gemv: the same dot products summed
-        # in another order, so equal within rounding, not bitwise.
+        # Two matrix products of different shapes: the same dot products,
+        # possibly summed in another order, so equal within rounding.
         rng = np.random.default_rng(seed)
         enc = Encoder.create(n, dim, seed=seed)
         enc.input_scale = 1.0 / np.sqrt(n)
@@ -291,6 +332,16 @@ class TestSimilarity:
             assert np.array_equal(similarity_scores(m, h), expected)
             assert np.array_equal(similarity_scores(m, h),
                                   rowwise_similarity(m, h[None, :])[0])
+
+    def test_given_row_norms_score_bitwise_as_computed_ones(self):
+        rng = np.random.default_rng(6)
+        model = ClassModel(rng.normal(size=(26, 500)))
+        H = rng.normal(size=(40, 500))
+        H[3] = 0.0
+        assert np.array_equal(similarity_matrix(model, H, row_norms(H)),
+                              similarity_matrix(model, H))
+        with pytest.raises(DimensionError):
+            similarity_matrix(model, H, row_norms(H[1:]))
 
     def test_matrix_rejects_wrong_width(self):
         m = ClassModel(np.ones((3, 8)))

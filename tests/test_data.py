@@ -174,6 +174,22 @@ class TestNormalization:
         assert np.all(mm.features[:, 0] == 0.5)
         assert np.all(np.isfinite(z.features))
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 30), n=st.integers(1, 12), constant=st.integers(0, 12),
+           mode=st.sampled_from(["zscore", "minmax"]), seed=st.integers(0, 2**32 - 1))
+    def test_apply_is_bitwise_the_masked_column_formula(self, m, n, constant, mode, seed):
+        # The masked-copy formula apply_normalizer replaced, kept as the oracle.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(m, n)) * rng.uniform(0.1, 100.0, size=n)
+        X[:, rng.choice(n, size=min(constant, n), replace=False)] = 3.0
+        spec = fit_normalizer(Dataset(X, np.zeros(m, dtype=int)), mode)
+        expected = np.empty_like(X)
+        live = spec.scale != 0.0
+        expected[:, live] = (X[:, live] - spec.shift[live]) / spec.scale[live]
+        expected[:, ~live] = 0.0 if mode == "zscore" else 0.5
+        out = apply_normalizer(spec, Dataset(X, np.zeros(m, dtype=int)))
+        assert np.array_equal(out.features, expected)
+
     def test_already_standardized_is_identity(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(500, 3))

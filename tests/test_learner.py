@@ -15,7 +15,7 @@ from hdclass.learner import (
     train,
     _build_distance_rows,
 )
-from conftest import make_benchmark, eval_accuracy
+from conftest import make_benchmark, eval_accuracy, per_row_encoding
 
 
 def sequential_epoch(model, encoded, labels, eta):
@@ -446,6 +446,30 @@ class TestTrainLoop:
         # scoring; the distance rows reuse the train scoring.
         assert len(checked) == 3 * len(report.rows)
         assert 0 < checked[-1] < 64
+
+    @pytest.mark.parametrize("mode, n_features, k_classes, dim, separation, shuffle", [
+        ("dynamic", 5, 3, 64, 1.0, False),
+        ("dynamic", 40, 4, 48, 0.6, True),
+        ("static", 40, 4, 64, 0.6, True),
+        ("static", 5, 3, 32, 1.0, False),
+    ])
+    def test_gemm_encode_keeps_the_per_row_decisions(self, monkeypatch, mode, n_features,
+                                                     k_classes, dim, separation, shuffle):
+        # The encode contract is decision-level: the one-gemm encode_batch
+        # and the per-row oracle give the same report and snapshot, though
+        # the prototypes may differ in their last bits.
+        tr, va, _ = make_benchmark(1, n_features=n_features, k_classes=k_classes,
+                                   per_class=60, separation=separation)
+        cfg = TrainConfig(dim=dim, mode=mode, max_iters=8, patience=8, min_delta=0.0,
+                          regen_rate=40.0, shuffle=shuffle)
+        _, _, gemm = train(cfg, tr, va)
+        monkeypatch.setattr(Encoder, "encode_batch",
+                            lambda self, X: per_row_encoding(self, X)[0])
+        _, _, per_row = train(cfg, tr, va)
+        assert gemm.to_jsonl() == per_row.to_jsonl()
+        assert gemm.snapshot_iteration == per_row.snapshot_iteration
+        if mode == "dynamic":
+            assert any(r.regenerated for r in gemm.rows)
 
     def test_convergence_stops_early(self):
         tr, va, _ = self.small_sets()
