@@ -283,13 +283,13 @@ def _load_training(args, test_split: bool):
         names = [f"{args.data} ({part} split)" for part in ("train", "valid", "test")]
     check_training_sets(sets[0], sets[1])
     _check_describable("--dim", cfg.dim, cfg.dim, ds.n_features)
-    if not cfg.shuffle and _class_grouped(sets[0].labels):
-        log.warning("the training rows are grouped by class and train.shuffle is off; the "
-                    "sequential update learns poorly in this order, so consider --shuffle")
     spec = None
     if resolved["data.normalize"] != "none":
         spec = dio.fit_normalizer(sets[0], resolved["data.normalize"])
         sets = _normalized(spec, sets, names)
+    if not cfg.shuffle and _class_grouped(sets[0].labels):
+        log.warning("the training rows are grouped by class and train.shuffle is off; the "
+                    "sequential update learns poorly in this order, so consider --shuffle")
     return resolved, cfg, spec, sets
 
 

@@ -13,8 +13,6 @@ seeds, so every operation here is bit-reproducible.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -160,11 +158,11 @@ def _cos_sin(proj: np.ndarray, phase: np.ndarray) -> np.ndarray:
 
 
 class ClassModel:
-    """k class hypervectors with cached Euclidean norms.
+    """k class hypervectors (``classes``, k x D) and their labels.
 
-    Norm caching keeps similarity scoring at one dot product per class;
-    callers that mutate ``classes`` must refresh the affected rows via
-    :meth:`refresh_norms`.
+    The model holds no derived state: scoring takes the prototype norms
+    from :func:`row_norms` on every call, so a caller may change
+    ``classes`` in place without refreshing anything.
     """
 
     def __init__(self, classes: np.ndarray, labels=None):
@@ -181,7 +179,6 @@ class ClassModel:
         if len(set(labels)) != len(labels):
             raise ValueError("class labels must be distinct")
         self.labels = list(labels)
-        self.norms = np.linalg.norm(classes, axis=1)
 
     @classmethod
     def zeros(cls, k: int, dim: int, labels=None) -> "ClassModel":
@@ -195,24 +192,8 @@ class ClassModel:
     def dim(self) -> int:
         return self.classes.shape[1]
 
-    def refresh_norms(self, indices=None) -> None:
-        """Recompute every cached norm, or only those of ``indices``.
-
-        A touched row gets ``sqrt(r . r)``: numpy's own formula for the
-        norm of a real 1-D row, and ``math.sqrt`` is correctly rounded, so
-        it is bitwise ``np.linalg.norm(r)`` without that call's overhead.
-        """
-        if indices is None:
-            self.norms = np.linalg.norm(self.classes, axis=1)
-        else:
-            for i in indices:
-                r = self.classes[i]
-                self.norms[i] = math.sqrt(r.dot(r))
-
     def copy(self) -> "ClassModel":
-        m = ClassModel(self.classes.copy(), list(self.labels))
-        m.norms = self.norms.copy()
-        return m
+        return ClassModel(self.classes.copy(), list(self.labels))
 
 
 def similarity_scores(model: ClassModel, h) -> np.ndarray:
@@ -221,7 +202,8 @@ def similarity_scores(model: ClassModel, h) -> np.ndarray:
 
 
 def row_norms(encoded: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, as :func:`similarity_matrix` computes it."""
+    """Euclidean norm of each row, ``sqrt(r . r)``: the package's one norm
+    formula, bitwise ``math.sqrt(r.dot(r))`` of a row on its own."""
     H = np.asarray(encoded, dtype=np.float64)
     return np.sqrt(np.vecdot(H, H))
 
@@ -230,10 +212,11 @@ def similarity_matrix(model: ClassModel, encoded: np.ndarray,
                       norms: np.ndarray | None = None) -> np.ndarray:
     """m x k cosine similarities: the one scoring kernel of the package.
 
-    One matrix product scaled by the row norms and the cached prototype
-    norms; zero rows and zero prototypes carry no evidence and score 0.
-    A single row goes through the matrix-vector kernel, so 1-row calls are
-    bit-identical to ``model.classes @ h / (model.norms * norm(h))``.
+    One matrix product scaled by the row norms and the prototype norms,
+    both from :func:`row_norms`; zero rows and zero prototypes carry no
+    evidence and score 0.  A single row goes through the matrix-vector
+    kernel, so 1-row calls are bit-identical to
+    ``model.classes @ h / (row_norms(model.classes) * norm(h))``.
     ``norms`` is ``row_norms(encoded)`` for a caller that scores the same
     rows against many models.
     """
@@ -246,7 +229,7 @@ def similarity_matrix(model: ClassModel, encoded: np.ndarray,
     elif np.shape(norms) != H.shape[:1]:
         raise DimensionError(
             f"row norms must have length {H.shape[0]}, got shape {np.shape(norms)}")
-    denom = norms[:, None] * model.norms
+    denom = norms[:, None] * row_norms(model.classes)
     # Where the denominator is 0 the output keeps it, so those score 0.
     return np.divide(H @ model.classes.T, denom, out=denom, where=denom != 0.0)
 

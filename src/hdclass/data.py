@@ -383,7 +383,8 @@ def synth_blobs(n_features: int, k_classes: int, per_class: int,
 
     Class means are random Gaussian points rescaled so the closest pair
     sits exactly ``separation`` apart (all pairs at least that far).  A
-    separation of 0 collapses every mean onto the origin.
+    separation of 0 collapses every mean onto the origin.  A ValueError
+    when a separation that large overflows the means or the features.
     """
     if min(n_features, k_classes, per_class) < 1:
         raise ValueError("counts must all be >= 1")
@@ -391,15 +392,19 @@ def synth_blobs(n_features: int, k_classes: int, per_class: int,
         raise ValueError(f"separation must be finite and >= 0, got {separation}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     means = rng.standard_normal((k_classes, n_features))
-    if k_classes > 1:
-        dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
-        min_dist = dists[np.triu_indices(k_classes, 1)].min()
-        means = means * (separation / min_dist) if min_dist > 0 else means * 0.0
-    else:
-        means *= 0.0
     labels = np.repeat(np.arange(k_classes), per_class)
-    noise = rng.standard_normal((labels.size, n_features))
-    features = means[labels] + noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k_classes > 1:
+            dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
+            min_dist = dists[np.triu_indices(k_classes, 1)].min()
+            means = means * (separation / min_dist) if min_dist > 0 else means * 0.0
+        else:
+            means *= 0.0
+        features = means[labels] + rng.standard_normal((labels.size, n_features))
+    # Every class has a row, so this also covers every mean.
+    if not np.isfinite(features).all():
+        raise ValueError(f"separation {separation!r} overflows the class means or "
+                         f"features to non-finite values")
     return Dataset(features, labels,
                    [str(c) for c in range(k_classes)],
                    {"source": "synthetic", "separation": separation, "seed": seed})

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, regen
-from .core import (ClassModel, DimensionError, Encoder, ranking, similarity_matrix,
-                   similarity_scores)
+from .core import (ClassModel, DimensionError, Encoder, ranking, row_norms,
+                   similarity_matrix, similarity_scores)
 
 DYNAMIC = "dynamic"
 STATIC = "static"
@@ -140,15 +140,16 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
         C_j <- C_j + eta * (1 - cos(H, C_j)) * H
 
     Correctly predicted samples leave the model untouched.  The pass is
-    order-dependent by design; norm caches are refreshed for the two
-    touched prototypes after every update.
+    order-dependent by design.
 
     Each sample is scored on its own: ``C @ h`` is the matrix-vector
     kernel a 1-row ``similarity_matrix`` call runs, and the cosines, their
     argmax (ties to the lowest index, the first NaN wins, as
     ``np.argmax``) and the update coefficients are Python floats; a zero
-    denominator scores 0.  The sample row norms are computed once per
-    epoch (a sample's norm does not change).
+    denominator scores 0.  The prototype and sample norms come from
+    ``row_norms`` once per epoch; after an update the two touched prototype
+    norms are ``math.sqrt(r.dot(r))``, bitwise what ``row_norms`` gives for
+    that row.
     """
     H = _check_encoded(model, encoded)
     y = _check_labels(model, labels)
@@ -158,11 +159,11 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
         raise ValueError(f"learning rate must be positive and finite, got {eta}")
     eta = float(eta)
     C = model.classes
-    rows, norm_list = list(C), model.norms.tolist()
+    rows, norm_list = list(C), row_norms(C).tolist()
     # C.dot(h) is bitwise C @ h, at half its call cost, for a C-contiguous C
     # and a unit-stride h; other layouts can take other kernels, so keep C @ h.
     product = C.dot if C.flags.c_contiguous and H.strides[1] == H.itemsize else C.__matmul__
-    hn_list = np.sqrt(np.vecdot(H, H)).tolist()
+    hn_list = row_norms(H).tolist()
     for h, hj, true in zip(H, hn_list, y.tolist()):
         scores = [d / den if (den := hj * n) != 0.0 else 0.0
                   for d, n in zip(product(h).tolist(), norm_list)]
@@ -173,8 +174,8 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
         if pred != true:
             rows[pred] -= eta * (1.0 - scores[pred]) * h
             rows[true] += eta * (1.0 - scores[true]) * h
-            model.refresh_norms((pred, true))
-            norm_list = model.norms.tolist()
+            norm_list[pred] = math.sqrt(rows[pred].dot(rows[pred]))
+            norm_list[true] = math.sqrt(rows[true].dot(rows[true]))
     return model
 
 
@@ -338,7 +339,6 @@ def train(config: TrainConfig, train_set, valid_set):
                 # Prototype entries at regenerated dimensions were learned
                 # under the old base vectors; reset them.
                 model.classes[:, idx] = 0.0
-                model.refresh_norms()
                 regenerated = len(idx)
                 effective += regenerated
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, ranking
+from .core import DimensionError, ranking, row_norms
 
 #: Row formulas for the incorrect-sample matrix.  "prose" rewards
 #: dimensions far from the true class and near both wrong classes with a
@@ -84,7 +84,7 @@ def incorrect_row(h, c_true, c_top1, c_top2, alpha: float, beta: float,
 
 def normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Per-row L2 normalization; all-zero rows pass through unchanged."""
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms = row_norms(rows)[:, None]
     safe = np.where(norms == 0.0, 1.0, norms)
     return rows / safe
 

@@ -10,6 +10,8 @@ import logging
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -980,6 +982,33 @@ def test_features_that_overflow_the_normalizer_are_data_error(tmp_path, caplog, 
     assert _logged_error(caplog, f"{where}, zscore-normalized: data row 1: "
                                  "non-finite feature value nan")
     assert os.listdir(out) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_synth_separation_that_overflows_is_config_error(tmp_path, caplog):
+    out = tmp_path / "s"
+    assert run("synth", "--features", "3", "--classes", "3", "--per-class", "10",
+               "--separation", "1e308", "--out", str(out)) == EXIT_CONFIG
+    assert _logged_error(caplog, "separation 1e+308 overflows")
+    assert not os.path.exists(out / "blobs.csv")
+    assert not os.path.exists(out / "config.txt")
+
+
+def test_data_error_is_not_preceded_by_training_advice(tmp_path):
+    # The class-grouped order WARNING is advice for a run that trains; a
+    # run that its normalized rows stop logs only the ERROR, on stderr.
+    assert run("synth", "--features", "3", "--classes", "3", "--per-class", "10",
+               "--separation", "1e307", "--out", str(tmp_path / "s")) == EXIT_OK
+    data = str(tmp_path / "s" / "blobs.csv")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "hdclass.cli", "train", "--data", data,
+                           "--out", str(tmp_path / "t")],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.splitlines() == [f"ERROR data error: {data} (train split), zscore-normalized: "
+                     "data row 1: non-finite feature value nan"]
 
 
 @pytest.mark.parametrize("where", ["file", "under_file"])

@@ -1,5 +1,7 @@
 """Unit tests for the hypervector primitives."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,12 +23,13 @@ from conftest import per_row_encoding
 def rowwise_similarity(model, H):
     """Reference oracle: one matrix-vector product per row, zeros masked."""
     out = np.zeros((H.shape[0], model.n_classes))
-    nz = model.norms > 0.0
+    norms = row_norms(model.classes)
+    nz = norms > 0.0
     for j, h in enumerate(H):
         hn = np.linalg.norm(h)
         if hn == 0.0:
             continue
-        out[j, nz] = (model.classes @ h)[nz] / (model.norms[nz] * hn)
+        out[j, nz] = (model.classes @ h)[nz] / (norms[nz] * hn)
     return out
 
 
@@ -222,13 +225,25 @@ class TestClassModel:
         with pytest.raises(ValueError):
             ClassModel(np.zeros((2, 4)), labels=["a", "a"])
 
-    def test_norm_cache_matches_recomputation(self):
-        rng = np.random.default_rng(3)
-        m = ClassModel(rng.normal(size=(4, 16)))
-        assert np.allclose(m.norms, np.linalg.norm(m.classes, axis=1), rtol=1e-9)
-        m.classes[2] *= 3.0
-        m.refresh_norms((2,))
-        assert np.allclose(m.norms, np.linalg.norm(m.classes, axis=1), rtol=1e-9)
+    def test_holds_only_classes_and_labels(self):
+        m = ClassModel(np.ones((2, 4)), labels=["a", "b"])
+        assert sorted(vars(m)) == ["classes", "labels"]
+        assert sorted(vars(m.copy())) == ["classes", "labels"]
+
+    @staticmethod
+    def assert_touched_norms_bitwise(rows):
+        # The adaptive epoch refreshes the norms of the two prototypes an
+        # update touched with math.sqrt(r.dot(r)); scoring divides by
+        # row_norms.  The two must agree bitwise, and with np.linalg.norm.
+        # The 1e300 rows overflow to inf under every formula.
+        m = ClassModel(np.ones_like(rows))
+        m.classes[:] = rows
+        with np.errstate(over="ignore"):
+            expected = row_norms(m.classes)
+            for i in (1, 0):
+                r = m.classes[i]
+                assert np.array_equal(math.sqrt(r.dot(r)), expected[i])
+                assert np.array_equal(expected[i], np.linalg.norm(r))
 
     @pytest.mark.parametrize("rows", [
         np.zeros((2, 16)),
@@ -239,13 +254,16 @@ class TestClassModel:
         np.array([[-3.0], [2.5e-320]]),
     ], ids=["zero", "subnormal", "subnormal_mixed", "overflow", "mixed_signs", "dim1"])
     def test_indexed_refresh_is_bitwise_linalg_norm(self, rows):
-        # The 1e300 rows overflow to inf under both formulas.
-        m = ClassModel(np.ones_like(rows))
-        m.classes[:] = rows
-        with np.errstate(over="ignore"):
-            m.refresh_norms((1, 0))
-            for i in range(2):
-                assert np.array_equal(m.norms[i], np.linalg.norm(m.classes[i]))
+        self.assert_touched_norms_bitwise(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 600), exponent=st.integers(-330, 160),
+           seed=st.integers(0, 2**32 - 1))
+    def test_indexed_refresh_is_bitwise_row_norms(self, dim, exponent, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_touched_norms_bitwise(
+            rng.normal(size=(2, dim)) * 10.0 ** rng.integers(exponent - 3, exponent + 4,
+                                                             size=(2, dim)))
 
     def test_copy_is_independent(self):
         m = ClassModel(np.ones((2, 4)))
@@ -315,19 +333,19 @@ class TestSimilarity:
         np.testing.assert_allclose(mat, expected, rtol=0,
                                    atol=dim * np.finfo(float).eps)
         assert np.all(mat[np.linalg.norm(H, axis=1) == 0.0] == 0.0)
-        assert np.all(mat[:, model.norms == 0.0] == 0.0)
+        assert np.all(mat[:, row_norms(model.classes) == 0.0] == 0.0)
 
     @pytest.mark.parametrize("k,dim", [(2, 1), (4, 128), (26, 500), (5, 617)])
     def test_scores_bitwise_equal_single_row_formula(self, k, dim):
         # Training scores one sample at a time; its arithmetic must stay
-        # exactly ``C @ h / (norms * |h|)`` so trained models do not drift.
+        # exactly ``C @ h / (row_norms(C) * |h|)`` so trained models do not drift.
         rng = np.random.default_rng(dim)
         classes = rng.normal(size=(k, dim))
         classes[-1] = 0.0
         m = ClassModel(classes)
         for h in rng.normal(size=(50, dim)):
             with np.errstate(invalid="ignore"):
-                expected = m.classes @ h / (m.norms * np.linalg.norm(h))
+                expected = m.classes @ h / (row_norms(m.classes) * np.linalg.norm(h))
             expected[-1] = 0.0
             assert np.array_equal(similarity_scores(m, h), expected)
             assert np.array_equal(similarity_scores(m, h),

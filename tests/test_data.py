@@ -319,6 +319,12 @@ class TestSynthBlobs:
         acc = np.mean(np.argmin(d, axis=1) == ds.labels)
         assert acc >= 0.95
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_features, separation", [(3, 1e308), (1, 1.7e308)])
+    def test_separation_that_overflows_is_rejected(self, n_features, separation):
+        with pytest.raises(ValueError, match="non-finite"):
+            synth_blobs(n_features, 3, 10, separation, seed=0)
+
     def test_deterministic(self):
         a = synth_blobs(4, 3, 10, 2.0, seed=9)
         b = synth_blobs(4, 3, 10, 2.0, seed=9)

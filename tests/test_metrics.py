@@ -83,7 +83,6 @@ class TestTopKAccuracy:
             # the rows H themselves.
             def tie_epoch(trained, encoded, labels, eta):
                 trained.classes[:] = model.classes
-                trained.refresh_norms()
 
             monkeypatch.setattr(learner, "adaptive_fit_epoch", tie_epoch)
             monkeypatch.setattr(Encoder, "encode_batch", lambda self, X: np.array(X))

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hdclass
-from conftest import decode_array, encode_array, format_1_document
-from hdclass.core import ClassModel, Encoder
+from conftest import decode_array, encode_array, format_1_document, make_benchmark
+from hdclass.core import ClassModel, Encoder, similarity_matrix
+from hdclass.learner import TrainConfig, train
 from hdclass.serialize import (
     FORMAT_VERSION,
     load_model,
@@ -42,6 +43,22 @@ class TestRoundTrip:
         assert enc2.input_scale == enc.input_scale
         assert enc2.rng_state() == enc.rng_state()
         assert model2.labels == model.labels
+
+    @pytest.mark.parametrize("mode, seed", [("dynamic", 2), ("static", 0)])
+    def test_trained_model_scores_as_its_reloaded_copy(self, tmp_path, mode, seed):
+        # A model keeps no derived state, so the model train() returns and
+        # the same model saved and loaded again score bitwise the same.  A
+        # cache of prototype norms filled by two formulas broke this for
+        # both of these runs.
+        train_ds, valid_ds, test_ds = make_benchmark(seed)
+        cfg = TrainConfig(dim=128, mode=mode, max_iters=15, seed=seed)
+        enc, model, _ = train(cfg, train_ds, valid_ds)
+        path = str(tmp_path / "model.json")
+        save_model(path, enc, model)
+        enc2, model2 = load_model(path)
+        H = enc.encode_batch(test_ds.features)
+        assert np.array_equal(enc2.encode_batch(test_ds.features), H)
+        assert np.array_equal(similarity_matrix(model2, H), similarity_matrix(model, H))
 
     def test_two_saves_are_byte_identical(self, tmp_path):
         enc, model = make_pair(seed=3)
