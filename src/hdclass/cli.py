@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as dio
 from . import metrics, robustness
-from .core import similarity_matrix
+from .core import row_norms, similarity_matrix
 from .learner import TrainConfig, check_training_sets, train
 from .serialize import (load_model, save_model, write_csv_atomic, write_json_atomic,
                         write_text_atomic)
@@ -203,9 +203,11 @@ def _class_grouped(labels: np.ndarray) -> bool:
     return np.count_nonzero(np.diff(labels)) + 1 == np.unique(labels).size
 
 
-def _check_finite(*arrays) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
+def _check_model(encoder, model) -> None:
+    """A NumericalError when the prototypes, the encoder or the prototype
+    norms that every cosine divides by hold a NaN or infinite value."""
+    for a in (model.classes, encoder.base, encoder.phase, row_norms(model.classes)):
+        if not np.isfinite(a).all():
             raise NumericalError("non-finite values detected in model state")
 
 
@@ -300,7 +302,7 @@ def cmd_train(args) -> int:
     encoder, model, report = train(cfg, train_ds, valid_ds)
     if args.dump_regen:
         _write_dump_csv(os.path.join(out, "regen_dump.csv"), report.rows)
-    _check_finite(model.classes, encoder.base, encoder.phase)
+    _check_model(encoder, model)
 
     save_model(os.path.join(out, "model.json"), encoder, model)
     write_text_atomic(os.path.join(out, "report.jsonl"), report.to_jsonl())
@@ -385,6 +387,7 @@ def _mean(values) -> float:
 def _sweep_point(cfg, train_ds, valid_ds, test_ds):
     """A grid point's ``sweep.csv`` row and its (class, ROC curve) pairs."""
     encoder, model, trained = train(cfg, train_ds, valid_ds)
+    _check_model(encoder, model)
     _warn_if_stale(trained, f"the grid point alpha={cfg.alpha!r}, beta={cfg.beta!r}, "
                            f"theta={cfg.theta!r}")
     scores = similarity_matrix(model, encoder.encode_batch(test_ds.features))

@@ -64,10 +64,10 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
     so the mapping is stable across runs and row orders.  Errors name the
     physical line, counting newlines inside quoted fields.
 
-    A file with no ``"`` byte is read in one ``np.loadtxt`` pass where that
-    pass can be checked against the row parser (``_load_plain``); every
-    other file, and every file that pass rejects, goes to the row parser.
-    Both give the same Dataset bit for bit, and only the row parser raises.
+    A file is opened once and read by ``np.loadtxt`` (``_load_plain``),
+    which checks each line as it goes; a file it cannot vouch for, such as
+    one with a ``"``, goes to the row parser.  Both give the same Dataset
+    bit for bit, and only the row parser raises.
     """
     ds = _load_plain(path, label_column, has_header, names)
     if ds is None:
@@ -75,78 +75,56 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
     return ds
 
 
-# Bytes that send a file to the row parser unread: the quote, which lets a
-# cell hold commas and line ends, and \x1c-\x1f, which np.loadtxt strips
-# around a number as whitespace while float() rejects them.
-_ROW_PARSER_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-_SCAN_BYTES = 1 << 20
-
-
-def _line_stats(path: str) -> tuple[int, int] | None:
-    """The number of non-empty lines of a file and the length in bytes of
-    its longest, with ``\\r``, ``\\n`` and ``\\r\\n`` all ending a line as in
-    the csv module; None when the file holds one of ``_ROW_PARSER_BYTES``.
-    Reads ``_SCAN_BYTES`` at a time, so memory does not grow with the file."""
-    lines = longest = offset = 0
-    last_end = -1
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_SCAN_BYTES):
-            if any(b in chunk for b in _ROW_PARSER_BYTES):
-                return None
-            octets = np.frombuffer(chunk, dtype=np.uint8)
-            ends = offset + np.flatnonzero((octets == 10) | (octets == 13))
-            lengths = np.diff(ends, prepend=last_end) - 1  # of lines ending here
-            lines += int(np.count_nonzero(lengths))
-            longest = max(longest, int(lengths.max(initial=0)))
-            if ends.size:
-                last_end = int(ends[-1])
-            offset += len(chunk)
-    tail = offset - last_end - 1  # a last line without a line end
-    return lines + (tail > 0), max(longest, tail)
-
-
 def _load_plain(path: str, label_column, has_header: bool, names) -> Dataset | None:
-    """``load_csv`` in one ``np.loadtxt`` pass over every column, or None.
+    """``load_csv`` in one ``np.loadtxt`` read of every column, or None.
 
-    None, so that the row parser decides, on a quote or \\x1c-\\x1f byte, a
-    line longer than the csv module's field size limit, rows that are not
-    the first line's width, no data rows, and any exception or warning.
-    ``np.loadtxt`` checks that the rows agree in width; the count of
-    non-empty lines checks that it read the rows the row parser would, so
-    that, say, a blank first line cannot pass for the header.
-    The label column's converter strips each label and gives it an id in
-    order of first sight (or by ``names``); the ids are remapped to sorted
-    order afterwards.
+    loadtxt takes the lines of the open file from a generator that checks
+    each one and raises, so that the row parser decides, on a quote (which
+    lets a cell hold commas and line ends), a \\x1c-\\x1f character (which
+    loadtxt strips around a number as whitespace while float() rejects it)
+    or a line longer than the csv module's field size limit.  None too on
+    rows that are not the first line's width, no data rows, and any other
+    exception or warning.  The generator's count of non-empty lines checks
+    that loadtxt read the rows the row parser would, so that, say, a blank
+    first line cannot pass for the header; text mode ends a line at ``\\r``,
+    ``\\n`` or ``\\r\\n``, as the csv module does.  The label column's
+    converter strips each label and gives it an id in order of first sight
+    (or by ``names``); the ids are remapped to sorted order afterwards.
     """
     known = None if names is None else {name: i for i, name in enumerate(names)}
     seen = {}
+    n_lines = 0
 
     def label_id(cell: str) -> int:
         label = cell.strip()
         return known[label] if known is not None else seen.setdefault(label, len(seen))
 
+    def checked(lines):
+        nonlocal n_lines
+        for line in lines:
+            if (len(line) > csv.field_size_limit()
+                    or any(c in line for c in '"\x1c\x1d\x1e\x1f')):
+                raise ValueError("a line for the row parser")
+            n_lines += line != "\n"
+            yield line
+
     try:
-        stats = _line_stats(path)
-        if stats is None or stats[1] > csv.field_size_limit():
-            return None
-        n_rows = stats[0] - has_header
-        if n_rows < 1:
-            return None
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
             first = fh.readline().rstrip("\n")
             header = first.split(",") if has_header else None
-            if not has_header:
-                fh.seek(0)
+            fh.seek(0)
             width = first.count(",") + 1
             label_idx = _label_index(path, label_column, header, width)
-            # Given the open file, not its path, loadtxt cannot read a ".gz"
-            # or ".xz" name as a compressed file or a path as a URL.
-            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None,
-                               ndmin=2, converters={label_idx: label_id})
+            # Given lines, not a path, loadtxt cannot read a ".gz" or ".xz"
+            # name as a compressed file or a path as a URL.
+            table = np.loadtxt(checked(fh), delimiter=",", comments=None, quotechar=None,
+                               skiprows=int(has_header), ndmin=2,
+                               converters={label_idx: label_id})
     except Exception:  # the row parser raises, or reads what this pass could not
         return None
-    if table.shape != (n_rows, width):
+    n_rows = n_lines - has_header
+    if n_rows < 1 or table.shape != (n_rows, width):
         return None
     labels = table[:, label_idx].astype(np.intp)
     features = np.delete(table, label_idx, axis=1)

@@ -33,7 +33,10 @@ STREAM_SHUFFLE = 1
 
 @dataclass
 class TrainConfig:
-    """Knobs for one training run; validated eagerly at construction."""
+    """Knobs for one training run; validated eagerly at construction.
+    ``eta`` changes no decision: prototypes start at zero and cosines ignore
+    scale, so a run's prototypes are ``eta`` times those at ``eta = 1`` and
+    all else is the same (bit for bit between etas a power of two apart)."""
 
     dim: int = 500
     eta: float = 0.05

@@ -27,7 +27,6 @@ class QuantizedModel:
     bits: int
     packed: np.ndarray          # (k, D) uint8, one code per byte
     scales: np.ndarray          # per-class dequantization scale
-    labels: list
 
     @property
     def total_bits(self) -> int:
@@ -54,13 +53,14 @@ def quantize(model: ClassModel, bits: int) -> QuantizedModel:
     nz = scales > 0
     q = np.floor(classes[nz] / scales[nz, None])
     codes[nz] = np.clip(q, -half, half - 1) + half
-    return QuantizedModel(bits, codes, scales, list(model.labels))
+    return QuantizedModel(bits, codes, scales)
 
 
 def dequantize(qm: QuantizedModel) -> ClassModel:
+    """The prototypes of the memory's codes, under the default class ids."""
     values = (qm.packed + (0.5 - (1 << (qm.bits - 1)))) * qm.scales[:, None]
     values[qm.scales == 0.0] = 0.0
-    return ClassModel(values, list(qm.labels))
+    return ClassModel(values)
 
 
 def flip_count(error_rate: float, total_bits: int) -> int:
@@ -81,7 +81,7 @@ def flip_bits(qm: QuantizedModel, error_rate: float, seed: int) -> QuantizedMode
         # A code's flipped bits are distinct, so their weights sum to its mask.
         mask = np.bincount(code, weights=1 << (qm.bits - 1 - bit), minlength=packed.size)
         packed ^= mask.astype(np.uint8).reshape(packed.shape)
-    return QuantizedModel(qm.bits, packed, qm.scales.copy(), list(qm.labels))
+    return QuantizedModel(qm.bits, packed, qm.scales.copy())
 
 
 def hamming_distance(a: QuantizedModel, b: QuantizedModel) -> int:

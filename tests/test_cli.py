@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from conftest import decode_array, encode_array, format_1_document
 from hdclass import cli, core, learner, metrics, robustness
-from hdclass.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, TRAIN_DEFAULTS, ConfigError,
-                         build_parser, main, resolve_train_config,
+from hdclass.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, TRAIN_DEFAULTS,
+                         ConfigError, build_parser, main, resolve_train_config,
                          train_config_from_resolved)
 from hdclass.core import ranking, similarity_matrix
 from hdclass.data import (NormalizationSpec, apply_normalizer, fit_normalizer, load_csv,
@@ -992,6 +992,25 @@ def test_synth_separation_that_overflows_is_config_error(tmp_path, caplog):
     assert _logged_error(caplog, "separation 1e+308 overflows")
     assert not os.path.exists(out / "blobs.csv")
     assert not os.path.exists(out / "config.txt")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, eta, extra", [
+    ("train", "1e200", []),
+    ("sweep-weights", "1e308", ["--alphas", "1,2", "--betas", "1", "--thetas", "0.5"]),
+], ids=["train-norms_overflow", "sweep-weights"])
+def test_overflowed_model_is_numerical_failure(tmp_path, caplog, command, eta, extra):
+    # Prototypes that overflow, or whose norms alone overflow, score every
+    # cosine 0; a run that returns such a model must not write chance-level
+    # results as if it had trained.
+    assert run("synth", "--features", "4", "--classes", "3", "--per-class", "40",
+               "--separation", "1.0", "--out", str(tmp_path / "s")) == EXIT_OK
+    out = tmp_path / "out"
+    assert run(command, "--data", str(tmp_path / "s" / "blobs.csv"), *extra, "--dim", "16",
+               "--max-iters", "4", "--shuffle", "--eta", eta,
+               "--out", str(out)) == EXIT_NUMERICAL
+    assert _logged_error(caplog, "non-finite values detected in model state")
+    assert os.listdir(out) == ["config.txt"]
 
 
 def test_data_error_is_not_preceded_by_training_advice(tmp_path):

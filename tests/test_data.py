@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import hdclass.data
 from hdclass.data import (
     Dataset,
     NormalizationSpec,
@@ -465,6 +466,22 @@ class TestSaveCsv:
         assert plain is not None
         assert_same_dataset(plain, _load_rows(path, -1, True, None))
         assert plain.features.tobytes() == ds.features.tobytes()
+
+    def test_written_file_is_opened_once(self, tmp_path, monkeypatch):
+        ds = synth_blobs(5, 3, 7, 2.0, seed=4)
+        path = str(tmp_path / "plain.csv")
+        save_csv(path, ds)
+        modes = []
+
+        def counting_open(file, *args, **kwargs):
+            if file == path:
+                modes.append(args)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(hdclass.data, "open", counting_open, raising=False)
+        back = load_csv(path)
+        assert modes == [("r",)]
+        assert back.features.tobytes() == ds.features.tobytes()
 
 
 # Each hazard: (file text, load_csv arguments, whether the one-pass load

@@ -349,6 +349,23 @@ class TestTrainLoop:
         assert np.array_equal(e1.base, e2.base)
         assert np.array_equal(m1.classes, m2.classes)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eta_scales_the_prototypes_and_changes_no_decision(self, seed):
+        # The prototypes start at zero and cosines ignore scale, so a run at
+        # eta is eta times the run at 1; at a power-of-two ratio of etas
+        # every product, sum and norm scales exactly.
+        tr, va, _ = make_benchmark(seed)
+        (e1, m1, r1), (e2, m2, r2) = (
+            train(TrainConfig(dim=128, eta=eta, mode="dynamic", regen_rate=40.0,
+                              max_iters=30, patience=30, min_delta=0.0, shuffle=True,
+                              seed=seed), tr, va)
+            for eta in (0.05, 0.1))
+        assert any(r.regenerated for r in r1.rows)
+        assert r1.to_jsonl() == r2.to_jsonl()
+        assert r1.snapshot_iteration == r2.snapshot_iteration
+        assert np.array_equal(e1.base, e2.base) and np.array_equal(e1.phase, e2.phase)
+        assert np.array_equal(m2.classes, 2.0 * m1.classes)
+
     def test_collect_dumps(self):
         tr, va, _ = make_benchmark(0, n_features=5, k_classes=3, per_class=120,
                                    separation=1.0)

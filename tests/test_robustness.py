@@ -104,15 +104,15 @@ class TestFlipBits:
         assert hamming_distance(qm, b) == half
 
     @pytest.mark.parametrize("other", [
-        QuantizedModel(1, np.zeros((8, 64), np.uint8), np.ones(8), list(range(8))),
-        QuantizedModel(8, np.zeros((64, 1), np.uint8), np.ones(64), list(range(64))),
-        QuantizedModel(4, np.zeros((1, 64), np.uint8), np.ones(1), [0]),
+        QuantizedModel(1, np.zeros((8, 64), np.uint8), np.ones(8)),
+        QuantizedModel(8, np.zeros((64, 1), np.uint8), np.ones(64)),
+        QuantizedModel(4, np.zeros((1, 64), np.uint8), np.ones(1)),
     ], ids=["1bit_8x64", "8bit_64x1", "4bit_1x64"])
     def test_hamming_distance_needs_one_layout(self, other):
         # Each memory holds codes of another width or shape than a 1x64 8-bit
         # one, so no code lines up with its counterpart; the first two hold
         # as many bits, and their XOR with it would broadcast.
-        qm = QuantizedModel(8, np.zeros((1, 64), np.uint8), np.ones(1), [0])
+        qm = QuantizedModel(8, np.zeros((1, 64), np.uint8), np.ones(1))
         with pytest.raises(ValueError, match="layout"):
             hamming_distance(qm, other)
         with pytest.raises(ValueError, match="layout"):
