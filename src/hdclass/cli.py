@@ -203,12 +203,17 @@ def _class_grouped(labels: np.ndarray) -> bool:
     return np.count_nonzero(np.diff(labels)) + 1 == np.unique(labels).size
 
 
-def _check_model(encoder, model) -> None:
-    """A NumericalError when the prototypes, the encoder or the prototype
-    norms that every cosine divides by hold a NaN or infinite value."""
-    for a in (model.classes, encoder.base, encoder.phase, row_norms(model.classes)):
-        if not np.isfinite(a).all():
-            raise NumericalError("non-finite values detected in model state")
+def _train_checked(cfg, train_ds, valid_ds):
+    """``train()``'s result; a NumericalError when the prototypes, the
+    encoder or the prototype norms that every cosine divides by hold a NaN
+    or infinite value.  That error reports an overflow, so numpy's warnings
+    on the arithmetic that led to it are silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        encoder, model, report = train(cfg, train_ds, valid_ds)
+        for a in (model.classes, encoder.base, encoder.phase, row_norms(model.classes)):
+            if not np.isfinite(a).all():
+                raise NumericalError("non-finite values detected in model state")
+    return encoder, model, report
 
 
 def _warn_if_stale(report, run: str) -> None:
@@ -299,11 +304,9 @@ def cmd_train(args) -> int:
     out = _out_dir(args, "train")
     resolved, cfg, spec, (train_ds, valid_ds) = _load_training(args, test_split=False)
     write_config_echo(os.path.join(out, "config.txt"), resolved)
-    encoder, model, report = train(cfg, train_ds, valid_ds)
+    encoder, model, report = _train_checked(cfg, train_ds, valid_ds)
     if args.dump_regen:
         _write_dump_csv(os.path.join(out, "regen_dump.csv"), report.rows)
-    _check_model(encoder, model)
-
     save_model(os.path.join(out, "model.json"), encoder, model)
     write_text_atomic(os.path.join(out, "report.jsonl"), report.to_jsonl())
     if spec is not None:
@@ -386,8 +389,7 @@ def _mean(values) -> float:
 
 def _sweep_point(cfg, train_ds, valid_ds, test_ds):
     """A grid point's ``sweep.csv`` row and its (class, ROC curve) pairs."""
-    encoder, model, trained = train(cfg, train_ds, valid_ds)
-    _check_model(encoder, model)
+    encoder, model, trained = _train_checked(cfg, train_ds, valid_ds)
     _warn_if_stale(trained, f"the grid point alpha={cfg.alpha!r}, beta={cfg.beta!r}, "
                            f"theta={cfg.theta!r}")
     scores = similarity_matrix(model, encoder.encode_batch(test_ds.features))

@@ -994,15 +994,17 @@ def test_synth_separation_that_overflows_is_config_error(tmp_path, caplog):
     assert not os.path.exists(out / "config.txt")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, eta, extra", [
     ("train", "1e200", []),
+    ("train", "1e200", ["--dump-regen"]),
     ("sweep-weights", "1e308", ["--alphas", "1,2", "--betas", "1", "--thetas", "0.5"]),
-], ids=["train-norms_overflow", "sweep-weights"])
+], ids=["train-norms_overflow", "train-dump_regen", "sweep-weights"])
 def test_overflowed_model_is_numerical_failure(tmp_path, caplog, command, eta, extra):
     # Prototypes that overflow, or whose norms alone overflow, score every
     # cosine 0; a run that returns such a model must not write chance-level
-    # results as if it had trained.
+    # results (or a regeneration dump) as if it had trained, and reports the
+    # failure without numpy's overflow warnings.
     assert run("synth", "--features", "4", "--classes", "3", "--per-class", "40",
                "--separation", "1.0", "--out", str(tmp_path / "s")) == EXIT_OK
     out = tmp_path / "out"

@@ -17,6 +17,11 @@ from hdclass.learner import (
 )
 from conftest import make_benchmark, eval_accuracy, per_row_encoding
 
+# The adaptive epoch's block of rows scored per call, and row counts at and
+# around its multiples.
+BLOCK = learner._BLOCK
+AROUND_BLOCKS = [n * BLOCK + d for n in (1, 2, 3) for d in (-1, 0, 1)]
+
 
 def sequential_epoch(model, encoded, labels, eta):
     """Reference oracle: the adaptive epoch scoring every sample on its own."""
@@ -87,16 +92,36 @@ class TestAdaptiveFit:
                               similarity_matrix(ClassModel(model.classes.copy()), H))
 
     @settings(max_examples=150, deadline=None)
-    @given(m=st.integers(0, 80), k=st.integers(2, 30), dim=st.integers(1, 128),
+    @given(m=st.one_of(st.integers(0, 80), st.sampled_from(AROUND_BLOCKS)),
+           k=st.integers(2, 30), dim=st.integers(1, 128),
            start=st.sampled_from(["zero", "random", "tie", "nonfinite"]),
            spread=st.sampled_from([0.3, 3.0]), eta=st.sampled_from([0.05, 1.0]),
            zero_rows=st.integers(0, 3), dup_rows=st.integers(0, 3),
            layout=st.sampled_from(["C", "reversed", "F", "columns reversed"]),
-           prefix=st.sampled_from([0, 48]), seed=st.integers(0, 2**32 - 1))
+           prefix=st.sampled_from([0, 6 * BLOCK - 1, 48]), tiny_rows=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
     @example(m=40, k=5, dim=32, start="random", spread=3.0, eta=0.05, zero_rows=0,
-             dup_rows=0, layout="C", prefix=48, seed=0)
-    def test_matches_sequential_loop(self, m, k, dim, start, spread, eta,
-                                     zero_rows, dup_rows, layout, prefix, seed):
+             dup_rows=0, layout="C", prefix=48, tiny_rows=0, seed=0)
+    # Row counts at and around multiples of the block; the zero start
+    # predicts class 0 for every row, so rows of other classes miss in runs.
+    @example(m=2 * BLOCK - 1, k=3, dim=16, start="zero", spread=0.3, eta=0.05, zero_rows=0,
+             dup_rows=0, layout="C", prefix=0, tiny_rows=0, seed=1)
+    @example(m=2 * BLOCK, k=3, dim=16, start="zero", spread=0.3, eta=0.05, zero_rows=0,
+             dup_rows=0, layout="C", prefix=0, tiny_rows=0, seed=1)
+    @example(m=2 * BLOCK + 1, k=3, dim=16, start="random", spread=3.0, eta=1.0, zero_rows=0,
+             dup_rows=0, layout="reversed", prefix=0, tiny_rows=0, seed=1)
+    # 47 correct rows, then a miss on the last row of the sixth block;
+    # later rows miss on consecutive rows.
+    @example(m=20, k=4, dim=24, start="random", spread=3.0, eta=0.05, zero_rows=0,
+             dup_rows=0, layout="C", prefix=6 * BLOCK - 1, tiny_rows=0, seed=2)
+    # Rows whose norm underflows to 0 against nonzero dot products.
+    @example(m=30, k=4, dim=24, start="random", spread=3.0, eta=0.05, zero_rows=0,
+             dup_rows=0, layout="C", prefix=0, tiny_rows=3, seed=2)
+    # ISOLET's shape: k=26, D=500.
+    @example(m=300, k=26, dim=500, start="random", spread=3.0, eta=0.05, zero_rows=1,
+             dup_rows=1, layout="C", prefix=0, tiny_rows=0, seed=3)
+    def test_matches_sequential_loop(self, m, k, dim, start, spread, eta, zero_rows,
+                                     dup_rows, layout, prefix, tiny_rows, seed):
         # Samples near their class centre are mostly correct; "tie" makes classes 0 and 1 point the same way
         # (C1 = 3 * C0), so rounding alone decides between them; "nonfinite"
         # puts one NaN or infinite entry into a prototype, so its class
@@ -105,7 +130,11 @@ class TestAdaptiveFit:
         # moved; the reversed rows and the Fortran copy give the one-row
         # product strided rows, and reversed columns a negative stride.  A
         # prefix of 48 rows labelled as the start model predicts them is
-        # correct in the first epoch, a long run of no-ops before the misses.
+        # correct in the first epoch, a long run of no-ops before the misses,
+        # and one of 6 * BLOCK - 1 puts the first drawn row on a block's last
+        # row.  Tiny rows (entries near 1e-170 or subnormal 1e-310) have a
+        # norm that underflows to 0, so they score 0 although their dot
+        # products do not.
         rng = np.random.default_rng(seed)
         centres = rng.normal(size=(k, dim))
         y = rng.integers(0, k, size=m)
@@ -121,6 +150,9 @@ class TestAdaptiveFit:
             classes[rng.integers(k), rng.integers(dim)] = rng.choice([np.nan, np.inf])
         with np.errstate(invalid="ignore"):
             P = centres[rng.integers(0, k, size=prefix)] + rng.normal(size=(prefix, dim))
+            if m and tiny_rows:
+                H[rng.integers(0, m, size=tiny_rows)] *= rng.choice(
+                    [1e-170, 1e-310], size=(tiny_rows, 1))
             H = np.concatenate([P, H])
             y = np.concatenate([
                 similarity_matrix(ClassModel(classes), P).argmax(axis=1), y])
