@@ -1,12 +1,12 @@
 """Command-line harness: train, eval, sweep-weights, noise, roc, synth.
 
-Every command resolves its configuration from built-in defaults, then an
-optional flat config file (``section.key = value`` lines), then explicit
-flags (flag wins).  It reads and checks its inputs, then echoes the resolved
-config into the output directory, then computes, and writes deterministic
-artifacts only (logs go to stderr).  Exit codes: 0 success, 1 config error
-(a MemoryError too, such as a ``--dim`` too large to allocate, which comes
-after the echo), 2 data error, 3 numerical failure.
+Every command resolves its configuration from built-in defaults, then (only
+``train`` and ``sweep-weights``) an optional ``--config`` file of flat
+``section.key = value`` lines, then explicit flags (flag wins).  It checks
+its inputs, echoes the resolved config into the output directory, computes,
+and writes deterministic artifacts only (logs go to stderr).  Exit codes: 0
+success, 1 config error (a MemoryError too, such as a ``--dim`` too large to
+allocate, which comes after the echo), 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class NumericalError(Exception):
 # config resolution
 
 # Every TrainConfig field is a ``train.<field>`` key and a ``--<field>`` flag;
-# the ``data.*`` keys steer ingest and belong to the CLI.
+# the ``data.*`` keys steer ingest and belong to the CLI.  A sweep's grid sets:
+GRID_KEYS = ("train.alpha", "train.beta", "train.theta")
 TRAIN_DEFAULTS = {
     **{f"train.{f.name}": f.default for f in dataclasses.fields(TrainConfig)},
     "data.normalize": "zscore",
@@ -112,18 +113,17 @@ def _coerce(key: str, value):
 
 
 def resolve_train_config(args) -> dict:
-    resolved = dict(TRAIN_DEFAULTS)
-    if args.config:
-        file_values = parse_config_file(args.config)
-        unknown = set(file_values) - set(resolved)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_values)
-    for key in TRAIN_DEFAULTS:
-        value = getattr(args, key.split(".", 1)[1], None)
-        if value is not None:
-            resolved[key] = value
-    return {key: _coerce(key, value) for key, value in resolved.items()}
+    """The keys a ``train`` or ``sweep-weights`` run reads, resolved (a sweep reads no
+    ``GRID_KEYS``, ``train --valid`` no ``data.fractions``); another is a ConfigError."""
+    run, unread = (("sweep-weights", GRID_KEYS) if args.command == "sweep-weights" else
+                   ("train --valid", ("data.fractions",)) if args.valid else ("train", ()))
+    resolved = {key: value for key, value in TRAIN_DEFAULTS.items() if key not in unread}
+    given = parse_config_file(args.config) if args.config else {}
+    given.update({key: value for key in TRAIN_DEFAULTS
+                  if (value := getattr(args, key.split(".", 1)[1], None)) is not None})
+    if set(given) - set(resolved):
+        raise ConfigError(f"{run} reads no {sorted(set(given) - set(resolved))}")
+    return {key: _coerce(key, given.get(key, value)) for key, value in resolved.items()}
 
 
 def _parse_list(flag: str, text: str, convert=float) -> list:
@@ -140,8 +140,8 @@ def _parse_list(flag: str, text: str, convert=float) -> list:
 
 
 def train_config_from_resolved(resolved: dict) -> TrainConfig:
-    return TrainConfig(**{f.name: resolved[f"train.{f.name}"]
-                          for f in dataclasses.fields(TrainConfig)})
+    return TrainConfig(**{key.split(".", 1)[1]: value for key, value in resolved.items()
+                          if key.startswith("train.")})
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +258,8 @@ def _roc(class_scores, labels, cls: int):
 
 def cmd_synth(args) -> int:
     out = _out_dir(args, "synth")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     ds = dio.synth_blobs(args.features, args.classes, args.per_class,
                          args.separation, args.seed)
     _echo_args(out, args)
@@ -272,10 +274,11 @@ def _load_training(args, test_split: bool):
     share of 0 split 0.6/0.2/0.2.  Reads and checks everything; writes nothing."""
     resolved = resolve_train_config(args)
     cfg = train_config_from_resolved(resolved)
-    fractions = dio.check_fractions(_parse_list("--fractions", resolved["data.fractions"]))
-    if test_split and fractions[2] == 0:
-        fractions = (0.6, 0.2, 0.2)
-        resolved["data.fractions"] = "0.6,0.2,0.2"
+    fractions = resolved.get("data.fractions")  # None under train --valid
+    if fractions is not None:
+        fractions = dio.check_fractions(_parse_list("--fractions", fractions))
+        if test_split and fractions[2] == 0:
+            fractions, resolved["data.fractions"] = (0.6, 0.2, 0.2), "0.6,0.2,0.2"
     ds = _load_dataset(args.data, resolved["data.label_column"])
     if getattr(args, "valid", None):
         sets = [ds, _load_dataset(args.valid, resolved["data.label_column"],
@@ -410,9 +413,8 @@ def cmd_sweep_weights(args) -> int:
     # A sweep scores a held-out test split, so it makes one.
     resolved, cfg_base, _, (train_ds, valid_ds, test_ds) = _load_training(
         args, test_split=True)
-    alphas = _parse_list("--alphas", args.alphas)
-    betas = _parse_list("--betas", args.betas)
-    thetas = _parse_list("--thetas", args.thetas)
+    names = ("alphas", "betas", "thetas")
+    alphas, betas, thetas = [_parse_list(f"--{n}", getattr(args, n)) for n in names]
     grid = [(a, b, t) for a in alphas for b in betas for t in thetas]
     configs, bad = [], []
     for i, (a, b, t) in enumerate(grid):
@@ -423,10 +425,8 @@ def cmd_sweep_weights(args) -> int:
     if bad:
         raise ConfigError(f"invalid grid points at indices {[i for i, _ in bad]}: "
                           f"{bad[0][1]}")
-    resolved["sweep.alphas"] = args.alphas
-    resolved["sweep.betas"] = args.betas
-    resolved["sweep.thetas"] = args.thetas
-    write_config_echo(os.path.join(out, "config.txt"), resolved)
+    write_config_echo(os.path.join(out, "config.txt"),
+                      {**resolved, **{f"sweep.{n}": getattr(args, n) for n in names}})
 
     results = [_sweep_point(cfg, train_ds, valid_ds, test_ds) for cfg in configs]
     for i, (_, rocs) in enumerate(results):
@@ -450,6 +450,8 @@ def cmd_noise(args) -> int:
         raise ConfigError(f"--rates must each lie in [0, 100], got {args.rates!r}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     _check_describable("--trials", args.trials, args.trials)
     _echo_args(out, args)
     models_by_dim = {model.dim: (model, encoder.encode_batch(ds.features), ds.labels)
@@ -526,9 +528,9 @@ def _write_dump_csv(path: str, records) -> None:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_train_flags(p: argparse.ArgumentParser, skip=()) -> None:
     p.add_argument("--config", help="flat key=value config file")
-    for key, default in TRAIN_DEFAULTS.items():
+    for key, default in [item for item in TRAIN_DEFAULTS.items() if item[0] not in skip]:
         dest = key.split(".", 1)[1]
         flag = "--" + dest.replace("_", "-")
         if isinstance(default, bool):
@@ -573,13 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topk", default="1,2")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep-weights", help="grid sweep over alpha/beta/theta")
+    p = sub.add_parser("sweep-weights", allow_abbrev=False, help="alpha/beta/theta sweep")
     p.add_argument("--data", required=True)
     p.add_argument("--alphas", required=True)
     p.add_argument("--betas", required=True)
     p.add_argument("--thetas", required=True)
     p.add_argument("--out")
-    _add_train_flags(p)
+    _add_train_flags(p, skip=GRID_KEYS)
     p.set_defaults(func=cmd_sweep_weights)
 
     p = sub.add_parser("noise", help="bit-flip robustness sweep")

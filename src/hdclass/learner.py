@@ -30,16 +30,16 @@ STATIC = "static"
 STREAM_ENCODER = 0
 STREAM_SHUFFLE = 1
 
+# train()'s learning rate.  Prototypes start at zero and cosines ignore scale,
+# so a rate only scales them (exactly at a power-of-two ratio); no decision moves.
+ETA = 0.05
+
 
 @dataclass
 class TrainConfig:
-    """Knobs for one training run; validated eagerly at construction.
-    ``eta`` changes no decision: prototypes start at zero and cosines ignore
-    scale, so a run's prototypes are ``eta`` times those at ``eta = 1`` and
-    all else is the same (bit for bit between etas a power of two apart)."""
+    """Knobs for one training run; validated eagerly at construction."""
 
     dim: int = 500
-    eta: float = 0.05
     alpha: float = 2.0
     beta: float = 1.0
     theta: float = 0.5
@@ -55,8 +55,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimensionality must be >= 1, got {self.dim}")
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError(f"learning rate must be positive and finite, got {self.eta}")
         if not all(w > 0 and math.isfinite(w) for w in (self.alpha, self.beta, self.theta)):
             raise ValueError("alpha, beta and theta must be positive and finite")
         if self.theta >= self.beta:
@@ -331,9 +329,9 @@ def train(config: TrainConfig, train_set, valid_set):
         if config.shuffle:
             order = np.arange(X_train.shape[0])
             shuffle_rng.shuffle(order)
-            adaptive_fit_epoch(model, encoded[order], y_train[order], config.eta)
+            adaptive_fit_epoch(model, encoded[order], y_train[order], ETA)
         else:
-            adaptive_fit_epoch(model, encoded, y_train, config.eta)
+            adaptive_fit_epoch(model, encoded, y_train, ETA)
 
         scores = _score_matrix(model, encoded)
         train_acc = metrics.accuracy(scores.argmax(axis=1), y_train)

@@ -260,7 +260,6 @@ class TestTrainOptionsSource:
             "train.alpha = 2.0",
             "train.beta = 1.0",
             "train.dim = 500",
-            "train.eta = 0.05",
             "train.max_iters = 30",
             "train.min_delta = 0.001",
             "train.mode = dynamic",
@@ -271,6 +270,14 @@ class TestTrainOptionsSource:
             "train.shuffle = False",
             "train.theta = 0.5",
         ]
+
+    def test_valid_file_run_echoes_no_fractions(self, tmp_path, blobs_csv):
+        out = tmp_path / "valid"
+        assert run("train", "--data", blobs_csv, "--valid", blobs_csv, "--dim", "16",
+                   "--max-iters", "1", "--out", str(out)) == EXIT_OK
+        echo = (out / "config.txt").read_text().splitlines()
+        keys = [line.split(" = ")[0] for line in echo]
+        assert keys == sorted(set(TRAIN_DEFAULTS) - {"data.fractions"})
 
 
 CONFIG_VALUES = ["", "0", "-1", "7", "2.5", "0.5", "1e3", "1e400", "nan", "inf",
@@ -503,8 +510,7 @@ class TestNoise:
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "--eta", "nan"], ["train", "--eta", "inf"], ["train", "--alpha", "nan"],
-    ["train", "--beta", "nan"], ["train", "--theta", "nan"],
+    ["train", "--alpha", "nan"], ["train", "--beta", "nan"], ["train", "--theta", "nan"],
     ["train", "--min-delta", "nan"], ["synth", "--separation", "nan"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_non_finite_number_is_config_error(tmp_path, blobs_csv, caplog, argv):
@@ -564,9 +570,10 @@ TRAINING_REJECTS = [["--normalize", "bogus"], ["--fractions", "0,0,1"],
     *[(command, flags) for command in ("train", "sweep-weights")
       for flags in TRAINING_REJECTS],
     ("train", ["--valid", "narrow.csv"]),
+    ("synth", ["--seed", "-1"]), ("noise", ["--seed", "-1"]),
 ], ids=lambda value: value if isinstance(value, str) else "=".join(value).lstrip("-"))
-def test_rejected_training_value_leaves_no_output(tmp_path, tiny_csv, fuzz_base, command,
-                                                  flags):
+def test_rejected_training_value_leaves_no_output(tmp_path, tiny_csv, fuzz_base, caplog,
+                                                  command, flags):
     """Each value is checked before the config echo, so nothing is written."""
     if flags[0] == "--valid":
         narrow = [row[1:] for row in _read_rows(tiny_csv)]
@@ -575,6 +582,45 @@ def test_rejected_training_value_leaves_no_output(tmp_path, tiny_csv, fuzz_base,
     assert run(command, *fuzz_base[command], *flags,
                "--out", str(out)) in (EXIT_CONFIG, EXIT_DATA)
     assert os.listdir(out) == []
+    if command in ("synth", "noise"):
+        assert _logged_error(caplog, "--seed must be >= 0, got -1")
+
+
+def _option_argv(tmp_path, option):
+    """``option``, ``--flag=value`` or ``key=value``, as argv: the flag, or a
+    ``--config`` file of that one key."""
+    if option.startswith("--"):
+        return [option]
+    (tmp_path / "one.cfg").write_text(option.replace("=", " = ", 1) + "\n")
+    return ["--config", str(tmp_path / "one.cfg")]
+
+
+DROPPED_OPTIONS = [("train", "--eta=0.1"), ("train", "train.eta=0.1"),
+                   *[("sweep-weights", option) for option in (
+                       "--eta=0.1", "--alpha=7", "--beta=1", "--theta=5", "train.eta=0.1",
+                       "train.alpha=7", "train.beta=1", "train.theta=0.5")],
+                   ("train --valid", "--fractions=0.5,0.5,0.0"),
+                   ("train --valid", "data.fractions=0.5,0.5,0.0")]
+
+
+@pytest.mark.parametrize("command, option", DROPPED_OPTIONS,
+                         ids=lambda value: value.replace(" ", "").lstrip("-"))
+def test_option_the_run_does_not_read_leaves_no_output(tmp_path, tiny_csv, fuzz_base,
+                                                        caplog, command, option):
+    """``train`` has no learning rate to set, ``sweep-weights`` takes alpha, beta
+    and theta only from its grid, and ``train --valid`` splits nothing: each
+    such flag or ``--config`` key exits 1 and writes nothing.  The parser
+    knows none of those flags but ``--fractions``."""
+    name, _, valid = command.partition(" ")
+    base = [*fuzz_base[name], *(["--valid", tiny_csv] if valid else [])]
+    out = tmp_path / "out"
+    out.mkdir()
+    extra = _option_argv(tmp_path, option)
+    assert run(name, *base, *extra, "--out", str(out)) == EXIT_CONFIG
+    assert os.listdir(out) == []
+    if valid or not option.startswith("--"):
+        key = "data.fractions" if valid else option.split("=")[0]
+        assert _logged_error(caplog, f"{command} reads no ['{key}']")
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-weights"])
@@ -749,6 +795,30 @@ class TestSweepWeights:
                    "--max-iters", "1", *extra, "--out", str(out)) == EXIT_OK
         echo = (out / "config.txt").read_text().splitlines()
         assert f"data.fractions = {used}" in echo
+
+    def test_default_config_echo_is_golden(self, tmp_path, blobs_csv):
+        # The grid sets alpha, beta and theta, so the echo holds only its lists.
+        out = tmp_path / "sweep"
+        assert run("sweep-weights", "--data", blobs_csv, "--alphas", "1", "--betas", "1",
+                   "--thetas", "0.5", "--dim", "16", "--max-iters", "1",
+                   "--out", str(out)) == EXIT_OK
+        assert (out / "config.txt").read_text().splitlines() == [
+            "data.fractions = 0.6,0.2,0.2",
+            "data.label_column = -1",
+            "data.normalize = zscore",
+            "sweep.alphas = 1",
+            "sweep.betas = 1",
+            "sweep.thetas = 0.5",
+            "train.dim = 16",
+            "train.max_iters = 1",
+            "train.min_delta = 0.001",
+            "train.mode = dynamic",
+            "train.n_formula = prose",
+            "train.patience = 5",
+            "train.regen_rate = 20.0",
+            "train.seed = 0",
+            "train.shuffle = False",
+        ]
 
     def test_two_fractions_is_config_error(self, tmp_path, blobs_csv, caplog):
         assert run("sweep-weights", "--data", blobs_csv, "--alphas", "2.0",
@@ -995,22 +1065,23 @@ def test_synth_separation_that_overflows_is_config_error(tmp_path, caplog):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command, eta, extra", [
-    ("train", "1e200", []),
-    ("train", "1e200", ["--dump-regen"]),
-    ("sweep-weights", "1e308", ["--alphas", "1,2", "--betas", "1", "--thetas", "0.5"]),
-], ids=["train-norms_overflow", "train-dump_regen", "sweep-weights"])
-def test_overflowed_model_is_numerical_failure(tmp_path, caplog, command, eta, extra):
-    # Prototypes that overflow, or whose norms alone overflow, score every
-    # cosine 0; a run that returns such a model must not write chance-level
-    # results (or a regeneration dump) as if it had trained, and reports the
-    # failure without numpy's overflow warnings.
-    assert run("synth", "--features", "4", "--classes", "3", "--per-class", "40",
-               "--separation", "1.0", "--out", str(tmp_path / "s")) == EXIT_OK
+@pytest.mark.parametrize("command, extra", [
+    ("train", []),
+    ("train", ["--dump-regen"]),
+    ("sweep-weights", ["--alphas", "1,2", "--betas", "1", "--thetas", "0.5"]),
+], ids=["train-projection_overflow", "train-dump_regen", "sweep-weights"])
+def test_overflowed_model_is_numerical_failure(tmp_path, caplog, command, extra):
+    # Unnormalized features near +-1.5e308 overflow the encoder's projection,
+    # so the encodings and then the prototypes go NaN; a run that returns
+    # such a model must not write chance-level results (or a regeneration
+    # dump) as if it had trained, and reports the failure without numpy's
+    # overflow warnings.
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(60, 3)).tolist()
+    data = _write_rows(tmp_path / "huge.csv", [["f0", "f1", "f2", "label"]] + [
+        [repr(1.5e308 * v) for v in row] + [str(i % 3)] for i, row in enumerate(signs)])
     out = tmp_path / "out"
-    assert run(command, "--data", str(tmp_path / "s" / "blobs.csv"), *extra, "--dim", "16",
-               "--max-iters", "4", "--shuffle", "--eta", eta,
-               "--out", str(out)) == EXIT_NUMERICAL
+    assert run(command, "--data", data, *extra, "--normalize", "none", "--dim", "16",
+               "--max-iters", "3", "--shuffle", "--out", str(out)) == EXIT_NUMERICAL
     assert _logged_error(caplog, "non-finite values detected in model state")
     assert os.listdir(out) == ["config.txt"]
 

@@ -44,9 +44,9 @@ class TestTrainConfig:
         assert cfg.theta < cfg.beta
 
     @pytest.mark.parametrize("kwargs", [
-        {"dim": 0}, {"eta": 0.0}, {"alpha": -1.0}, {"theta": 1.0, "beta": 1.0},
-        {"regen_rate": 0.0}, {"regen_rate": 101.0}, {"max_iters": 0},
-        {"patience": 0}, {"min_delta": -0.1}, {"mode": "other"},
+        {"dim": 0}, {"min_delta": float("inf")}, {"alpha": -1.0},
+        {"theta": 1.0, "beta": 1.0}, {"regen_rate": 0.0}, {"regen_rate": 101.0},
+        {"max_iters": 0}, {"patience": 0}, {"min_delta": -0.1}, {"mode": "other"},
         {"n_formula": "bogus"}, {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -191,6 +191,23 @@ class TestAdaptiveFit:
         for eta in (0.0, -0.1, np.nan, np.inf):
             with pytest.raises(ValueError):
                 adaptive_fit_epoch(model, np.eye(2), [0, 1], eta)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eta_scales_the_prototypes_and_changes_no_decision(self, seed):
+        # From zero prototypes every cosine ignores the scale, so epochs at
+        # twice the rate give exactly twice the prototypes (a power-of-two
+        # factor scales every product, sum and norm exactly) and the same
+        # predictions.  That is why train() runs at the fixed learner.ETA.
+        tr, _, _ = make_benchmark(seed)
+        H = Encoder.create(tr.n_features, 128, seed).encode_batch(tr.features)
+        slow, fast = ClassModel.zeros(4, 128), ClassModel.zeros(4, 128)
+        for _ in range(3):
+            adaptive_fit_epoch(slow, H, tr.labels, learner.ETA)
+            adaptive_fit_epoch(fast, H, tr.labels, 2 * learner.ETA)
+            assert slow.classes.any()
+            assert np.array_equal(fast.classes, 2.0 * slow.classes)
+            assert np.array_equal(similarity_matrix(fast, H).argmax(axis=1),
+                                  similarity_matrix(slow, H).argmax(axis=1))
 
 
 class TestPredictTopK:
@@ -380,23 +397,6 @@ class TestTrainLoop:
         e2, m2, _ = train(cfg, tr, va)
         assert np.array_equal(e1.base, e2.base)
         assert np.array_equal(m1.classes, m2.classes)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_eta_scales_the_prototypes_and_changes_no_decision(self, seed):
-        # The prototypes start at zero and cosines ignore scale, so a run at
-        # eta is eta times the run at 1; at a power-of-two ratio of etas
-        # every product, sum and norm scales exactly.
-        tr, va, _ = make_benchmark(seed)
-        (e1, m1, r1), (e2, m2, r2) = (
-            train(TrainConfig(dim=128, eta=eta, mode="dynamic", regen_rate=40.0,
-                              max_iters=30, patience=30, min_delta=0.0, shuffle=True,
-                              seed=seed), tr, va)
-            for eta in (0.05, 0.1))
-        assert any(r.regenerated for r in r1.rows)
-        assert r1.to_jsonl() == r2.to_jsonl()
-        assert r1.snapshot_iteration == r2.snapshot_iteration
-        assert np.array_equal(e1.base, e2.base) and np.array_equal(e1.phase, e2.phase)
-        assert np.array_equal(m2.classes, 2.0 * m1.classes)
 
     def test_collect_dumps(self):
         tr, va, _ = make_benchmark(0, n_features=5, k_classes=3, per_class=120,
