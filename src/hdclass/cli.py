@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -258,6 +259,10 @@ def _roc(class_scores, labels, cls: int):
 
 def cmd_synth(args) -> int:
     out = _out_dir(args, "synth")
+    for flag, count in (("--features", args.features), ("--classes", args.classes),
+                        ("--per-class", args.per_class)):
+        if count < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {count}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     ds = dio.synth_blobs(args.features, args.classes, args.per_class,
@@ -552,8 +557,11 @@ def _add_scoring_flags(p: argparse.ArgumentParser, **model_options) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hdclass")
     sub = parser.add_subparsers(dest="command", required=True)
+    # No subcommand expands an abbreviated flag: a prefix would change its
+    # meaning without an error once a later flag came to share it.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("synth", help="generate a synthetic blobs dataset")
+    p = add_parser("synth", help="generate a synthetic blobs dataset")
     p.add_argument("--features", type=int, default=10)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--per-class", dest="per_class", type=int, default=200)
@@ -562,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model")
+    p = add_parser("train", help="train a model")
     p.add_argument("--data", required=True)
     p.add_argument("--valid")
     p.add_argument("--dump-regen", dest="dump_regen", action="store_true")
@@ -570,12 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a trained model")
+    p = add_parser("eval", help="evaluate a trained model")
     _add_scoring_flags(p)
     p.add_argument("--topk", default="1,2")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep-weights", allow_abbrev=False, help="alpha/beta/theta sweep")
+    p = add_parser("sweep-weights", help="alpha/beta/theta sweep")
     p.add_argument("--data", required=True)
     p.add_argument("--alphas", required=True)
     p.add_argument("--betas", required=True)
@@ -584,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p, skip=GRID_KEYS)
     p.set_defaults(func=cmd_sweep_weights)
 
-    p = sub.add_parser("noise", help="bit-flip robustness sweep")
+    p = add_parser("noise", help="bit-flip robustness sweep")
     _add_scoring_flags(p, dest="models", action="append",
                        help="trained model container; repeat per dimensionality")
     p.add_argument("--bits", default="1,8")
@@ -593,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_noise)
 
-    p = sub.add_parser("roc", help="export a one-vs-rest ROC curve")
+    p = add_parser("roc", help="export a one-vs-rest ROC curve")
     _add_scoring_flags(p)
     p.add_argument("--class-id", dest="class_id", type=int, required=True)
     p.add_argument("--score", choices=["margin", "raw"], default="margin")

@@ -50,7 +50,6 @@ class TrainConfig:
     mode: str = DYNAMIC
     seed: int = 0
     shuffle: bool = False
-    n_formula: str = "prose"
 
     def __post_init__(self):
         if self.dim < 1:
@@ -69,8 +68,6 @@ class TrainConfig:
             raise ValueError(f"min_delta must be finite and >= 0, got {self.min_delta}")
         if self.mode not in (DYNAMIC, STATIC):
             raise ValueError(f"mode must be '{DYNAMIC}' or '{STATIC}', got {self.mode!r}")
-        if self.n_formula not in regen.N_FORMULAS:
-            raise ValueError(f"unknown n_formula: {self.n_formula!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -241,8 +238,7 @@ def _build_distance_rows(model: ClassModel, encoded: np.ndarray, scores: np.ndar
         Hn[partial], Cn[y[partial]], Cn[top1[partial]], cfg.alpha, cfg.beta)
     incorrect_rows = regen.incorrect_row(
         Hn[incorrect], Cn[y[incorrect]], Cn[top1[incorrect]],
-        Cn[top2[incorrect]], cfg.alpha, cfg.beta, cfg.theta,
-        formula=cfg.n_formula)
+        Cn[top2[incorrect]], cfg.alpha, cfg.beta, cfg.theta)
     return partial_rows, incorrect_rows
 
 

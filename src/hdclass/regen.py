@@ -2,7 +2,9 @@
 
 Misclassified samples contribute per-dimension distance rows: one matrix
 for samples whose true class ranked second (partial), one for samples
-whose true class missed the top two entirely (incorrect).  Rows are
+whose true class missed the top two entirely (incorrect).  The incorrect
+row is the partial row minus ``theta`` times the distance to the
+second-ranked class, the weighting of the paper's prose.  Rows are
 L2-normalized, summed column-wise, and the two top-R% index sets are
 intersected; only dimensions that look bad from both viewpoints get
 regenerated.
@@ -15,13 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionError, ranking, row_norms
-
-#: Row formulas for the incorrect-sample matrix.  "prose" rewards
-#: dimensions far from the true class and near both wrong classes with a
-#: sign structure matching the partial-sample matrix; "listing" is the
-#: alternative weighting kept for experimentation.
-N_FORMULAS = ("prose", "listing")
-
 
 @dataclass
 class UndesiredSet:
@@ -64,22 +59,20 @@ def partial_row(h, c_true, c_top1, alpha: float, beta: float) -> np.ndarray:
 
 
 def incorrect_row(h, c_true, c_top1, c_top2, alpha: float, beta: float,
-                  theta: float, formula: str = "prose") -> np.ndarray:
-    """Distance row for a sample whose true class missed the top two."""
+                  theta: float) -> np.ndarray:
+    """Distance row for a sample whose true class missed the top two.
+
+    ``alpha * |h - c_true| - beta * |h - c_top1| - theta * |h - c_top2|``:
+    the partial row, less a term for the second wrong class.  Large entries
+    mark dimensions far from the true class and close to both that beat it.
+    """
     _check_rows(h, c_true, c_top1, c_top2)
     if alpha <= 0 or beta <= 0 or theta <= 0:
         raise ValueError("alpha, beta and theta must be positive")
     if theta >= beta:
         raise ValueError(f"theta must be < beta, got theta={theta}, beta={beta}")
     h = np.asarray(h, dtype=np.float64)
-    d_true = np.abs(h - np.asarray(c_true, dtype=np.float64))
-    d_top1 = np.abs(h - np.asarray(c_top1, dtype=np.float64))
-    d_top2 = np.abs(h - np.asarray(c_top2, dtype=np.float64))
-    if formula == "prose":
-        return alpha * d_true - beta * d_top1 - theta * d_top2
-    if formula == "listing":
-        return alpha * d_top1 + beta * d_top2 - theta * d_true
-    raise ValueError(f"unknown incorrect-row formula: {formula!r}")
+    return partial_row(h, c_true, c_top1, alpha, beta) - theta * np.abs(h - c_top2)
 
 
 def normalize_rows(rows: np.ndarray) -> np.ndarray:

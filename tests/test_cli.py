@@ -263,7 +263,6 @@ class TestTrainOptionsSource:
             "train.max_iters = 30",
             "train.min_delta = 0.001",
             "train.mode = dynamic",
-            "train.n_formula = prose",
             "train.patience = 5",
             "train.regen_rate = 20.0",
             "train.seed = 0",
@@ -570,6 +569,8 @@ TRAINING_REJECTS = [["--normalize", "bogus"], ["--fractions", "0,0,1"],
     *[(command, flags) for command in ("train", "sweep-weights")
       for flags in TRAINING_REJECTS],
     ("train", ["--valid", "narrow.csv"]),
+    ("synth", ["--features", "0"]), ("synth", ["--classes", "0"]),
+    ("synth", ["--per-class", "0"]),
     ("synth", ["--seed", "-1"]), ("noise", ["--seed", "-1"]),
 ], ids=lambda value: value if isinstance(value, str) else "=".join(value).lstrip("-"))
 def test_rejected_training_value_leaves_no_output(tmp_path, tiny_csv, fuzz_base, caplog,
@@ -583,7 +584,8 @@ def test_rejected_training_value_leaves_no_output(tmp_path, tiny_csv, fuzz_base,
                "--out", str(out)) in (EXIT_CONFIG, EXIT_DATA)
     assert os.listdir(out) == []
     if command in ("synth", "noise"):
-        assert _logged_error(caplog, "--seed must be >= 0, got -1")
+        floor = 0 if flags[0] == "--seed" else 1
+        assert _logged_error(caplog, f"{flags[0]} must be >= {floor}, got {flags[1]}")
 
 
 def _option_argv(tmp_path, option):
@@ -596,9 +598,11 @@ def _option_argv(tmp_path, option):
 
 
 DROPPED_OPTIONS = [("train", "--eta=0.1"), ("train", "train.eta=0.1"),
+                   ("train", "--n-formula=prose"), ("train", "train.n_formula=prose"),
                    *[("sweep-weights", option) for option in (
-                       "--eta=0.1", "--alpha=7", "--beta=1", "--theta=5", "train.eta=0.1",
-                       "train.alpha=7", "train.beta=1", "train.theta=0.5")],
+                       "--eta=0.1", "--n-formula=prose", "--alpha=7", "--beta=1",
+                       "--theta=5", "train.eta=0.1", "train.alpha=7", "train.beta=1",
+                       "train.theta=0.5")],
                    ("train --valid", "--fractions=0.5,0.5,0.0"),
                    ("train --valid", "data.fractions=0.5,0.5,0.0")]
 
@@ -607,10 +611,11 @@ DROPPED_OPTIONS = [("train", "--eta=0.1"), ("train", "train.eta=0.1"),
                          ids=lambda value: value.replace(" ", "").lstrip("-"))
 def test_option_the_run_does_not_read_leaves_no_output(tmp_path, tiny_csv, fuzz_base,
                                                         caplog, command, option):
-    """``train`` has no learning rate to set, ``sweep-weights`` takes alpha, beta
-    and theta only from its grid, and ``train --valid`` splits nothing: each
-    such flag or ``--config`` key exits 1 and writes nothing.  The parser
-    knows none of those flags but ``--fractions``."""
+    """``train`` has no learning rate or incorrect-row formula to set,
+    ``sweep-weights`` takes alpha, beta and theta only from its grid, and
+    ``train --valid`` splits nothing: each such flag or ``--config`` key
+    exits 1 and writes nothing.  The parser knows none of those flags but
+    ``--fractions``."""
     name, _, valid = command.partition(" ")
     base = [*fuzz_base[name], *(["--valid", tiny_csv] if valid else [])]
     out = tmp_path / "out"
@@ -621,6 +626,22 @@ def test_option_the_run_does_not_read_leaves_no_output(tmp_path, tiny_csv, fuzz_
     if valid or not option.startswith("--"):
         key = "data.fractions" if valid else option.split("=")[0]
         assert _logged_error(caplog, f"{command} reads no ['{key}']")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *[(command, "--ou", "x")
+      for command in ("synth", "train", "eval", "sweep-weights", "noise", "roc")],
+    ("train", "--norm", "none"), ("train", "--frac", "1,0,0"),
+], ids=lambda value: value.lstrip("-"))
+def test_abbreviated_flag_is_config_error(tmp_path, fuzz_base, capsys, command, flag,
+                                          value):
+    """No subcommand expands a prefix of a flag: ``--ou`` is not ``--out``, nor
+    ``train --norm`` ``--normalize``.  Each exits 1 and writes nothing."""
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(command, *fuzz_base[command], flag, value, "--out", str(out)) == EXIT_CONFIG
+    assert os.listdir(out) == []
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "sweep-weights"])
@@ -813,7 +834,6 @@ class TestSweepWeights:
             "train.max_iters = 1",
             "train.min_delta = 0.001",
             "train.mode = dynamic",
-            "train.n_formula = prose",
             "train.patience = 5",
             "train.regen_rate = 20.0",
             "train.seed = 0",

@@ -47,7 +47,7 @@ class TestTrainConfig:
         {"dim": 0}, {"min_delta": float("inf")}, {"alpha": -1.0},
         {"theta": 1.0, "beta": 1.0}, {"regen_rate": 0.0}, {"regen_rate": 101.0},
         {"max_iters": 0}, {"patience": 0}, {"min_delta": -0.1}, {"mode": "other"},
-        {"n_formula": "bogus"}, {"seed": -1},
+        {"beta": float("inf")}, {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -286,14 +286,13 @@ class TestDistanceRows:
             elif top1 != true:
                 incorrect.append(regen.incorrect_row(
                     Hn[j], Cn[true], Cn[top1], Cn[top2], cfg.alpha,
-                    cfg.beta, cfg.theta, formula=cfg.n_formula))
+                    cfg.beta, cfg.theta))
         dim = H.shape[1]
         return (np.array(partial).reshape(-1, dim),
                 np.array(incorrect).reshape(-1, dim))
 
-    @pytest.mark.parametrize("n_formula", ["prose", "listing"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_vectorized_rows_equal_per_sample_loop(self, seed, n_formula):
+    def test_vectorized_rows_equal_per_sample_loop(self, seed):
         rng = np.random.default_rng(seed)
         k, dim, m = 5, 48, 300
         classes = rng.normal(size=(k, dim))
@@ -302,7 +301,7 @@ class TestDistanceRows:
         H = rng.normal(size=(m, dim))
         H[:3] = 0.0
         y = rng.integers(0, k, size=m)
-        cfg = TrainConfig(dim=dim, n_formula=n_formula)
+        cfg = TrainConfig(dim=dim)
         partial, incorrect = _build_distance_rows(
             model, H, similarity_matrix(model, H), y, cfg)
         expected_partial, expected_incorrect = self.per_sample_rows(model, H, y, cfg)
@@ -546,3 +545,67 @@ class TestTrainLoop:
                                 "labels": np.zeros(0, dtype=int)})()
         with pytest.raises(ValueError, match="validation set is empty"):
             train(TrainConfig(dim=8, max_iters=2), tr, empty)
+
+
+class TestTrainLoopRules:
+    """Direct tests of the loop's rules, with the epoch or the selection
+    replaced through the module names ``train()`` calls them by."""
+
+    def small_sets(self):
+        return make_benchmark(0, n_features=5, k_classes=3, per_class=40,
+                              separation=4.0)
+
+    @staticmethod
+    def frozen(monkeypatch):
+        """An epoch that changes nothing: the prototypes stay zero, every
+        sample scores 0 against every class, and the validation accuracy is
+        the same at every iteration."""
+        monkeypatch.setattr(learner, "adaptive_fit_epoch", lambda model, *_: model)
+
+    def test_regenerated_columns_start_the_next_epoch_at_zero(self, monkeypatch):
+        fixed = [0, 1, 2]
+        monkeypatch.setattr(regen, "select_undesired",
+                            lambda *_: regen.UndesiredSet(set(fixed), 6))
+        seen = []
+        real_epoch = learner.adaptive_fit_epoch
+
+        def recording_epoch(model, *args):
+            seen.append(model.classes.copy())
+            return real_epoch(model, *args)
+
+        monkeypatch.setattr(learner, "adaptive_fit_epoch", recording_epoch)
+        tr, va, _ = self.small_sets()
+        cfg = TrainConfig(dim=16, mode="dynamic", max_iters=3, patience=3,
+                          min_delta=0.0, regen_rate=40.0)
+        _, _, report = train(cfg, tr, va)
+        assert report.rows[0].regenerated == len(fixed)
+        # The first epoch learned those columns; the redraw wiped them.
+        assert np.any(seen[1][:, 3:])
+        assert not np.any(seen[1][:, fixed])
+
+    def test_stops_after_exactly_patience_stale_iterations(self, monkeypatch):
+        self.frozen(monkeypatch)
+        tr, va, _ = self.small_sets()
+        cfg = TrainConfig(dim=16, mode="static", max_iters=10, patience=3,
+                          min_delta=0.001)
+        _, _, report = train(cfg, tr, va)
+        assert report.iterations == len(report.rows) == 4
+        assert report.converged
+
+    def test_a_tie_counts_as_improvement_at_zero_min_delta(self, monkeypatch):
+        self.frozen(monkeypatch)
+        tr, va, _ = self.small_sets()
+        cfg = TrainConfig(dim=16, mode="static", max_iters=6, patience=2,
+                          min_delta=0.0)
+        _, _, report = train(cfg, tr, va)
+        assert report.iterations == 6
+        assert not report.converged
+
+    def test_ties_keep_the_earliest_snapshot(self, monkeypatch):
+        self.frozen(monkeypatch)
+        tr, va, _ = self.small_sets()
+        cfg = TrainConfig(dim=16, mode="static", max_iters=6, patience=2,
+                          min_delta=0.0)
+        _, _, report = train(cfg, tr, va)
+        assert len({r.valid_accuracy for r in report.rows}) == 1
+        assert report.snapshot_iteration == 1

@@ -44,19 +44,21 @@ class TestIncorrectRow:
         row = incorrect_row([1, 1], [0, 0], [1, 0], [0, 1], 2.0, 1.0, 0.5)
         assert np.allclose(row, [1.5, 1.0], atol=1e-12)
 
-    def test_listing_formula(self):
-        row = incorrect_row([1, 1], [0, 0], [1, 0], [0, 1], 2.0, 1.0, 0.5,
-                            formula="listing")
-        # alpha*|h-top1| + beta*|h-top2| - theta*|h-true|
-        assert np.allclose(row, [2 * 0 + 1 * 1 - 0.5 * 1, 2 * 1 + 0 - 0.5 * 1])
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1,), (7,), (5, 33)]),
+           alpha=st.floats(0.01, 10), beta=st.floats(0.02, 10), frac=st.floats(0.01, 0.99))
+    def test_bitwise_the_three_term_formula(self, seed, shape, alpha, beta, frac):
+        """Bitwise ``alpha*d_true - beta*d_top1 - theta*d_top2``, evaluated left
+        to right, on single rows and on row batches."""
+        theta = beta * frac
+        h, c_true, c_top1, c_top2 = np.random.default_rng(seed).normal(size=(4, *shape))
+        expected = (alpha * np.abs(h - c_true) - beta * np.abs(h - c_top1)
+                    - theta * np.abs(h - c_top2))
+        row = incorrect_row(h, c_true, c_top1, c_top2, alpha, beta, theta)
+        assert np.array_equal(row, expected)
 
     def test_theta_must_be_below_beta(self):
         with pytest.raises(ValueError):
             incorrect_row([1], [0], [0], [0], 1.0, 1.0, 1.0)
-
-    def test_unknown_formula(self):
-        with pytest.raises(ValueError):
-            incorrect_row([1], [0], [0], [0], 1.0, 1.0, 0.5, formula="x")
 
 
 class TestAggregate:
