@@ -235,10 +235,9 @@ def _evaluate(scores, labels) -> dict:
     per_class = {}
     for c in range(scores.shape[1]):
         rates = metrics.sensitivity_specificity(cm, c)
-        per_class[str(c)] = {
-            "sensitivity": rates.sensitivity if rates.sensitivity_defined else None,
-            "specificity": rates.specificity if rates.specificity_defined else None,
-        }
+        # JSON has no NaN, so an undefined rate is written as null.
+        per_class[str(c)] = {name: None if math.isnan(rate) else rate
+                             for name, rate in dataclasses.asdict(rates).items()}
     return {
         "accuracy": metrics.accuracy(preds, labels),
         "confusion_matrix": cm.tolist(),

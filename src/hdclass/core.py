@@ -212,26 +212,40 @@ def similarity_matrix(model: ClassModel, encoded: np.ndarray,
                       norms: np.ndarray | None = None) -> np.ndarray:
     """m x k cosine similarities: the one scoring kernel of the package.
 
-    One matrix product scaled by the row norms and the prototype norms,
-    both from :func:`row_norms`; zero rows and zero prototypes carry no
-    evidence and score 0.  A single row goes through the matrix-vector
+    One matrix product put through :func:`cosine_divide` with the row norms
+    and the prototype norms, both from :func:`row_norms`, so zero rows and
+    zero prototypes score 0.  A single row goes through the matrix-vector
     kernel, so 1-row calls are bit-identical to
     ``model.classes @ h / (row_norms(model.classes) * norm(h))``.
     ``norms`` is ``row_norms(encoded)`` for a caller that scores the same
     rows against many models.
     """
-    H = np.asarray(encoded, dtype=np.float64)
-    if H.ndim != 2 or H.shape[1] != model.dim:
-        raise DimensionError(
-            f"encoded batch must be m x {model.dim}, got shape {H.shape}")
+    H = check_encoded(model, encoded)
     if norms is None:
         norms = row_norms(H)
     elif np.shape(norms) != H.shape[:1]:
         raise DimensionError(
             f"row norms must have length {H.shape[0]}, got shape {np.shape(norms)}")
-    denom = norms[:, None] * row_norms(model.classes)
+    return cosine_divide(H @ model.classes.T, norms[:, None], row_norms(model.classes))
+
+
+def check_encoded(model: ClassModel, encoded) -> np.ndarray:
+    """``encoded`` as a float64 m x D batch for ``model``; a DimensionError
+    for any other shape."""
+    H = np.asarray(encoded, dtype=np.float64)
+    if H.ndim != 2 or H.shape[1] != model.dim:
+        raise DimensionError(
+            f"encoded batch must be m x {model.dim}, got shape {H.shape}")
+    return H
+
+
+def cosine_divide(dots: np.ndarray, norms: np.ndarray, class_norms: np.ndarray) -> np.ndarray:
+    """The cosine rule: ``dots`` (m x k) divided by each row norm (``norms``,
+    m x 1) times each prototype norm (length k).  A zero denominator carries
+    no evidence and scores 0."""
+    denom = norms * class_norms
     # Where the denominator is 0 the output keeps it, so those score 0.
-    return np.divide(H @ model.classes.T, denom, out=denom, where=denom != 0.0)
+    return np.divide(dots, denom, out=denom, where=denom != 0.0)
 
 
 def ranking(scores: np.ndarray, k: int) -> np.ndarray:

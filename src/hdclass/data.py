@@ -62,7 +62,9 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
     label ``names[i]`` maps to id ``i`` and any other label is an error;
     without one, the file's own labels map to dense ids by sorted order,
     so the mapping is stable across runs and row orders.  Errors name the
-    physical line, counting newlines inside quoted fields.
+    physical line, counting newlines inside quoted fields.  A header whose
+    cells outside the label column are all numbers logs a WARNING: it is
+    most likely the first row of a file without a header.
 
     A file is opened once and read by ``np.loadtxt`` (``_load_plain``),
     which checks each line as it goes; a file it cannot vouch for, such as
@@ -88,16 +90,12 @@ def _load_plain(path: str, label_column, has_header: bool, names) -> Dataset | N
     that loadtxt read the rows the row parser would, so that, say, a blank
     first line cannot pass for the header; text mode ends a line at ``\\r``,
     ``\\n`` or ``\\r\\n``, as the csv module does.  The label column's
-    converter strips each label and gives it an id in order of first sight
-    (or by ``names``); the ids are remapped to sorted order afterwards.
+    converter strips each label and gives it an id in order of first sight;
+    ``_dataset`` maps those to the final ids, and a label outside ``names``
+    gives None there.
     """
-    known = None if names is None else {name: i for i, name in enumerate(names)}
     seen = {}
     n_lines = 0
-
-    def label_id(cell: str) -> int:
-        label = cell.strip()
-        return known[label] if known is not None else seen.setdefault(label, len(seen))
 
     def checked(lines):
         nonlocal n_lines
@@ -118,31 +116,25 @@ def _load_plain(path: str, label_column, has_header: bool, names) -> Dataset | N
             label_idx = _label_index(path, label_column, header, width)
             # Given lines, not a path, loadtxt cannot read a ".gz" or ".xz"
             # name as a compressed file or a path as a URL.
-            table = np.loadtxt(checked(fh), delimiter=",", comments=None, quotechar=None,
-                               skiprows=int(has_header), ndmin=2,
-                               converters={label_idx: label_id})
+            table = np.loadtxt(
+                checked(fh), delimiter=",", comments=None, quotechar=None,
+                skiprows=int(has_header), ndmin=2,
+                converters={label_idx: lambda cell: seen.setdefault(cell.strip(), len(seen))})
+        n_rows = n_lines - has_header
+        if n_rows < 1 or table.shape != (n_rows, width):
+            return None
+        return _dataset(path, header, label_idx, np.delete(table, label_idx, axis=1),
+                        table[:, label_idx].astype(np.intp), seen, names)
     except Exception:  # the row parser raises, or reads what this pass could not
         return None
-    n_rows = n_lines - has_header
-    if n_rows < 1 or table.shape != (n_rows, width):
-        return None
-    labels = table[:, label_idx].astype(np.intp)
-    features = np.delete(table, label_idx, axis=1)
-    if known is None:
-        names = sorted(seen, key=_label_sort_key)
-        rank = {name: i for i, name in enumerate(names)}
-        labels = np.array([rank[label] for label in seen], dtype=np.intp)[labels]
-    meta = {"source": path, "n_features": width - 1, "n_classes": len(names)}
-    return Dataset(features, labels, list(names), meta)
 
 
 def _load_rows(path: str, label_column, has_header: bool, names) -> Dataset:
     """``load_csv`` one ``csv.reader`` row at a time: the reference parser,
     which reads every file and words every error."""
-    known = None if names is None else {name: i for i, name in enumerate(names)}
     header = None
     width = label_idx = None
-    feature_rows, raw_labels = [], []
+    feature_rows, ids, seen = [], [], {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -159,10 +151,10 @@ def _load_rows(path: str, label_column, has_header: bool, names) -> Dataset:
                     raise ParseError(f"{path}: line {reader.line_num}: expected "
                                      f"{width} columns, found {len(row)}")
                 label = row.pop(label_idx).strip()
-                if known is not None and label not in known:
+                if names is not None and label not in names:
                     raise ParseError(f"{path}: line {reader.line_num}: label {label!r} "
-                                     f"is not one of the {len(known)} known class names")
-                raw_labels.append(label)
+                                     f"is not one of the {len(names)} known class names")
+                ids.append(seen.setdefault(label, len(seen)))
                 try:  # numpy parses a cell exactly as float() does
                     feature_rows.append(np.array(row, dtype=np.float64))
                 except ValueError:
@@ -173,14 +165,25 @@ def _load_rows(path: str, label_column, has_header: bool, names) -> Dataset:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if width is None:
         raise ParseError(f"{path}: no data rows")
-    features = np.stack(feature_rows)
+    return _dataset(path, header, label_idx, np.stack(feature_rows), ids, seen, names)
 
-    if known is None:
-        names = sorted(set(raw_labels), key=_label_sort_key)
-        known = {name: i for i, name in enumerate(names)}
-    labels = np.array([known[l] for l in raw_labels], dtype=np.intp)
-    meta = {"source": path, "n_features": width - 1, "n_classes": len(names)}
-    return Dataset(features, labels, list(names), meta)
+
+def _dataset(path: str, header, label_idx: int, features, ids, seen: dict,
+             names) -> Dataset:
+    """The tail of both parsers: the Dataset of ``features`` and of label
+    ids in order of first sight (``seen`` maps each label to its id), mapped
+    as ``load_csv`` says; a label outside ``names`` is a KeyError."""
+    if names is None:
+        names = sorted(seen, key=_label_sort_key)
+    rank = {name: i for i, name in enumerate(names)}
+    labels = np.array([rank[label] for label in seen], dtype=np.intp)[ids]
+    meta = {"source": path, "n_features": features.shape[1], "n_classes": len(names)}
+    ds = Dataset(features, labels, list(names), meta)
+    cells = [] if header is None else header[:label_idx] + header[label_idx + 1:]
+    if cells and all(_as_float(cell) is not None for cell in cells):
+        log.warning("%s: every header cell outside the label column is a number, so "
+                    "the first line may be a data row read as column names", path)
+    return ds
 
 
 def _label_index(path: str, label_column, header, width: int) -> int:
@@ -207,8 +210,11 @@ def _as_float(text: str) -> float | None:
 
 
 def _label_sort_key(label: str):
+    """Numbers by value, then text.  A label whose float is NaN sorts as text:
+    NaN compares false with every value, which would let the rows' order
+    decide the sort."""
     value = _as_float(label)
-    return (1, 0.0, label) if value is None else (0, value, label)
+    return (1, 0.0, label) if value is None or math.isnan(value) else (0, value, label)
 
 
 def save_csv(path: str, ds: Dataset) -> None:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, regen
-from .core import (ClassModel, DimensionError, Encoder, ranking, row_norms,
-                   similarity_matrix, similarity_scores)
+from .core import (ClassModel, Encoder, check_encoded, cosine_divide, ranking,
+                   row_norms, similarity_matrix, similarity_scores)
 
 DYNAMIC = "dynamic"
 STATIC = "static"
@@ -104,14 +104,6 @@ class TrainReport:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _check_encoded(model: ClassModel, encoded: np.ndarray) -> np.ndarray:
-    H = np.asarray(encoded, dtype=np.float64)
-    if H.ndim != 2 or H.shape[1] != model.dim:
-        raise DimensionError(
-            f"encoded batch must be m x {model.dim}, got shape {H.shape}")
-    return H
-
-
 def _check_labels(model: ClassModel, labels) -> np.ndarray:
     y = np.asarray(labels)
     if y.ndim != 1:
@@ -154,17 +146,17 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
     matrix-vector kernel once per row, with the same matrix, strides and
     vector as the vector-matrix product ``h @ C.T`` of a 1-row
     ``similarity_matrix`` call, so every dot product is bitwise the
-    one-row score.  Each is divided by the sample norm times the prototype
-    norm (a zero denominator scores 0) and each row takes ``np.argmax``
-    (ties to the lowest index, the first NaN wins).  The rows before the
-    block's first miss are no-ops; the miss updates the model and the next
-    block starts at the row after it, so every row is scored against the
-    model the one-row loop shows it.  The prototype and sample norms come
+    one-row score.  ``cosine_divide`` turns them into cosines, as in
+    ``similarity_matrix``, and each row takes ``np.argmax`` (ties to the
+    lowest index, the first NaN wins).  The rows before the block's first
+    miss are no-ops; the miss updates the model and the next block starts
+    at the row after it, so every row is scored against the model the
+    one-row loop shows it.  The prototype and sample norms come
     from ``row_norms`` once per epoch; after an update the two touched
     prototype norms are ``math.sqrt(r.dot(r))``, bitwise what ``row_norms``
     gives for that row.
     """
-    H = _check_encoded(model, encoded)
+    H = check_encoded(model, encoded)
     y = _check_labels(model, labels)
     if H.shape[0] != y.shape[0]:
         raise ValueError(f"{H.shape[0]} samples but {y.shape[0]} labels")
@@ -177,10 +169,8 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
     want_all = y.tolist()
     i, m = 0, H.shape[0]
     while i < m:
-        den = hn[i:i + _BLOCK] * norms
-        # Where the denominator is 0 the output keeps it, so those score 0.
-        scores = np.divide(np.matmul(C, H_cols[i:i + _BLOCK])[..., 0], den,
-                           out=den, where=den != 0.0)
+        scores = cosine_divide(np.matmul(C, H_cols[i:i + _BLOCK])[..., 0],
+                               hn[i:i + _BLOCK], norms)
         preds, want = scores.argmax(axis=1).tolist(), want_all[i:i + _BLOCK]
         if preds == want:
             i += _BLOCK
@@ -242,8 +232,9 @@ def _build_distance_rows(model: ClassModel, encoded: np.ndarray, scores: np.ndar
     return partial_rows, incorrect_rows
 
 
-def check_training_sets(train_set, valid_set) -> int:
-    """The class count ``train`` derives from these sets; a ValueError when it
+def check_training_sets(train_set, valid_set):
+    """The class count ``train`` derives from these sets, then their features
+    (float64) and labels (intp), training set first; a ValueError when it
     cannot train on them: an empty set, splits that disagree on the feature
     count, fewer than 2 training classes, or validation labels beyond them."""
     X_train = np.asarray(train_set.features, dtype=np.float64)
@@ -261,7 +252,7 @@ def check_training_sets(train_set, valid_set) -> int:
         raise ValueError("training set must contain at least 2 classes")
     if y_valid.max() >= k:
         raise ValueError("validation labels outside the training label universe")
-    return k
+    return k, X_train, y_train, X_valid, y_valid
 
 
 def train(config: TrainConfig, train_set, valid_set):
@@ -292,11 +283,7 @@ def train(config: TrainConfig, train_set, valid_set):
     encoder's RNG stream is left where the run finished, so further
     regeneration continues deterministically.
     """
-    k = check_training_sets(train_set, valid_set)
-    X_train = np.asarray(train_set.features, dtype=np.float64)
-    y_train = np.asarray(train_set.labels, dtype=np.intp)
-    X_valid = np.asarray(valid_set.features, dtype=np.float64)
-    y_valid = np.asarray(valid_set.labels, dtype=np.intp)
+    k, X_train, y_train, X_valid, y_valid = check_training_sets(train_set, valid_set)
 
     encoder_seed = int(np.random.SeedSequence(
         entropy=(config.seed, STREAM_ENCODER)).generate_state(1)[0])

@@ -52,17 +52,15 @@ def confusion_matrix(pred, truth, n_classes: int) -> np.ndarray:
 
 @dataclass
 class ClassRates:
-    """One-vs-rest sensitivity/specificity with explicit undefined flags.
+    """One-vs-rest sensitivity/specificity.
 
-    A zero denominator (class never true, or never absent) yields NaN and
-    a cleared flag rather than a silent default, so sweep aggregation can
-    exclude it deliberately.
+    A zero denominator (class never true, or never absent) yields NaN
+    rather than a silent default, so sweep aggregation can exclude it
+    deliberately.
     """
 
     sensitivity: float
     specificity: float
-    sensitivity_defined: bool
-    specificity_defined: bool
 
 
 def sensitivity_specificity(cm: np.ndarray, cls: int) -> ClassRates:
@@ -76,15 +74,8 @@ def sensitivity_specificity(cm: np.ndarray, cls: int) -> ClassRates:
     fn = int(cm[cls].sum()) - tp
     fp = int(cm[:, cls].sum()) - tp
     tn = int(cm.sum()) - tp - fn - fp
-    if tp + fn > 0:
-        sens, sens_ok = tp / (tp + fn), True
-    else:
-        sens, sens_ok = math.nan, False
-    if tn + fp > 0:
-        spec, spec_ok = tn / (tn + fp), True
-    else:
-        spec, spec_ok = math.nan, False
-    return ClassRates(sens, spec, sens_ok, spec_ok)
+    return ClassRates(tp / (tp + fn) if tp + fn > 0 else math.nan,
+                      tn / (tn + fp) if tn + fp > 0 else math.nan)
 
 
 @dataclass

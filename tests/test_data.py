@@ -1,7 +1,9 @@
 """Unit tests for CSV IO, normalization, splitting, and synthetic blobs."""
 
 import csv
+import itertools
 import json
+import logging
 import math
 import tempfile
 import tracemalloc
@@ -541,6 +543,39 @@ def test_load_hazard(tmp_path, name):
     assert (plain is not None) == one_pass
 
 
+def test_nan_label_names_do_not_depend_on_the_row_order(tmp_path):
+    """A label whose float is NaN sorts as text, after the numbers, so both
+    parsers give one ``names`` list for every row order of a file."""
+    path = tmp_path / "nan.csv"
+    got = set()
+    for rows in itertools.permutations(["0.5,2", "1.5,nan", "2.5,1", "3.5,0"]):
+        path.write_text("a,label\n" + "\n".join(rows) + "\n")
+        got.update(tuple(parse(str(path), -1, True, None).names)
+                   for parse in (_load_plain, _load_rows))
+    assert got == {("0", "1", "2", "nan")}
+
+
+@pytest.mark.parametrize("label", ["b", '"b"'])  # a quoted cell takes the row parser
+def test_numeric_header_warns_once_that_it_may_be_data(tmp_path, caplog, label):
+    """A file without a header loses its first row to the header; when every
+    header cell outside the label column is a number, a WARNING names the file."""
+    path = tmp_path / "headerless.csv"
+    path.write_text(f"0.5,1.5,a\n2.5,3.5,{label}\n4.5,5.5,a\n6.5,7.5,b\n")
+    with caplog.at_level(logging.WARNING, logger="hdclass.data"):
+        assert load_csv(str(path)).n_samples == 3
+        assert load_csv(str(path), has_header=False).n_samples == 4
+    [record] = [r for r in caplog.records if r.name == "hdclass.data"]
+    assert record.levelno == logging.WARNING and str(path) in record.getMessage()
+
+
+def test_written_header_does_not_warn(tmp_path, caplog):
+    path = str(tmp_path / "blobs.csv")
+    save_csv(path, synth_blobs(3, 2, 4, 1.0, 0))
+    with caplog.at_level(logging.WARNING, logger="hdclass.data"):
+        assert load_csv(path).n_samples == 8
+    assert not [r for r in caplog.records if r.name == "hdclass.data"]
+
+
 def test_headerless_file_loads_in_one_pass(tmp_path):
     """ISOLET's ``.data`` layout: no header, ``", "`` between cells and the
     class as the last cell."""
@@ -560,7 +595,7 @@ PLAIN_CELLS = st.one_of(
                      "\xa01\u2000"]))
 HAZARD_CELLS = st.sampled_from(["1_000", "\u0661\u0662", "\uff11\uff12", "\x1c4", "4\x1f",
                                 "", "x", "#3", "1#", '"1"'])
-PLAIN_LABELS = st.sampled_from(["a", "b", " a", "10", "2", "", "x#y", "\u00e9"])
+PLAIN_LABELS = st.sampled_from(["a", "b", " a", "10", "2", "", "x#y", "\u00e9", "nan"])
 HAZARD_LABELS = st.sampled_from(['"q"', '"p\nq"', '"a,b"', "w"])
 ORACLE_NAMES = ["a", "b", "10", "2", "", "x#y", "\u00e9", "q"]
 

@@ -1,5 +1,7 @@
 """Unit tests for adaptive training, triage, and the training loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from hdclass import learner, regen
 from hdclass.core import ClassModel, Encoder, similarity_matrix
+from hdclass.data import Dataset
 from hdclass.learner import (
     TrainConfig,
     adaptive_fit_epoch,
@@ -388,6 +391,24 @@ class TestTrainLoop:
         assert report.snapshot_iteration == next(
             r.iteration for r in report.rows if r.valid_accuracy == best_recorded)
         assert "snapshot" not in report.to_jsonl()
+
+    def test_sets_of_plain_lists_train_as_datasets(self):
+        """``train`` reads any sets with ``features`` and ``labels``, here
+        Python lists, bitwise as it reads the same data in Datasets."""
+        tr, va, _ = make_benchmark(0, n_features=5, k_classes=3, per_class=120,
+                                   separation=1.0)
+        cfg = TrainConfig(dim=64, mode="dynamic", max_iters=6, patience=6,
+                          min_delta=0.0, regen_rate=40.0, shuffle=True)
+        lists = [SimpleNamespace(features=d.features.tolist(), labels=d.labels.tolist())
+                 for d in (tr, va)]
+        datasets = [Dataset(d.features, d.labels) for d in (tr, va)]
+        (e1, m1, r1), (e2, m2, r2) = train(cfg, *lists), train(cfg, *datasets)
+        assert any(r.regenerated for r in r1.rows)
+        assert m1.classes.tobytes() == m2.classes.tobytes() and m1.labels == m2.labels
+        assert e1.base.tobytes() == e2.base.tobytes()
+        assert e1.phase.tobytes() == e2.phase.tobytes()
+        assert r1.to_jsonl() == r2.to_jsonl()
+        assert r1.snapshot_iteration == r2.snapshot_iteration
 
     def test_deterministic(self):
         tr, va, _ = self.small_sets()

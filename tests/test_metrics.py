@@ -127,20 +127,19 @@ class TestSensitivitySpecificity:
         rates = sensitivity_specificity(cm, 0)
         assert rates.sensitivity == pytest.approx(0.8)
         assert rates.specificity == pytest.approx(0.9)
-        assert rates.sensitivity_defined and rates.specificity_defined
+        assert not math.isnan(rates.sensitivity) and not math.isnan(rates.specificity)
 
     def test_absent_class_is_undefined(self):
         cm = np.array([[0, 0], [0, 5]])
         rates = sensitivity_specificity(cm, 0)
-        assert not rates.sensitivity_defined
         assert math.isnan(rates.sensitivity)
-        assert rates.specificity_defined
+        assert not math.isnan(rates.specificity)
 
     def test_exhaustive_class_specificity_undefined(self):
         cm = np.array([[5, 0], [0, 0]])
         rates = sensitivity_specificity(cm, 0)
-        assert rates.sensitivity_defined
-        assert not rates.specificity_defined
+        assert not math.isnan(rates.sensitivity)
+        assert math.isnan(rates.specificity)
 
     def test_class_bounds(self):
         with pytest.raises(ValueError):
