@@ -5,8 +5,8 @@ Every command resolves its configuration from built-in defaults, then (only
 ``section.key = value`` lines, then explicit flags (flag wins).  It checks
 its inputs, echoes the resolved config into the output directory, computes,
 and writes deterministic artifacts only (logs go to stderr).  Exit codes: 0
-success, 1 config error (a MemoryError too, such as a ``--dim`` too large to
-allocate, which comes after the echo), 2 data error, 3 numerical failure.
+success, 1 config error (a ValueError; a MemoryError too, as from a ``--dim``
+too large to allocate after the echo), 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ EXIT_NUMERICAL = 3
 OUT_ROOT_ENV = "HDCLASS_OUT_ROOT"
 
 
-class ConfigError(Exception):
-    pass
-
-
 class DataError(Exception):
     pass
 
@@ -71,17 +67,17 @@ BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 def parse_config_file(path: str) -> dict:
     resolved = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+                    raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
                 key, value = line.split("=", 1)
                 resolved[key.strip()] = value.strip()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     return resolved
 
 
@@ -104,18 +100,18 @@ def _coerce(key: str, value):
     if isinstance(like, bool) and isinstance(value, str):
         word = value.strip().lower()
         if word not in BOOL_WORDS:
-            raise ConfigError(
+            raise ValueError(
                 f"{key}: expected one of {'/'.join(BOOL_WORDS)}, got {value!r}")
         return BOOL_WORDS[word]
     try:
         return type(like)(value)
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def resolve_train_config(args) -> dict:
     """The keys a ``train`` or ``sweep-weights`` run reads, resolved (a sweep reads no
-    ``GRID_KEYS``, ``train --valid`` no ``data.fractions``); another is a ConfigError."""
+    ``GRID_KEYS``, ``train --valid`` no ``data.fractions``); another is a ValueError."""
     run, unread = (("sweep-weights", GRID_KEYS) if args.command == "sweep-weights" else
                    ("train --valid", ("data.fractions",)) if args.valid else ("train", ()))
     resolved = {key: value for key, value in TRAIN_DEFAULTS.items() if key not in unread}
@@ -123,20 +119,20 @@ def resolve_train_config(args) -> dict:
     given.update({key: value for key in TRAIN_DEFAULTS
                   if (value := getattr(args, key.split(".", 1)[1], None)) is not None})
     if set(given) - set(resolved):
-        raise ConfigError(f"{run} reads no {sorted(set(given) - set(resolved))}")
+        raise ValueError(f"{run} reads no {sorted(set(given) - set(resolved))}")
     return {key: _coerce(key, given.get(key, value)) for key, value in resolved.items()}
 
 
 def _parse_list(flag: str, text: str, convert=float) -> list:
     """The items of the comma list ``text`` through ``convert``; an empty or
-    non-finite item is a ConfigError naming ``flag``."""
+    non-finite item is a ValueError naming ``flag``."""
     try:
         values = [convert(item) for item in text.split(",")]
     except ValueError:
         values = [math.nan]
     if not all(abs(v) < math.inf for v in values):
-        raise ConfigError(f"{flag}: expected a comma list of finite "
-                          f"{'integers' if convert is int else 'numbers'}, got {text!r}")
+        raise ValueError(f"{flag}: expected a comma list of finite "
+                         f"{'integers' if convert is int else 'numbers'}, got {text!r}")
     return values
 
 
@@ -156,7 +152,7 @@ def _out_dir(args, command: str) -> str:
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -192,11 +188,11 @@ def _normalized(spec: dio.NormalizationSpec, sets, names) -> list:
 
 
 def _check_describable(flag: str, value: int, *shape: int) -> None:
-    """A ConfigError naming ``flag`` when numpy cannot describe a float64
+    """A ValueError naming ``flag`` when numpy cannot describe a float64
     array of ``shape``: its byte size would overflow ``np.intp``."""
     if math.prod(shape) * 8 > np.iinfo(np.intp).max:
-        raise ConfigError(f"{flag} {value}: a {' x '.join(map(str, shape))} float64 "
-                          f"array is larger than numpy can describe")
+        raise ValueError(f"{flag} {value}: a {' x '.join(map(str, shape))} float64 "
+                         f"array is larger than numpy can describe")
 
 
 def _class_grouped(labels: np.ndarray) -> bool:
@@ -261,9 +257,9 @@ def cmd_synth(args) -> int:
     for flag, count in (("--features", args.features), ("--classes", args.classes),
                         ("--per-class", args.per_class)):
         if count < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {count}")
+            raise ValueError(f"{flag} must be >= 1, got {count}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     ds = dio.synth_blobs(args.features, args.classes, args.per_class,
                          args.separation, args.seed)
     _echo_args(out, args)
@@ -347,7 +343,7 @@ def _load_scored(args, paths):
     for path in paths:
         encoder, model = _read_checked("model", path, load_model)
         if model.dim in loaded:
-            raise ConfigError(f"{path}: another --model already has dim {model.dim}")
+            raise ValueError(f"{path}: another --model already has dim {model.dim}")
         if labels is None:
             labels = model.labels
         elif model.labels != labels:
@@ -379,7 +375,7 @@ def cmd_eval(args) -> int:
     [(encoder, model)], ds = _load_scored(args, [args.model])
     k_list = _parse_list("--topk", args.topk, int)
     if any(not 1 <= k <= model.n_classes for k in k_list):
-        raise ConfigError(f"top-k values must lie in [1, {model.n_classes}]")
+        raise ValueError(f"top-k values must lie in [1, {model.n_classes}]")
     _echo_args(out, args)
     encoded = encoder.encode_batch(ds.features)
     report = _evaluate(similarity_matrix(model, encoded), ds.labels)
@@ -407,8 +403,10 @@ def _sweep_point(cfg, train_ds, valid_ds, test_ds):
     rates = report["per_class"].values()
     sens = [r["sensitivity"] for r in rates if r["sensitivity"] is not None]
     spec = [r["specificity"] for r in rates if r["specificity"] is not None]
-    row = [cfg.alpha, cfg.beta, cfg.theta, report["accuracy"],
-           _mean(sens), _mean(spec), _mean([curve.auc for _, curve in rocs])]
+    # Row i is iteration i + 1, and a snapshot precedes its own iteration's regeneration.
+    before = sum(r.regenerated for r in trained.rows[:trained.snapshot_iteration - 1])
+    row = [cfg.alpha, cfg.beta, cfg.theta, report["accuracy"], _mean(sens), _mean(spec),
+           _mean([curve.auc for _, curve in rocs]), trained.snapshot_iteration, before]
     return [repr(v) for v in row], rocs
 
 
@@ -427,8 +425,8 @@ def cmd_sweep_weights(args) -> int:
         except ValueError as exc:
             bad.append((i, str(exc)))
     if bad:
-        raise ConfigError(f"invalid grid points at indices {[i for i, _ in bad]}: "
-                          f"{bad[0][1]}")
+        raise ValueError(f"invalid grid points at indices {[i for i, _ in bad]}: "
+                         f"{bad[0][1]}")
     write_config_echo(os.path.join(out, "config.txt"),
                       {**resolved, **{f"sweep.{n}": getattr(args, n) for n in names}})
 
@@ -436,8 +434,8 @@ def cmd_sweep_weights(args) -> int:
     for i, (_, rocs) in enumerate(results):
         for cls, curve in rocs:
             _write_roc_csv(os.path.join(out, f"roc_point{i}_class{cls}.csv"), curve)
-    header = ["alpha", "beta", "theta", "accuracy", "macro_sensitivity",
-              "macro_specificity", "auc"]
+    header = ["alpha", "beta", "theta", "accuracy", "macro_sensitivity", "macro_specificity",
+              "auc", "snapshot_iteration", "regenerated_before_snapshot"]
     write_csv_atomic(os.path.join(out, "sweep.csv"), header,
                      [row for row, _ in results])
     return EXIT_OK
@@ -449,13 +447,13 @@ def cmd_noise(args) -> int:
     bits_list = _parse_list("--bits", args.bits, int)
     rates = _parse_list("--rates", args.rates)
     if not set(bits_list) <= set(robustness.SUPPORTED_BITS):
-        raise ConfigError(f"--bits must each be one of {robustness.SUPPORTED_BITS}")
+        raise ValueError(f"--bits must each be one of {robustness.SUPPORTED_BITS}")
     if not all(0 <= rate <= 100 for rate in rates):
-        raise ConfigError(f"--rates must each lie in [0, 100], got {args.rates!r}")
+        raise ValueError(f"--rates must each lie in [0, 100], got {args.rates!r}")
     if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     _check_describable("--trials", args.trials, args.trials)
     _echo_args(out, args)
     models_by_dim = {model.dim: (model, encoder.encode_batch(ds.features), ds.labels)
@@ -489,7 +487,7 @@ def cmd_roc(args) -> int:
     out = _out_dir(args, "roc")
     [(encoder, model)], ds = _load_scored(args, [args.model])
     if not 0 <= args.class_id < model.n_classes:
-        raise ConfigError(f"class id {args.class_id} outside [0, {model.n_classes})")
+        raise ValueError(f"class id {args.class_id} outside [0, {model.n_classes})")
     _echo_args(out, args)
     scores = similarity_matrix(model, encoder.encode_batch(ds.features))
     class_scores = (metrics.margin_scores(scores, args.class_id)
@@ -619,9 +617,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
-        log.error("config error: %s", exc)
-        return EXIT_CONFIG
     except (DataError, dio.ParseError) as exc:
         log.error("data error: %s", exc)
         return EXIT_DATA

@@ -57,14 +57,16 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
              names=None) -> Dataset:
     """Parse a comma-separated file into features plus integer-mapped labels.
 
-    ``label_column`` may be a column name (requires a header) or an index;
-    negative indices count from the right.  Given a vocabulary ``names``,
-    label ``names[i]`` maps to id ``i`` and any other label is an error;
-    without one, the file's own labels map to dense ids by sorted order,
-    so the mapping is stable across runs and row orders.  Errors name the
-    physical line, counting newlines inside quoted fields.  A header whose
-    cells outside the label column are all numbers logs a WARNING: it is
-    most likely the first row of a file without a header.
+    ``label_column`` may be a column name (requires a header; names and
+    cells match stripped) or an index; negative indices count from the
+    right.  Given a vocabulary ``names``, label ``names[i]`` maps to id
+    ``i`` and any other label is an error; without one, the file's own
+    labels map to dense ids by sorted order, so the mapping is stable
+    across runs and row orders.  Errors name the physical line, counting
+    newlines inside quoted fields.  A leading UTF-8 byte order mark is
+    skipped.  A header whose cells outside the label column are all numbers
+    logs a WARNING: it is most likely the first row of a file without a
+    header.
 
     A file is opened once and read by ``np.loadtxt`` (``_load_plain``),
     which checks each line as it goes; a file it cannot vouch for, such as
@@ -107,7 +109,7 @@ def _load_plain(path: str, label_column, has_header: bool, names) -> Dataset | N
             yield line
 
     try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
             first = fh.readline().rstrip("\n")
             header = first.split(",") if has_header else None
@@ -135,7 +137,7 @@ def _load_rows(path: str, label_column, has_header: bool, names) -> Dataset:
     header = None
     width = label_idx = None
     feature_rows, ids, seen = [], [], {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:
@@ -191,7 +193,7 @@ def _label_index(path: str, label_column, header, width: int) -> int:
         if header is None:
             raise ParseError(f"{path}: label column {label_column!r} needs a header")
         try:
-            return header.index(label_column)
+            return [cell.strip() for cell in header].index(label_column.strip())
         except ValueError:
             raise ParseError(f"{path}: unknown label column {label_column!r}") from None
     label_idx = int(label_column)
@@ -325,11 +327,10 @@ def check_fractions(fractions) -> tuple[float, float, float]:
 
 def split(ds: Dataset, fractions, stratified: bool = False,
           seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint, exhaustive (train, valid, test) partition."""
+    """Disjoint, exhaustive (train, valid, test) partition, each in row order."""
     fractions = check_fractions(fractions)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    m = ds.n_samples
-    parts: list[list[int]] = [[], [], []]
+    part = np.full(ds.n_samples, -1, dtype=np.int8)  # a negative label joins no part
     if stratified:
         n_active = sum(1 for f in fractions if f > 0)
         for cls in range(ds.n_classes):
@@ -339,26 +340,21 @@ def split(ds: Dataset, fractions, stratified: bool = False,
                     f"class {cls} has {idx.size} samples, fewer than the "
                     f"{n_active} requested splits")
             rng.shuffle(idx)
-            _assign(idx, fractions, parts)
+            _assign(idx, fractions, part)
     else:
-        idx = rng.permutation(m)
-        _assign(idx, fractions, parts)
-    out = []
-    for p in parts:
-        sel = np.array(sorted(p), dtype=np.intp)
-        out.append(Dataset(ds.features[sel], ds.labels[sel], ds.names, dict(ds.meta)))
-    return tuple(out)
+        _assign(rng.permutation(ds.n_samples), fractions, part)
+    return tuple(Dataset(ds.features[part == p], ds.labels[part == p], ds.names,
+                         dict(ds.meta)) for p in range(3))
 
 
-def _assign(idx: np.ndarray, fractions, parts) -> None:
+def _assign(idx: np.ndarray, fractions, part: np.ndarray) -> None:
+    """Mark the rows ``idx``, in drawn order, as train (0), valid (1) or test (2)."""
     m = idx.size
-    n_train = int(round(fractions[0] * m))
-    n_valid = int(round(fractions[1] * m))
-    n_train = min(n_train, m)
-    n_valid = min(n_valid, m - n_train)
-    parts[0].extend(idx[:n_train].tolist())
-    parts[1].extend(idx[n_train:n_train + n_valid].tolist())
-    parts[2].extend(idx[n_train + n_valid:].tolist())
+    n_train = min(int(round(fractions[0] * m)), m)
+    n_valid = min(int(round(fractions[1] * m)), m - n_train)
+    part[idx[:n_train]] = 0
+    part[idx[n_train:n_train + n_valid]] = 1
+    part[idx[n_train + n_valid:]] = 2
 
 
 def synth_blobs(n_features: int, k_classes: int, per_class: int,

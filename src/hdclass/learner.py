@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,22 +86,19 @@ class IterationRecord:
 @dataclass
 class TrainReport:
     rows: list[IterationRecord] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
     # The iteration whose snapshot train() returned; not in to_jsonl().
     snapshot_iteration: int = 0
 
+    @property
+    def iterations(self) -> int:
+        return len(self.rows)
+
     def to_jsonl(self) -> str:
-        lines = []
-        for r in self.rows:
-            lines.append(json.dumps({
-                "iteration": r.iteration,
-                "train_accuracy": r.train_accuracy,
-                "valid_accuracy": r.valid_accuracy,
-                "regenerated": r.regenerated,
-                "effective_dim": r.effective_dim,
-            }, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One JSON object per row: every IterationRecord field but ``selection``."""
+        names = [f.name for f in fields(IterationRecord) if f.name != "selection"]
+        return "".join(json.dumps({name: getattr(r, name) for name in names},
+                                  sort_keys=True) + "\n" for r in self.rows)
 
 
 def _check_labels(model: ClassModel, labels) -> np.ndarray:
@@ -309,12 +306,8 @@ def train(config: TrainConfig, train_set, valid_set):
     encoded = encoder.encode_batch(X_train)
     valid_encoded = encoder.encode_batch(X_valid)
     for it in range(1, config.max_iters + 1):
-        if config.shuffle:
-            order = np.arange(X_train.shape[0])
-            shuffle_rng.shuffle(order)
-            adaptive_fit_epoch(model, encoded[order], y_train[order], ETA)
-        else:
-            adaptive_fit_epoch(model, encoded, y_train, ETA)
+        order = shuffle_rng.permutation(X_train.shape[0]) if config.shuffle else slice(None)
+        adaptive_fit_epoch(model, encoded[order], y_train[order], ETA)
 
         scores = _score_matrix(model, encoded)
         train_acc = metrics.accuracy(scores.argmax(axis=1), y_train)
@@ -354,7 +347,6 @@ def train(config: TrainConfig, train_set, valid_set):
         report.rows.append(IterationRecord(
             it, train_acc, valid_acc, regenerated, effective, undesired))
         if stopping:
-            report.iterations = it
             report.converged = stale >= config.patience
             break
 

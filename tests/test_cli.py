@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import decode_array, encode_array, format_1_document
 from hdclass import cli, core, learner, metrics, robustness
 from hdclass.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, TRAIN_DEFAULTS,
-                         ConfigError, build_parser, main, resolve_train_config,
+                         build_parser, main, resolve_train_config,
                          train_config_from_resolved)
 from hdclass.core import ranking, similarity_matrix
 from hdclass.data import (NormalizationSpec, apply_normalizer, fit_normalizer, load_csv,
@@ -101,6 +101,25 @@ class TestTrain:
         text = (out / "config.txt").read_text()
         assert "train.dim = 24" in text
         assert "train.max_iters = 2" in text
+
+    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes("\ufefftrain.dim = 16\n".encode("utf-8"))
+        args = build_parser().parse_args(["train", "--data", "x", "--config", str(cfg)])
+        assert resolve_train_config(args)["train.dim"] == 16
+
+    def test_padded_header_cell_is_chosen_by_name(self, tmp_path, blobs_csv):
+        """A ``", "`` file pads its header cells as it pads its labels."""
+        padded = tmp_path / "padded.csv"
+        padded.write_text("".join(", ".join(row) + "\n" for row in _read_rows(blobs_csv)))
+        assert padded.read_text().splitlines()[0].endswith(", label")
+        argv = ["--dim", "16", "--max-iters", "2", "--shuffle"]
+        plain, spaced = tmp_path / "plain", tmp_path / "spaced"
+        assert run("train", "--data", blobs_csv, *argv, "--out", str(plain)) == EXIT_OK
+        assert run("train", "--data", str(padded), "--label-column", "label", *argv,
+                   "--out", str(spaced)) == EXIT_OK
+        for name in ("model.json", "report.jsonl", "norm.json"):
+            assert (spaced / name).read_bytes() == (plain / name).read_bytes(), name
 
     def test_unknown_config_key_is_config_error(self, tmp_path, blobs_csv):
         cfg = tmp_path / "bad.cfg"
@@ -312,7 +331,7 @@ def test_fuzzed_config_file_raises_only_config_errors(tmp_path_factory, text):
     args = build_parser().parse_args(["train", "--data", "x", "--config", str(path)])
     try:
         train_config_from_resolved(resolve_train_config(args))
-    except (ConfigError, ValueError):
+    except ValueError:
         pass
 
 
@@ -859,15 +878,17 @@ class TestSweepWeights:
         tr, va, te = (apply_normalizer(norm, part) for part in parts)
         for i, alpha in enumerate([1.0, 2.0]):
             cfg = TrainConfig(dim=32, max_iters=2, seed=0, alpha=alpha)
-            encoder, model, _ = train(cfg, tr, va)
+            encoder, model, report = train(cfg, tr, va)
             encoded = encoder.encode_batch(te.features)
             preds = ranking(similarity_matrix(model, encoded), 1)[:, 0]
             sens = [np.mean(preds[te.labels == c] == c) for c in range(3)]
             spec = [np.mean(preds[te.labels != c] != c) for c in range(3)]
             curves = [roc_curve(margin_scores(similarity_matrix(model, encoded), c),
                                 (te.labels == c).astype(int)) for c in range(3)]
+            snap = report.snapshot_iteration
             expected = [alpha, 1.0, 0.5, top_k_accuracy(model, encoded, te.labels, 1),
-                        np.mean(sens), np.mean(spec), np.mean([c.auc for c in curves])]
+                        np.mean(sens), np.mean(spec), np.mean([c.auc for c in curves]),
+                        snap, sum(r.regenerated for r in report.rows[:snap - 1])]
             assert [float(v) for v in rows[i]] == [float(v) for v in expected]
             for c, curve in enumerate(curves):
                 points = _read_rows(out / f"roc_point{i}_class{c}.csv")[1:]

@@ -102,6 +102,28 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path, label_column="missing")
 
+    @pytest.mark.parametrize("cell", ["x", '"x"'])  # a quoted cell takes the row parser
+    def test_byte_order_mark_is_skipped(self, tmp_path, cell):
+        """Excel and other Windows tools start a UTF-8 file with a byte order mark."""
+        for text, args in ((f"\ufefflabel,f1\n{cell},1.0\ny,2.0\n", ("label",)),
+                           (f"\ufeff1.0,{cell}\n2.0,y\n", (-1, False))):
+            path = tmp_path / "bom.csv"
+            path.write_bytes(text.encode("utf-8"))
+            plain = assert_load_matches_row_parser(str(path), *args)
+            assert (plain is not None) == (cell == "x")
+            ds = load_csv(str(path), *args)
+            assert ds.features.tolist() == [[1.0], [2.0]] and ds.names == ["x", "y"]
+
+    @pytest.mark.parametrize("row", ["1.0, 2.0, x", '1.0, 2.0,"x"'])
+    @pytest.mark.parametrize("name", ["label", " label", "label "])
+    def test_padded_header_cell_is_chosen_by_name(self, tmp_path, row, name):
+        """The ``", "`` layout pads every header cell, as it pads every label."""
+        path = self.write(tmp_path, f"f1, f2, label\n{row}\n3.0, 4.0, y\n")
+        plain = assert_load_matches_row_parser(path, name)
+        assert (plain is not None) == ('"' not in row)
+        ds = load_csv(path, label_column=name)
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]] and ds.names == ["x", "y"]
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(st.one_of(
@@ -281,6 +303,64 @@ class TestSplit:
         ds = Dataset(np.zeros((3, 2)), np.array([0, 0, 1]))
         with pytest.raises(ValueError):
             split(ds, (0.4, 0.3, 0.3), stratified=True)
+
+
+def reference_split(ds, fractions, stratified=False, seed=0):
+    """Oracle: the split as three index lists, each sorted into row order."""
+    fractions = check_fractions(fractions)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    parts = [[], [], []]
+
+    def assign(idx):
+        m = idx.size
+        n_train = min(int(round(fractions[0] * m)), m)
+        n_valid = min(int(round(fractions[1] * m)), m - n_train)
+        parts[0].extend(idx[:n_train].tolist())
+        parts[1].extend(idx[n_train:n_train + n_valid].tolist())
+        parts[2].extend(idx[n_train + n_valid:].tolist())
+
+    if stratified:
+        n_active = sum(1 for f in fractions if f > 0)
+        for cls in range(ds.n_classes):
+            idx = np.flatnonzero(ds.labels == cls)
+            if idx.size < n_active:
+                raise ValueError(f"class {cls} has {idx.size} samples, fewer than the "
+                                 f"{n_active} requested splits")
+            rng.shuffle(idx)
+            assign(idx)
+    else:
+        assign(rng.permutation(ds.n_samples))
+    out = []
+    for p in parts:
+        sel = np.array(sorted(p), dtype=np.intp)
+        out.append(Dataset(ds.features[sel], ds.labels[sel], ds.names, dict(ds.meta)))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+       shares=st.tuples(*[st.integers(0, 4)] * 3).filter(any),
+       stratified=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+@example(sizes=[1, 5], shares=(1, 1, 1), stratified=True, seed=0, data=None)
+@example(sizes=[3], shares=(0, 1, 1), stratified=False, seed=0, data=None)
+def test_split_matches_the_index_list_oracle(sizes, shares, stratified, seed, data):
+    """Both modes, zero shares and tiny classes: the same three parts bit for
+    bit, or the same ValueError."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    if data is not None:  # rows in any order, not grouped by class
+        labels = labels[data.draw(st.permutations(range(labels.size)))]
+    ds = Dataset(np.arange(labels.size * 2, dtype=np.float64).reshape(-1, 2), labels,
+                 [f"c{i}" for i in range(len(sizes))], {"source": "oracle"})
+    fractions = tuple(share / sum(shares) for share in shares)
+    try:
+        want = reference_split(ds, fractions, stratified, seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            split(ds, fractions, stratified=stratified, seed=seed)
+        assert str(got.value) == str(exc)
+        return
+    for got, part in zip(split(ds, fractions, stratified=stratified, seed=seed), want):
+        assert_same_dataset(got, part)
 
 
 class TestSynthBlobs:

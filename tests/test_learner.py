@@ -1,5 +1,7 @@
 """Unit tests for adaptive training, triage, and the training loop."""
 
+import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -552,6 +554,44 @@ class TestTrainLoop:
         lines = report.to_jsonl().strip().split("\n")
         assert len(lines) == 2
         assert '"iteration": 1' in lines[0]
+
+    def test_report_jsonl_holds_every_record_field_but_the_selection(self):
+        tr, va, _ = self.small_sets()
+        cfg = TrainConfig(dim=32, max_iters=3, patience=3, min_delta=0.0)
+        _, _, report = train(cfg, tr, va)
+        names = {f.name for f in dataclasses.fields(learner.IterationRecord)} - {"selection"}
+        lines = report.to_jsonl().splitlines()
+        assert len(lines) == report.iterations == len(report.rows) == 3
+        for line, row in zip(lines, report.rows):
+            assert json.loads(line) == {name: getattr(row, name) for name in names}
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_epochs_take_the_stream_shuffle_order(self, monkeypatch, shuffle):
+        """Under ``shuffle`` epoch ``t`` takes the rows in the ``t``-th order
+        that ``arange`` plus ``shuffle`` draws from the STREAM_SHUFFLE stream;
+        without it every epoch reads the one cached encoding in file order."""
+        seen = []
+        real_epoch = learner.adaptive_fit_epoch
+
+        def recording_epoch(model, encoded, labels, eta):
+            seen.append((encoded, np.array(labels)))
+            return real_epoch(model, encoded, labels, eta)
+
+        monkeypatch.setattr(learner, "adaptive_fit_epoch", recording_epoch)
+        tr, va, _ = self.small_sets()
+        cfg = TrainConfig(dim=16, max_iters=4, patience=4, min_delta=0.0,
+                          regen_rate=40.0, seed=7, shuffle=shuffle)
+        train(cfg, tr, va)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(7, learner.STREAM_SHUFFLE)))
+        assert len(seen) == 4
+        for encoded, labels in seen:
+            order = np.arange(tr.n_samples)
+            if shuffle:
+                rng.shuffle(order)
+            else:
+                assert np.shares_memory(encoded, seen[0][0])
+            assert labels.tolist() == tr.labels[order].tolist()
 
     def test_input_validation(self):
         tr, va, _ = self.small_sets()
