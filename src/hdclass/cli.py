@@ -241,12 +241,10 @@ def _evaluate(scores, labels) -> dict:
     }
 
 
-def _roc(class_scores, labels, cls: int):
-    """ROC of class ``cls`` from its scores; None when it is absent or exhaustive."""
+def _truth(labels, cls: int):
+    """The 0/1 truth of class ``cls``; None when it is absent or fills every row."""
     truth = (labels == cls).astype(int)
-    if truth.min() == truth.max():
-        return None
-    return metrics.roc_curve(class_scores, truth)
+    return None if truth.min() == truth.max() else truth
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ def _read_checked(what: str, path: str, reader):
 
 
 def _read_norm(path: str) -> dio.NormalizationSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return dio.NormalizationSpec.from_dict(json.load(fh))
 
 
@@ -397,9 +395,9 @@ def _sweep_point(cfg, train_ds, valid_ds, test_ds):
                            f"theta={cfg.theta!r}")
     scores = similarity_matrix(model, encoder.encode_batch(test_ds.features))
     report = _evaluate(scores, test_ds.labels)
-    rocs = [(c, curve) for c in range(model.n_classes)
-            if (curve := _roc(metrics.margin_scores(scores, c), test_ds.labels,
-                              c)) is not None]
+    rocs = [(c, metrics.roc_curve(metrics.margin_scores(scores, c), truth))
+            for c in range(model.n_classes)
+            if (truth := _truth(test_ds.labels, c)) is not None]
     rates = report["per_class"].values()
     sens = [r["sensitivity"] for r in rates if r["sensitivity"] is not None]
     spec = [r["specificity"] for r in rates if r["specificity"] is not None]
@@ -407,7 +405,7 @@ def _sweep_point(cfg, train_ds, valid_ds, test_ds):
     before = sum(r.regenerated for r in trained.rows[:trained.snapshot_iteration - 1])
     row = [cfg.alpha, cfg.beta, cfg.theta, report["accuracy"], _mean(sens), _mean(spec),
            _mean([curve.auc for _, curve in rocs]), trained.snapshot_iteration, before]
-    return [repr(v) for v in row], rocs
+    return row, rocs
 
 
 def cmd_sweep_weights(args) -> int:
@@ -488,13 +486,14 @@ def cmd_roc(args) -> int:
     [(encoder, model)], ds = _load_scored(args, [args.model])
     if not 0 <= args.class_id < model.n_classes:
         raise ValueError(f"class id {args.class_id} outside [0, {model.n_classes})")
+    truth = _truth(ds.labels, args.class_id)
+    if truth is None:
+        raise DataError(f"class {args.class_id} is absent or exhaustive in the data")
     _echo_args(out, args)
     scores = similarity_matrix(model, encoder.encode_batch(ds.features))
     class_scores = (metrics.margin_scores(scores, args.class_id)
                     if args.score == "margin" else scores[:, args.class_id])
-    curve = _roc(class_scores, ds.labels, args.class_id)
-    if curve is None:
-        raise DataError(f"class {args.class_id} is absent or exhaustive in the data")
+    curve = metrics.roc_curve(class_scores, truth)
     _write_roc_csv(os.path.join(out, "roc.csv"), curve)
     write_json_atomic(os.path.join(out, "roc.json"),
                       {"auc": curve.auc, "score": args.score,
@@ -503,14 +502,13 @@ def cmd_roc(args) -> int:
 
 
 def _write_roc_csv(path: str, curve) -> None:
-    rows = [[repr(fpr), repr(tpr)] for fpr, tpr in curve.points]
-    write_csv_atomic(path, ["fpr", "tpr"], rows)
+    write_csv_atomic(path, ["fpr", "tpr"], curve.points)
 
 
 def _write_noise_csv(path: str, cells) -> None:
     write_csv_atomic(path, ["dim", "bits", "rate", "trials", "mean_loss", "std_loss"],
-                     [[c.dim, c.bits, repr(c.rate), c.trials, repr(c.mean_loss),
-                       repr(c.std_loss)] for c in cells])
+                     [[c.dim, c.bits, c.rate, c.trials, c.mean_loss, c.std_loss]
+                      for c in cells])
 
 
 def _write_dump_csv(path: str, records) -> None:
@@ -520,8 +518,8 @@ def _write_dump_csv(path: str, records) -> None:
         sel = r.selection
         if sel is None:
             continue
-        rows.extend([r.iteration, j, repr(float(sel.m_aggregate[j])),
-                     repr(float(sel.n_aggregate[j])), int(j in sel.dims)]
+        rows.extend([r.iteration, j, float(sel.m_aggregate[j]),
+                     float(sel.n_aggregate[j]), int(j in sel.dims)]
                     for j in range(sel.m_aggregate.shape[0]))
     write_csv_atomic(path, ["iteration", "dimension", "m_aggregate", "n_aggregate",
                             "selected"], rows)

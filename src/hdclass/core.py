@@ -87,43 +87,28 @@ class Encoder:
         """Encode one feature vector into a length-D hypervector."""
         return self.encode_batch(_as_float_vector(features, "features")[None, :])[0]
 
-    def encode_batch(self, batch) -> np.ndarray:
-        """Encode m feature vectors into an m x D matrix.
+    def encode_batch(self, batch, dims=None) -> np.ndarray:
+        """Encode m feature vectors into an m x D matrix, or into its columns
+        ``dims`` (m x len(dims)).
 
-        The projection is one matrix product, ``(input_scale * X) @ base.T``,
-        and the nonlinearity is applied to it in place.  A row equals the
-        per-row matrix-vector encoding within rounding, not bitwise: BLAS
+        The projection is one matrix product, ``(input_scale * X) @
+        base[dims].T``, and the nonlinearity is applied to it in place.  A
+        row equals the per-row matrix-vector encoding, and a ``dims`` column
+        the same column of a full encode, within rounding, not bitwise: BLAS
         sums the n products in an order that depends on its kernel, the
-        batch shape and the thread count.  Encoding the same batch twice in
-        one process gives the same bytes.  ``encode`` is a batch of one,
-        which numpy sends to the matrix-vector kernel.
+        product's shape and the thread count.  Encoding the same batch twice
+        in one process gives the same bytes.  ``encode`` is a batch of one,
+        which numpy sends to the matrix-vector kernel.  Training passes
+        ``dims`` to refresh only the columns a regeneration redrew.
         """
-        X = self._check_batch(batch)
-        return _cos_sin((self.input_scale * X) @ self.base.T, self.phase)
-
-    def encode_columns(self, batch, dims) -> np.ndarray:
-        """Columns ``dims`` of the encoding of m feature vectors (m x len(dims)).
-
-        The projection is one matrix product against the selected base
-        rows, so a column equals the same column of a fresh
-        :meth:`encode_batch` within rounding, not bitwise: the two products
-        have different shapes, which BLAS may tile differently.  Training
-        uses it to refresh only the columns a regeneration redrew; every
-        other cached column stays bitwise the old value.
-        """
-        X = self._check_batch(batch)
-        idx = np.asarray(dims, dtype=np.intp)
-        proj = (self.input_scale * X) @ self.base[idx].T
-        return _cos_sin(proj, self.phase[idx])
-
-    def _check_batch(self, batch) -> np.ndarray:
         X = np.asarray(batch, dtype=np.float64)
         if X.ndim != 2:
             raise DimensionError(f"batch must be 2-D, got shape {X.shape}")
         if X.shape[1] != self.n_features:
             raise DimensionError(
                 f"expected {self.n_features} features, got {X.shape[1]}")
-        return X
+        idx = slice(None) if dims is None else np.asarray(dims, dtype=np.intp)
+        return _cos_sin((self.input_scale * X) @ self.base[idx].T, self.phase[idx])
 
     def regenerate(self, dims) -> None:
         """Redraw the base rows and phases of the given dimensions.
@@ -179,10 +164,6 @@ class ClassModel:
         if len(set(labels)) != len(labels):
             raise ValueError("class labels must be distinct")
         self.labels = list(labels)
-
-    @classmethod
-    def zeros(cls, k: int, dim: int, labels=None) -> "ClassModel":
-        return cls(np.zeros((k, dim)), labels)
 
     @property
     def n_classes(self) -> int:

@@ -265,7 +265,7 @@ def train(config: TrainConfig, train_set, valid_set):
     untrained dimensions.
 
     Both sets are encoded once up front; after a regeneration only the
-    redrawn columns are encoded again (``Encoder.encode_columns``).  So a
+    redrawn columns are encoded again (``Encoder.encode_batch(X, dims)``).  So a
     column never regenerated, and every column in static mode, stays
     bitwise equal to a fresh ``encode_batch``, and a regenerated column
     equals it within rounding (two matrix products of different shapes).
@@ -292,7 +292,7 @@ def train(config: TrainConfig, train_set, valid_set):
         np.random.SeedSequence(entropy=(config.seed, STREAM_SHUFFLE)))
 
     names = getattr(train_set, "names", None)
-    model = ClassModel.zeros(k, config.dim, None if names is None else names[:k])
+    model = ClassModel(np.zeros((k, config.dim)), None if names is None else names[:k])
     report = TrainReport()
     effective = config.dim
     best_valid = -np.inf
@@ -336,8 +336,8 @@ def train(config: TrainConfig, train_set, valid_set):
             if undesired.dims:
                 idx = sorted(undesired.dims)
                 encoder.regenerate(idx)
-                encoded[:, idx] = encoder.encode_columns(X_train, idx)
-                valid_encoded[:, idx] = encoder.encode_columns(X_valid, idx)
+                encoded[:, idx] = encoder.encode_batch(X_train, idx)
+                valid_encoded[:, idx] = encoder.encode_batch(X_valid, idx)
                 # Prototype entries at regenerated dimensions were learned
                 # under the old base vectors; reset them.
                 model.classes[:, idx] = 0.0

@@ -110,15 +110,10 @@ def roc_curve(scores, truth) -> RocCurve:
     fps = np.cumsum(t_sorted == 0)
     # keep only the last sample of each distinct score (full-threshold steps)
     distinct = np.r_[s_sorted[1:] != s_sorted[:-1], True]
-    tpr = tps[distinct] / pos
-    fpr = fps[distinct] / neg
-    points = [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    auc = float(np.trapezoid(ys, xs))
-    return RocCurve(points, auc)
+    # The last threshold admits every sample, so the last point is (1, 1).
+    fpr = np.r_[0.0, fps[distinct] / neg]
+    tpr = np.r_[0.0, tps[distinct] / pos]
+    return RocCurve(list(zip(fpr.tolist(), tpr.tolist())), float(np.trapezoid(tpr, fpr)))
 
 
 def margin_scores(scores, target: int) -> np.ndarray:

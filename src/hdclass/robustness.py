@@ -93,10 +93,9 @@ def hamming_distance(a: QuantizedModel, b: QuantizedModel) -> int:
 
 def run_trial(qm: QuantizedModel, encoded: np.ndarray, labels: np.ndarray,
               clean_accuracy: float, error_rate: float, seed: int,
-              norms: np.ndarray | None = None) -> float:
-    """The accuracy drop, in percentage points, of one seeded corruption.
-
-    ``norms`` is ``row_norms(encoded)``, when the caller has it."""
+              norms: np.ndarray) -> float:
+    """The accuracy drop, in percentage points, of one seeded corruption;
+    ``norms`` is ``row_norms(encoded)``."""
     corrupted = dequantize(flip_bits(qm, error_rate, seed))
     acc = metrics.accuracy(
         similarity_matrix(corrupted, encoded, norms).argmax(axis=1), labels)

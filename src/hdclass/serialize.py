@@ -117,7 +117,7 @@ def save_model(path: str, encoder: Encoder, model: ClassModel) -> None:
 
 
 def load_model(path: str) -> tuple[Encoder, ClassModel]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return model_from_dict(json.load(fh))
 
 

@@ -79,6 +79,22 @@ class TestSynth:
             run("synth", "--per-class", "10", "--seed", "3", "--out", str(out))
         assert (a / "blobs.csv").read_bytes() == (b / "blobs.csv").read_bytes()
 
+    def test_without_out_writes_under_the_out_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path))
+        assert run("synth", "--classes", "2", "--per-class", "3") == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "synth").iterdir()) == [
+            "blobs.csv", "config.txt"]
+
+    def test_one_class_is_centred_on_the_origin(self, tmp_path):
+        # The class mean is drawn, then zeroed, so the features are the
+        # stream's next draw exactly.
+        assert run("synth", "--features", "4", "--classes", "1", "--per-class", "5",
+                   "--seed", "3", "--out", str(tmp_path)) == EXIT_OK
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        rng.standard_normal((1, 4))
+        assert np.array_equal(load_csv(str(tmp_path / "blobs.csv")).features,
+                              rng.standard_normal((5, 4)))
+
 
 class TestTrain:
     def test_artifacts(self, trained):
@@ -392,6 +408,20 @@ def test_bad_model_or_norm_file_is_data_error(tmp_path, trained, blobs_csv, capl
                if r.levelno == logging.ERROR)
 
 
+@pytest.mark.parametrize("which", ["model", "norm"])
+def test_model_or_norm_file_may_start_with_a_byte_order_mark(tmp_path, trained, blobs_csv,
+                                                             which):
+    files = {name: os.path.join(trained, f"{name}.json") for name in ("model", "norm")}
+    bom = tmp_path / f"{which}.json"
+    with open(files[which], "rb") as fh:
+        bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    for out, chosen in (("plain", files), ("bom", {**files, which: str(bom)})):
+        assert run("eval", "--model", chosen["model"], "--data", blobs_csv,
+                   "--norm", chosen["norm"], "--out", str(tmp_path / out)) == EXIT_OK
+    assert ((tmp_path / "bom" / "eval.json").read_bytes()
+            == (tmp_path / "plain" / "eval.json").read_bytes())
+
+
 def _run_with_norm(tmp_path, trained, blobs_csv, command, **changes):
     """Run ``command`` with the trained norm.json edited by ``changes``."""
     doc = json.load(open(os.path.join(trained, "norm.json")))
@@ -491,6 +521,19 @@ class TestNoise:
         assert len(rows) == 1 + 4  # 2 bits x 2 rates
         summary = json.load(open(out / "summary.json"))
         assert set(summary) == {"precision_ordering", "dimensionality_ordering"}
+
+    def test_two_dims_write_a_dimensionality_ordering(self, tmp_path, trained, blobs_csv):
+        wider = tmp_path / "train48"
+        assert run("train", "--data", blobs_csv, "--dim", "48", "--max-iters", "3",
+                   "--seed", "0", "--fractions", "0.7,0.3,0.0",
+                   "--out", str(wider)) == EXIT_OK
+        out = tmp_path / "noise"
+        assert run("noise", "--model", os.path.join(trained, "model.json"),
+                   "--model", str(wider / "model.json"), "--data", blobs_csv,
+                   "--norm", os.path.join(trained, "norm.json"), "--trials", "2",
+                   "--out", str(out)) == EXIT_OK
+        summary = json.load(open(out / "summary.json"))
+        assert isinstance(summary["dimensionality_ordering"], bool)
 
     def test_two_models_of_one_dim_are_config_error(self, tmp_path, trained,
                                                     blobs_csv, caplog):
@@ -823,6 +866,19 @@ class TestSweepWeights:
         assert len(rows) == 3  # header + 2 grid points
         assert rows[0][0] == "alpha"
 
+    def test_class_without_a_test_row_gets_no_roc_file(self, tmp_path, blobs_csv):
+        # The stratified 0.6/0.2/0.2 split of 3 rows gives 2 to training, 1 to
+        # validation and none to the test split, whose ROC needs the class.
+        rows = _read_rows(blobs_csv)
+        data = _write_rows(tmp_path / "few_2.csv", [r for r in rows if r[-1] != "2"]
+                           + [r for r in rows if r[-1] == "2"][:3])
+        out = tmp_path / "sweep"
+        assert run("sweep-weights", "--data", data, "--alphas", "1.0", "--betas", "1.0",
+                   "--thetas", "0.5", "--dim", "32", "--max-iters", "2",
+                   "--out", str(out)) == EXIT_OK
+        assert sorted(p.name for p in out.glob("roc_*.csv")) == [
+            "roc_point0_class0.csv", "roc_point0_class1.csv"]
+
     @pytest.mark.parametrize("given,used", [(None, "0.6,0.2,0.2"),
                                             ("1.0,0.0,0.0", "0.6,0.2,0.2"),
                                             ("0.5,0.25,0.25", "0.5,0.25,0.25")])
@@ -980,6 +1036,18 @@ class TestClassNames:
         assert run(command, "--model", os.path.join(train_dir, "model.json"),
                    "--data", data, *extra, "--out", str(tmp_path / "out")) == EXIT_DATA
         assert _logged_error(caplog, f"{data}: line 4: label '7'")
+
+    @pytest.mark.parametrize("keep", [("0", "1"), ("2",)], ids=["absent", "every_row"])
+    def test_roc_class_absent_or_on_every_row_is_data_error(self, tmp_path, names_case,
+                                                             caplog, keep):
+        _, _, train_dir, rows = names_case
+        data = _write_rows(tmp_path / "subset.csv",
+                           [rows[0]] + [r for r in rows[1:] if r[-1] in keep])
+        out = tmp_path / "roc"
+        assert run("roc", "--model", os.path.join(train_dir, "model.json"),
+                   "--data", data, "--class-id", "2", "--out", str(out)) == EXIT_DATA
+        assert _logged_error(caplog, "class 2")
+        assert not (out / "config.txt").exists()
 
     def test_valid_file_missing_a_class_maps_by_name(self, tmp_path, names_case):
         full, without_1, _, _ = names_case

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hdclass import data, learner, metrics, regen, robustness, serialize
 from hdclass.core import (
     ClassModel,
     DimensionError,
@@ -163,7 +164,7 @@ class TestEncode:
         X = rng.normal(size=(m, n))
         idx = np.sort(rng.choice(dim, size=int(rng.integers(0, dim + 1)),
                                  replace=False))
-        columns = enc.encode_columns(X, idx)
+        columns = enc.encode_batch(X, idx)
         assert columns.shape == (m, idx.size)
         np.testing.assert_allclose(columns, enc.encode_batch(X)[:, idx],
                                    rtol=0, atol=1e-12)
@@ -177,7 +178,7 @@ class TestEncode:
         with pytest.raises(DimensionError):
             enc.encode_batch(np.zeros((3, 5)))
         with pytest.raises(DimensionError):
-            enc.encode_columns(np.zeros((3, 5)), [0, 1])
+            enc.encode_batch(np.zeros((3, 5)), [0, 1])
 
 
 class TestRegenerate:
@@ -376,3 +377,65 @@ class TestRanking:
     def test_ties_break_low_index(self):
         assert ranking(np.array([2.0, 5.0, 5.0, 1.0]), 2).tolist() == [1, 2]
         assert ranking(np.array([3.0, 3.0, 3.0]), 2).tolist() == [0, 1]
+
+
+
+_RNG, _MODEL, _V = np.random.default_rng(0), ClassModel(np.eye(2)), np.zeros(3)
+_DS = data.Dataset(np.zeros((2, 2)), [0, 1])
+_CONTAINER = serialize.model_to_dict(Encoder.create(2, 4, 0), ClassModel(np.zeros((2, 4))))
+
+# (call, error type, message fragment) for each input check of the package
+# that no other test reaches.
+INPUT_CHECKS = {
+    "encoder_base_1d": (lambda: Encoder(_V, _V, _RNG), DimensionError, "base must be 2-D"),
+    "encoder_phase_length": (lambda: Encoder(np.zeros((3, 2)), np.zeros(2), _RNG),
+                             DimensionError, "does not match base rows"),
+    "encode_batch_1d": (lambda: Encoder.create(2, 4, 0).encode_batch(np.zeros(2)),
+                        DimensionError, "batch must be 2-D"),
+    "class_model_1d": (lambda: ClassModel(_V), DimensionError, "classes must be 2-D"),
+    "class_model_label_count": (lambda: ClassModel(np.eye(2), [0]), ValueError,
+                                "label count does not match class count"),
+    "dataset_features_1d": (lambda: data.Dataset(_V, [0, 0, 0]), ValueError,
+                            "features must be 2-D"),
+    "dataset_label_count": (lambda: data.Dataset(np.zeros((3, 2)), [0, 1]), ValueError,
+                            "label count does not match sample count"),
+    "normalizer_width": (lambda: data.apply_normalizer(
+        data.NormalizationSpec("zscore", _V, _V + 1.0), _DS), ValueError,
+        "dataset has 2 features, spec expects 3"),
+    "epoch_labels_2d": (lambda: learner.adaptive_fit_epoch(
+        _MODEL, np.eye(2), [[0, 1]], learner.ETA), ValueError, "labels must be 1-D"),
+    "epoch_label_count": (lambda: learner.adaptive_fit_epoch(
+        _MODEL, np.eye(2), [0], learner.ETA), ValueError, "2 samples but 1 labels"),
+    "sets_feature_count": (lambda: learner.check_training_sets(
+        _DS, data.Dataset(np.zeros((2, 3)), [0, 1])), ValueError,
+        "disagree on feature count"),
+    "valid_label_beyond_train": (lambda: learner.check_training_sets(
+        _DS, data.Dataset(np.zeros((1, 2)), [2])), ValueError, "validation labels outside"),
+    "top_k_label_count": (lambda: metrics.top_k_accuracy(_MODEL, np.eye(2), [0], 1),
+                          ValueError, "2 samples but 1 labels"),
+    "top_k_empty": (lambda: metrics.top_k_accuracy(_MODEL, np.zeros((0, 2)), [], 1),
+                    ValueError, "empty set"),
+    "top_k_k": (lambda: metrics.top_k_accuracy(_MODEL, np.eye(2), [0, 1], 3),
+                ValueError, "k must be in [1, 2]"),
+    "confusion_shapes": (lambda: metrics.confusion_matrix([0, 1], [0], 2), ValueError,
+                         "shape mismatch"),
+    "rates_not_square": (lambda: metrics.sensitivity_specificity(np.zeros((2, 3)), 0),
+                         ValueError, "must be square"),
+    "roc_lengths": (lambda: metrics.roc_curve([0.1, 0.2], [1]), ValueError,
+                    "equal-length nonempty"),
+    "incorrect_row_theta": (lambda: regen.incorrect_row(_V, _V, _V, _V, 1.0, 1.0, 0.0),
+                            ValueError, "alpha, beta and theta must be positive"),
+    "sweep_trials": (lambda: robustness.noise_sweep({}, [(2, 1, 0.0)], 0, 0),
+                     ValueError, "trial count must be >= 1"),
+    "container_input_scale": (lambda: serialize.model_from_dict(
+        dict(_CONTAINER, input_scale=math.inf)), ValueError, "input_scale must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check(case):
+    call, error, fragment = INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert fragment in str(info.value)

@@ -205,7 +205,7 @@ class TestAdaptiveFit:
         # predictions.  That is why train() runs at the fixed learner.ETA.
         tr, _, _ = make_benchmark(seed)
         H = Encoder.create(tr.n_features, 128, seed).encode_batch(tr.features)
-        slow, fast = ClassModel.zeros(4, 128), ClassModel.zeros(4, 128)
+        slow, fast = ClassModel(np.zeros((4, 128))), ClassModel(np.zeros((4, 128)))
         for _ in range(3):
             adaptive_fit_epoch(slow, H, tr.labels, learner.ETA)
             adaptive_fit_epoch(fast, H, tr.labels, 2 * learner.ETA)
@@ -447,18 +447,16 @@ class TestTrainLoop:
         # Each set is encoded in full once; a regeneration re-encodes only
         # the columns it redrew, in both sets.
         batch_calls, column_calls = [], []
-        encode_batch, encode_columns = Encoder.encode_batch, Encoder.encode_columns
+        encode_batch = Encoder.encode_batch
 
-        def counting_batch(self, batch):
-            batch_calls.append(len(batch))
-            return encode_batch(self, batch)
-
-        def counting_columns(self, batch, dims):
-            column_calls.append((len(batch), len(dims)))
-            return encode_columns(self, batch, dims)
+        def counting_batch(self, batch, dims=None):
+            if dims is None:
+                batch_calls.append(len(batch))
+            else:
+                column_calls.append((len(batch), len(dims)))
+            return encode_batch(self, batch, dims)
 
         monkeypatch.setattr(Encoder, "encode_batch", counting_batch)
-        monkeypatch.setattr(Encoder, "encode_columns", counting_columns)
         tr, va, _ = make_benchmark(0, n_features=5, k_classes=3, per_class=120,
                                    separation=1.0)
         cfg = TrainConfig(dim=64, mode=mode, max_iters=6, patience=6,
@@ -532,8 +530,10 @@ class TestTrainLoop:
         cfg = TrainConfig(dim=dim, mode=mode, max_iters=8, patience=8, min_delta=0.0,
                           regen_rate=40.0, shuffle=shuffle)
         _, _, gemm = train(cfg, tr, va)
-        monkeypatch.setattr(Encoder, "encode_batch",
-                            lambda self, X: per_row_encoding(self, X)[0])
+        # Column re-encodes after a regeneration stay with the real kernel.
+        encode_batch = Encoder.encode_batch
+        monkeypatch.setattr(Encoder, "encode_batch", lambda self, X, dims=None: (
+            per_row_encoding(self, X)[0] if dims is None else encode_batch(self, X, dims)))
         _, _, per_row = train(cfg, tr, va)
         assert gemm.to_jsonl() == per_row.to_jsonl()
         assert gemm.snapshot_iteration == per_row.snapshot_iteration

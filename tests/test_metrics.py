@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hdclass import cli, learner, robustness
-from hdclass.core import ClassModel, Encoder, similarity_matrix
+from hdclass.core import ClassModel, Encoder, row_norms, similarity_matrix
 from hdclass.data import Dataset
 from hdclass.learner import TrainConfig, top_k
 from hdclass.metrics import (
@@ -97,7 +97,7 @@ class TestTopKAccuracy:
             model = robustness.dequantize(qm)
             assert np.array_equal(model.classes[1], 3.0 * model.classes[0])
             acc = top_k_accuracy(model, H, y, 1)
-            assert robustness.run_trial(qm, H, y, acc, 0.0, 0) == 0.0
+            assert robustness.run_trial(qm, H, y, acc, 0.0, 0, row_norms(H)) == 0.0
         assert acc == top_k_accuracy(model, H, y, 1)
 
     def test_full_k_is_one(self):
