@@ -167,7 +167,7 @@ def _load_dataset(path: str, label_column, names=None) -> dio.Dataset:
         col = label_column
     try:
         ds = dio.load_csv(path, label_column=col, names=names)
-    except (dio.ParseError, OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(str(exc)) from exc
     return _finite_rows(path, ds)
 
@@ -201,15 +201,14 @@ def _class_grouped(labels: np.ndarray) -> bool:
 
 
 def _train_checked(cfg, train_ds, valid_ds):
-    """``train()``'s result; a NumericalError when the prototypes, the
-    encoder or the prototype norms that every cosine divides by hold a NaN
-    or infinite value.  That error reports an overflow, so numpy's warnings
-    on the arithmetic that led to it are silenced."""
+    """``train()``'s result; a NumericalError when a prototype norm, which every
+    cosine divides by, is NaN or infinite (a NaN or infinite prototype entry
+    gives one; the encoder's draws are finite).  That error reports an
+    overflow, so numpy's warnings on the arithmetic behind it are silenced."""
     with np.errstate(over="ignore", invalid="ignore"):
         encoder, model, report = train(cfg, train_ds, valid_ds)
-        for a in (model.classes, encoder.base, encoder.phase, row_norms(model.classes)):
-            if not np.isfinite(a).all():
-                raise NumericalError("non-finite values detected in model state")
+        if not np.isfinite(row_norms(model.classes)).all():
+            raise NumericalError("non-finite values detected in model state")
     return encoder, model, report
 
 
@@ -472,10 +471,10 @@ def _ordering_summary(cells) -> dict:
     summary = {"precision_ordering": None, "dimensionality_ordering": None}
     if rates:
         rate = rates[0]
-        if len(bits) >= 2 and (dims[-1], bits[0], rate) in by_key:
+        if len(bits) >= 2:
             summary["precision_ordering"] = bool(
                 by_key[(dims[-1], bits[0], rate)] < by_key[(dims[-1], bits[-1], rate)])
-        if len(dims) >= 2 and (dims[0], bits[-1], rate) in by_key:
+        if len(dims) >= 2:
             summary["dimensionality_ordering"] = bool(
                 by_key[(dims[-1], bits[-1], rate)] < by_key[(dims[0], bits[-1], rate)])
     return summary

@@ -51,8 +51,8 @@ class Encoder:
         if phase.shape != (base.shape[0],):
             raise DimensionError(
                 f"phase length {phase.shape} does not match base rows {base.shape[0]}")
-        if input_scale <= 0:
-            raise ValueError(f"input scale must be positive, got {input_scale}")
+        if not 0 < input_scale < np.inf:
+            raise ValueError(f"input_scale must be finite and positive, got {input_scale!r}")
         self.base = base
         self.phase = phase
         self._rng = rng

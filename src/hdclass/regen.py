@@ -13,6 +13,7 @@ regenerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,16 +34,10 @@ class UndesiredSet:
             raise ValueError("selected more dimensions than the nominal cap")
 
 
-def _check_rows(*vectors) -> int:
-    length = None
-    for v in vectors:
-        v = np.asarray(v)
-        if length is None:
-            length = v.shape[-1]
-        elif v.shape[-1] != length:
-            raise DimensionError(
-                f"length mismatch: {v.shape[-1]} vs {length}")
-    return length
+def _check_rows(*vectors) -> None:
+    lengths = [np.shape(v)[-1] for v in vectors]
+    if len(set(lengths)) > 1:
+        raise DimensionError(f"length mismatch: {lengths}")
 
 
 def partial_row(h, c_true, c_top1, alpha: float, beta: float) -> np.ndarray:
@@ -96,7 +91,7 @@ def nominal_count(dim: int, regen_rate: float) -> int:
     """The per-side candidate cap, floor(dim * rate / 100), computed exactly."""
     if not 0 < regen_rate <= 100:
         raise ValueError(f"regeneration rate must be in (0, 100], got {regen_rate}")
-    return int(dim * regen_rate // 100)
+    return Fraction(regen_rate) * dim // 100
 
 
 def select_undesired(partial_rows, incorrect_rows, regen_rate: float,

@@ -55,7 +55,7 @@ def model_from_dict(doc: dict) -> tuple[Encoder, ClassModel]:
     """Rebuild ``(encoder, model)`` from a format 1 or 2 document.
 
     A malformed document raises ``ValueError``, ``KeyError`` or
-    ``TypeError``.
+    ``TypeError``; a JSON integer beyond the float64 range is a ``ValueError``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a model container is a JSON object, not {type(doc).__name__}")
@@ -64,24 +64,24 @@ def model_from_dict(doc: dict) -> tuple[Encoder, ClassModel]:
         raise ValueError(f"unsupported container version: {version!r}")
     n, dim, k = (_declared_size(doc, key) for key in ("n_features", "dim", "n_classes"))
     shapes = {"base": (dim, n), "phase": (dim,), "classes": (k, dim)}
-    if version == 1:
-        arrays = {key: np.asarray(doc[key], dtype=np.float64) for key in shapes}
-    else:
-        arrays = {key: _decode_array(doc[key], key, shape)
-                  for key, shape in shapes.items()}
-    for key, shape in shapes.items():
-        if arrays[key].shape != shape:
-            raise ValueError(f"{key} has shape {arrays[key].shape}, declared {shape}")
-        if not np.isfinite(arrays[key]).all():
-            raise ValueError(f"non-finite values in {key}")
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(type(l) in (str, int) for l in labels):
         raise ValueError("labels must be a list of class names or ids")
-    input_scale = doc["input_scale"]
-    if not math.isfinite(input_scale):
-        raise ValueError(f"input_scale must be finite, got {input_scale!r}")
-    encoder = Encoder(arrays["base"], arrays["phase"], np.random.default_rng(),
-                      seed=doc.get("seed"), input_scale=input_scale)
+    try:
+        if version == 1:
+            arrays = {key: np.asarray(doc[key], dtype=np.float64) for key in shapes}
+        else:
+            arrays = {key: _decode_array(doc[key], key, shape)
+                      for key, shape in shapes.items()}
+        for key, shape in shapes.items():
+            if arrays[key].shape != shape:
+                raise ValueError(f"{key} has shape {arrays[key].shape}, declared {shape}")
+            if not np.isfinite(arrays[key]).all():
+                raise ValueError(f"non-finite values in {key}")
+        encoder = Encoder(arrays["base"], arrays["phase"], np.random.default_rng(),
+                          seed=doc.get("seed"), input_scale=doc["input_scale"])
+    except OverflowError:  # a JSON integer beyond the float64 range
+        raise ValueError("the container holds a number beyond the float64 range") from None
     encoder.set_rng_state(doc["rng_state"])
     return encoder, ClassModel(arrays["classes"], labels)
 

@@ -1106,6 +1106,24 @@ class TestClassNames:
 SCORING_EXTRA = {"roc": ["--class-id", "1"], "noise": ["--trials", "2"]}
 
 
+@pytest.mark.parametrize("where", ["input_scale", "format_1_array"])
+def test_model_integer_beyond_float64_is_data_error(tmp_path, trained, blobs_csv, caplog,
+                                                    where):
+    doc = json.load(open(os.path.join(trained, "model.json")))
+    if where == "input_scale":
+        doc["input_scale"] = 10**400
+    else:
+        doc = format_1_document(doc)
+        doc["base"][0][0] = 10**400
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("eval", "--model", str(model), "--data", blobs_csv,
+               "--out", str(out)) == EXIT_DATA
+    assert _logged_error(caplog, "beyond the float64 range")
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["train", "sweep-weights", "eval", "roc", "noise"])
 def test_non_finite_feature_is_data_error(tmp_path, trained, blobs_csv, caplog,

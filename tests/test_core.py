@@ -76,6 +76,18 @@ class TestEncoderCreation:
         with pytest.raises(ValueError):
             Encoder(enc.base, enc.phase, np.random.default_rng(), input_scale=0.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, -1.0])
+    def test_input_scale_must_be_finite_and_positive(self, scale):
+        # Every encoding of a NaN or infinite scale is NaN.
+        enc = Encoder.create(3, 8, seed=0)
+        with pytest.raises(ValueError, match="input_scale must be finite and positive"):
+            Encoder(enc.base, enc.phase, np.random.default_rng(), input_scale=scale)
+
+    def test_input_scale_is_not_parsed_from_text(self):
+        enc = Encoder.create(3, 8, seed=0)
+        with pytest.raises(TypeError):
+            Encoder(enc.base, enc.phase, np.random.default_rng(), input_scale="0.5")
+
 
 class TestEncode:
     def test_formula(self):

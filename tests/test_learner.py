@@ -21,6 +21,7 @@ from hdclass.learner import (
     _build_distance_rows,
 )
 from conftest import make_benchmark, eval_accuracy, per_row_encoding
+from reference_train import reference_train
 
 # The adaptive epoch's block of rows scored per call, and row counts at and
 # around its multiples.
@@ -670,3 +671,57 @@ class TestTrainLoopRules:
         _, _, report = train(cfg, tr, va)
         assert len({r.valid_accuracy for r in report.rows}) == 1
         assert report.snapshot_iteration == 1
+
+
+@st.composite
+def tiny_runs(draw):
+    """A TrainConfig and seeded (train, valid) sets of a tiny shape: k 2-5,
+    n 2-8, D 8-64, at most 12 iterations."""
+    k, n = draw(st.integers(2, 5)), draw(st.integers(2, 8))
+    cfg = TrainConfig(
+        dim=draw(st.integers(8, 64)), mode=draw(st.sampled_from(["dynamic", "static"])),
+        shuffle=draw(st.booleans()), max_iters=draw(st.integers(1, 12)),
+        patience=draw(st.integers(1, 4)), min_delta=draw(st.sampled_from([0.0, 0.01, 0.1])),
+        regen_rate=draw(st.one_of(st.integers(1, 100), st.floats(0.01, 100))),
+        seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # Close centres make misses, which regeneration needs on both sides.
+    centres = draw(st.sampled_from([0.3, 1.0, 3.0])) * rng.normal(size=(k, n))
+    y_train = rng.permutation(np.repeat(np.arange(k), draw(st.integers(1, 10))))
+    y_valid = rng.integers(0, k, size=draw(st.integers(1, 10)))
+    sets = [SimpleNamespace(features=centres[y] + rng.normal(size=(y.size, n)), labels=y)
+            for y in (y_train, y_valid)]
+    return cfg, *sets
+
+
+class TestWholeRunOracle:
+    """``train()`` against ``reference_train``, the literal per-sample loop
+    of its docstrings, over tiny shapes where exact validation-accuracy ties
+    are common."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_runs())
+    # Regenerates at 5 of 8 iterations, and its validation accuracy ties
+    # from iteration 1 to 5 and from 6 to 8.
+    @example((TrainConfig(dim=32, mode="dynamic", max_iters=8, patience=3, min_delta=0.0,
+                          regen_rate=40.0, seed=0), *make_benchmark(
+                              0, n_features=5, k_classes=3, per_class=15, separation=0.5)[:2]))
+    def test_run_matches_the_reference_loop(self, run):
+        cfg, train_set, valid_set = run
+        encoder, model, report = train(cfg, train_set, valid_set)
+        ref = reference_train(cfg, train_set.features, train_set.labels,
+                              valid_set.features, valid_set.labels)
+        assert report.to_jsonl() == ref.jsonl
+        assert report.snapshot_iteration == ref.snapshot_iteration
+        assert report.converged == ref.converged
+        for row, want in zip(report.rows, ref.selections, strict=True):
+            got = row.selection
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got.dims, got.nominal_count) == (want.dims, want.nominal_count)
+                assert np.array_equal(got.m_aggregate, want.m_aggregate)
+                assert np.array_equal(got.n_aggregate, want.n_aggregate)
+        assert np.array_equal(model.classes, ref.classes)
+        assert np.array_equal(encoder.base, ref.base)
+        assert np.array_equal(encoder.phase, ref.phase)
+        assert encoder.rng_state() == ref.rng_state

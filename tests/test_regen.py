@@ -111,6 +111,12 @@ class TestSelectUndesired:
         rows = [np.arange(100.0)]
         assert select_undesired(rows, rows, 29, 100).nominal_count == 29
 
+    def test_nominal_is_exact_where_the_float_product_rounds_up(self):
+        # 12 * 91.66666666666666 is 1099.9999999999999 exactly, which rounds
+        # to the float 1100.0.
+        assert nominal_count(12, 91.66666666666666) == 10
+        assert nominal_count(28, 28.57142857142857) == 7
+
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             select_undesired([], [], 0.0, 4)

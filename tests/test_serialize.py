@@ -176,9 +176,22 @@ class TestFormat2Validation:
         with pytest.raises(ValueError, match="non-finite values in classes"):
             model_from_dict(model_to_dict(enc, model))
 
+    @pytest.mark.parametrize("where", ["input_scale", "format_1_array"])
+    def test_integer_beyond_float64_is_value_error(self, where):
+        # JSON integers are unbounded; converting 10**400 to float overflows.
+        doc = model_to_dict(*make_pair())
+        if where == "input_scale":
+            doc["input_scale"] = 10**400
+        else:
+            doc = format_1_document(doc)
+            doc["classes"][1][2] = 10**400
+        with pytest.raises(ValueError, match="beyond the float64 range"):
+            model_from_dict(doc)
+
 
 FUZZ_DOC = model_to_dict(*make_pair(n=3, dim=8, k=3))
-ODD_VALUES = [None, True, 0, -1, 7, 2.5, float("nan"), "", "x", [], [1.0], {}, {"a": 1}]
+ODD_VALUES = [None, True, 0, -1, 7, 2.5, float("nan"), 10**400, "", "x", [], [1.0], {},
+              {"a": 1}]
 
 
 @st.composite
