@@ -25,7 +25,7 @@ import numpy as np
 from . import data as dio
 from . import metrics, robustness
 from .core import row_norms, similarity_matrix
-from .learner import TrainConfig, check_training_sets, train
+from .learner import DYNAMIC, TrainConfig, check_training_sets, train
 from .serialize import (load_model, save_model, write_csv_atomic, write_json_atomic,
                         write_text_atomic)
 
@@ -288,7 +288,7 @@ def _load_training(args, test_split: bool):
         parts = dio.split(ds, fractions, stratified=True, seed=cfg.seed)
         sets = parts[:3 if test_split else 2]
         names = [f"{args.data} ({part} split)" for part in ("train", "valid", "test")]
-    check_training_sets(sets[0], sets[1])
+    n_classes = check_training_sets(sets[0], sets[1])[0]
     _check_describable("--dim", cfg.dim, cfg.dim, ds.n_features)
     spec = None
     if resolved["data.normalize"] != "none":
@@ -297,6 +297,11 @@ def _load_training(args, test_split: bool):
     if not cfg.shuffle and _class_grouped(sets[0].labels):
         log.warning("the training rows are grouped by class and train.shuffle is off; the "
                     "sequential update learns poorly in this order, so consider --shuffle")
+    if cfg.mode == DYNAMIC and n_classes == 2:
+        log.warning("the training set has two classes, so this dynamic run never "
+                    "regenerates: every miss ranks its true class second, and only misses "
+                    "that rank it lower select dimensions to redraw; it trains as a static "
+                    "run does")
     return resolved, cfg, spec, sets
 
 

@@ -83,10 +83,6 @@ class Encoder:
     def dim(self) -> int:
         return self.base.shape[0]
 
-    def encode(self, features) -> np.ndarray:
-        """Encode one feature vector into a length-D hypervector."""
-        return self.encode_batch(_as_float_vector(features, "features")[None, :])[0]
-
     def encode_batch(self, batch, dims=None) -> np.ndarray:
         """Encode m feature vectors into an m x D matrix, or into its columns
         ``dims`` (m x len(dims)).
@@ -97,9 +93,9 @@ class Encoder:
         the same column of a full encode, within rounding, not bitwise: BLAS
         sums the n products in an order that depends on its kernel, the
         product's shape and the thread count.  Encoding the same batch twice
-        in one process gives the same bytes.  ``encode`` is a batch of one,
-        which numpy sends to the matrix-vector kernel.  Training passes
-        ``dims`` to refresh only the columns a regeneration redrew.
+        in one process gives the same bytes.  A batch of one goes to numpy's
+        matrix-vector kernel.  Training passes ``dims`` to refresh only the
+        columns a regeneration redrew.
         """
         X = np.asarray(batch, dtype=np.float64)
         if X.ndim != 2:

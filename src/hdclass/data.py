@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import io
+import itertools
 import logging
 import math
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +23,13 @@ log = logging.getLogger(__name__)
 
 ZSCORE = "zscore"
 MINMAX = "minmax"
+
+# ``save_csv`` formats a table of at least this many cells on every usable
+# CPU; below it, starting the workers costs more than they save.
+_PARALLEL_CELLS = 1 << 18
+# Cells per block of rows that ``save_csv`` formats at once: small, so
+# that the blocks in flight hold little memory.
+_BLOCK_CELLS = 1 << 13
 
 
 class ParseError(ValueError):
@@ -225,7 +238,12 @@ def save_csv(path: str, ds: Dataset) -> None:
     The bytes are those of ``csv.writer``: each feature is its ``repr``,
     each class name is quoted as ``csv.writer`` quotes it, lines end in
     ``\\r\\n``.  A row is one string join; only the names go through
-    ``csv.writer``, once per class.  Rows stream through ``open_atomic``."""
+    ``csv.writer``, once per class.  The rows are formatted in blocks of
+    about ``_BLOCK_CELLS`` cells, which stream in order through
+    ``open_atomic``.  A table of at least ``_PARALLEL_CELLS`` cells has its
+    blocks formatted on every CPU the process may use, by worker processes
+    of the ``fork`` start method (see ``_formatted``); the bytes are the
+    same either way."""
     names = ds.names or [str(i) for i in range(ds.n_classes)]
     # A name as the last cell of a row, with the comma before it when the
     # row has features (csv.writer quotes a lone empty cell, not a last one).
@@ -235,11 +253,54 @@ def save_csv(path: str, ds: Dataset) -> None:
         cell = io.StringIO()
         csv.writer(cell).writerow(lead + [name])
         tails.append(cell.getvalue()[:-2])
-    with open_atomic(path) as fh:
+    step = max(1, _BLOCK_CELLS // max(1, ds.n_features))
+    blocks = ((ds.features[i:i + step], ds.labels[i:i + step], tails)
+              for i in range(0, ds.n_samples, step))
+    with open_atomic(path) as fh, \
+            contextlib.closing(_formatted(blocks, ds.features.size)) as texts:
         fh.write(",".join([f"feat_{i}" for i in range(ds.n_features)] + ["label"])
                  + "\r\n")
-        for row, label in zip(ds.features, ds.labels.tolist()):
-            fh.write(",".join(map(repr, row.tolist())) + tails[label] + "\r\n")
+        fh.writelines(texts)
+
+
+def _format_rows(features: np.ndarray, labels: np.ndarray, tails: list) -> str:
+    """The lines of a block of rows: its features' ``repr`` joined by commas,
+    then the tail of its label's name, then ``\\r\\n``."""
+    return "".join(",".join(map(repr, row)) + tails[label] + "\r\n"
+                   for row, label in zip(features.tolist(), labels.tolist()))
+
+
+def _formatted(blocks, cells: int):
+    """``_format_rows`` of each block, in block order: on one worker per
+    usable CPU when ``cells`` >= ``_PARALLEL_CELLS``, there are two or more,
+    ``fork`` exists and this process is not a daemon (such as a
+    ``multiprocessing.Pool`` worker, which may not start children), else
+    in this process.
+
+    A forked worker neither imports numpy again nor needs the calling
+    script to guard its entry point with ``if __name__ == "__main__"``, as
+    a spawned one does; the pool forks before it starts its manager
+    thread, and a worker only formats text, so it needs none of the BLAS
+    threads a fork leaves behind.  At most ``2 * workers + 1`` blocks are
+    in flight.  A worker's exception is raised here; closing the
+    generator cancels what is queued and joins every worker.
+    """
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if (cells < _PARALLEL_CELLS or workers < 2 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        yield from itertools.starmap(_format_rows, blocks)
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        pending = collections.deque()
+        for block in blocks:
+            pending.append(pool.submit(_format_rows, *block))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass

@@ -84,13 +84,6 @@ def flip_bits(qm: QuantizedModel, error_rate: float, seed: int) -> QuantizedMode
     return QuantizedModel(qm.bits, packed, qm.scales.copy())
 
 
-def hamming_distance(a: QuantizedModel, b: QuantizedModel) -> int:
-    if a.bits != b.bits or a.packed.shape != b.packed.shape:
-        raise ValueError(f"memories differ in layout: {a.bits}-bit {a.packed.shape} "
-                         f"vs {b.bits}-bit {b.packed.shape}")
-    return int(np.unpackbits(a.packed ^ b.packed).sum())
-
-
 def run_trial(qm: QuantizedModel, encoded: np.ndarray, labels: np.ndarray,
               clean_accuracy: float, error_rate: float, seed: int,
               norms: np.ndarray) -> float:

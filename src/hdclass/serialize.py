@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -56,6 +57,7 @@ def model_from_dict(doc: dict) -> tuple[Encoder, ClassModel]:
 
     A malformed document raises ``ValueError``, ``KeyError`` or
     ``TypeError``; a JSON integer beyond the float64 range is a ``ValueError``.
+    The ``seed`` is null or an integer >= 0, as ``Encoder.create`` takes.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a model container is a JSON object, not {type(doc).__name__}")
@@ -67,6 +69,9 @@ def model_from_dict(doc: dict) -> tuple[Encoder, ClassModel]:
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(type(l) in (str, int) for l in labels):
         raise ValueError("labels must be a list of class names or ids")
+    seed = doc.get("seed")
+    if seed is not None and (type(seed) is not int or not 0 <= seed <= sys.float_info.max):
+        raise ValueError("seed must be null or an integer from 0 to the float64 maximum")
     try:
         if version == 1:
             arrays = {key: np.asarray(doc[key], dtype=np.float64) for key in shapes}
@@ -79,7 +84,7 @@ def model_from_dict(doc: dict) -> tuple[Encoder, ClassModel]:
             if not np.isfinite(arrays[key]).all():
                 raise ValueError(f"non-finite values in {key}")
         encoder = Encoder(arrays["base"], arrays["phase"], np.random.default_rng(),
-                          seed=doc.get("seed"), input_scale=doc["input_scale"])
+                          seed=seed, input_scale=doc["input_scale"])
     except OverflowError:  # a JSON integer beyond the float64 range
         raise ValueError("the container holds a number beyond the float64 range") from None
     encoder.set_rng_state(doc["rng_state"])

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import logging
@@ -232,6 +233,38 @@ class TestTrain:
         assert [w.split(" returned")[0] for w in warnings] == [
             "the grid point alpha=1.0, beta=1.0, theta=0.25",
             "the grid point alpha=2.0, beta=1.0, theta=0.25"]
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["sweep-weights", "--alphas", "1.0", "--betas", "1.0", "--thetas", "0.25"]],
+        ids=["train", "sweep-weights"])
+    def test_dynamic_run_on_two_classes_warns_once(self, tmp_path, caplog, command):
+        def warnings(classes, mode):
+            synth = tmp_path / f"synth{classes}"
+            assert run("synth", "--features", "6", "--classes", str(classes),
+                       "--per-class", "40", "--separation", "1.0",
+                       "--out", str(synth)) == EXIT_OK
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                assert run(*command, "--data", str(synth / "blobs.csv"), "--dim", "32",
+                           "--max-iters", "3", "--shuffle", "--mode", mode,
+                           "--out", str(tmp_path / f"{classes}{mode}")) == EXIT_OK
+            return [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING and "two classes" in r.getMessage()]
+
+        assert len(warnings(2, "dynamic")) == 1
+        assert warnings(2, "static") == [] and warnings(3, "dynamic") == []
+
+    def test_dynamic_run_on_two_classes_trains_as_static(self, tmp_path):
+        assert run("synth", "--features", "6", "--classes", "2", "--per-class", "100",
+                   "--separation", "1.0", "--out", str(tmp_path / "synth")) == EXIT_OK
+        outs = {}
+        for mode in ("dynamic", "static"):
+            outs[mode] = tmp_path / mode
+            assert run("train", "--data", str(tmp_path / "synth" / "blobs.csv"),
+                       "--dim", "32", "--max-iters", "8", "--regen-rate", "40",
+                       "--shuffle", "--mode", mode, "--out", str(outs[mode])) == EXIT_OK
+        for name in ("model.json", "report.jsonl"):
+            assert (outs["dynamic"] / name).read_bytes() == (outs["static"] / name).read_bytes()
 
     def test_dump_regen(self, tmp_path, blobs_csv):
         out = tmp_path / "t6"
@@ -563,6 +596,52 @@ class TestNoise:
         assert any("feature count mismatch" in r.getMessage()
                    for r in caplog.records if r.levelno == logging.ERROR)
         assert not (tmp_path / "n4" / "noise.csv").exists()
+
+    def test_toy_run_is_golden(self, tmp_path):
+        """``noise.csv`` and ``summary.json`` of a fixed sweep, by digest.
+
+        The models are drawn, not trained: class-mean prototypes of two
+        seeded encoders, so that only the sweep decides the bytes.  A change
+        to the trial seeds' entropy order, the flips or the summary rule
+        changes them.  BLAS reaches the bytes only through quantization
+        codes and argmax decisions, which a last-bit difference moves only
+        at a tie."""
+        ds = synth_blobs(6, 3, 20, 3.0, seed=1)
+        data = str(tmp_path / "data.csv")
+        save_csv(data, ds)
+        models = []
+        for dim in (32, 64):
+            encoder = core.Encoder.create(6, dim, seed=dim)
+            encoder.input_scale = 6 ** -0.5
+            encoded = encoder.encode_batch(ds.features)
+            means = np.stack([encoded[ds.labels == c].mean(axis=0) for c in range(3)])
+            models += ["--model", str(tmp_path / f"model{dim}.json")]
+            save_model(models[-1], encoder, core.ClassModel(means, ds.names))
+        out = tmp_path / "noise"
+        assert run("noise", *models, "--data", data, "--bits", "1,8",
+                   "--rates", "0,10,30", "--trials", "3", "--seed", "5",
+                   "--out", str(out)) == EXIT_OK
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("noise.csv", "summary.json")}
+        assert digests == {
+            "noise.csv": "e26a65be659ab3513783a7b1bcf7fbf84ac5497e6b359e35b00b28c80668a081",
+            "summary.json": "92fe28d379a880ccee4389638c913c64b09d7ae3514eb0f4c9316413254dcb30"}
+
+    def test_ordering_summary_of_a_hand_built_grid(self):
+        # Losses by (dim, bits, rate); rate 0 flips nothing.  The summary
+        # reads the smallest positive rate, 5: at the widest dim, 200,
+        # 1 bit loses 1.0 < 4.0 at 8 bits, so precision_ordering is true;
+        # at 8 bits, dim 200 loses 4.0 < 6.0 at dim 100, so
+        # dimensionality_ordering is true.  Rate 10 would give false for
+        # both (9 > 2, 2 > 1), and so would a flipped comparison.
+        losses = {(100, 1, 5.0): 7.0, (100, 8, 5.0): 6.0, (200, 1, 5.0): 1.0,
+                  (200, 8, 5.0): 4.0, (100, 1, 10.0): 3.0, (100, 8, 10.0): 1.0,
+                  (200, 1, 10.0): 9.0, (200, 8, 10.0): 2.0}
+        losses.update({(dim, bits, 0.0): 0.0 for dim in (100, 200) for bits in (1, 8)})
+        cells = [robustness.SweepCell(dim, bits, rate, 3, loss, 0.0)
+                 for (dim, bits, rate), loss in sorted(losses.items(), reverse=True)]
+        assert cli._ordering_summary(cells) == {"precision_ordering": True,
+                                                "dimensionality_ordering": True}
 
     def test_missing_model(self, tmp_path, blobs_csv):
         assert run("noise", "--model", str(tmp_path / "no.json"),
@@ -1121,6 +1200,21 @@ def test_model_integer_beyond_float64_is_data_error(tmp_path, trained, blobs_csv
     assert run("eval", "--model", str(model), "--data", blobs_csv,
                "--out", str(out)) == EXIT_DATA
     assert _logged_error(caplog, "beyond the float64 range")
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("seed", ["x", -5, 2.5, 10**400],
+                         ids=["text", "negative", "fraction", "beyond_float64"])
+def test_model_seed_that_is_not_a_nonnegative_integer_is_data_error(
+        tmp_path, trained, blobs_csv, caplog, seed):
+    doc = json.load(open(os.path.join(trained, "model.json")))
+    doc["seed"] = seed
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("eval", "--model", str(model), "--data", blobs_csv,
+               "--out", str(out)) == EXIT_DATA
+    assert _logged_error(caplog, "seed must be null or an integer")
     assert os.listdir(out) == []
 
 

@@ -5,8 +5,11 @@ import itertools
 import json
 import logging
 import math
+import multiprocessing
+import os
 import tempfile
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -548,6 +551,77 @@ class TestSaveCsv:
         assert plain is not None
         assert_same_dataset(plain, _load_rows(path, -1, True, None))
         assert plain.features.tobytes() == ds.features.tobytes()
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker pools ``save_csv`` starts, with two usable CPUs."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the parallel path needs the fork start method")
+        started = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(hdclass.data, "ProcessPoolExecutor", CountedPool)
+        return started
+
+    # A 4096 x 64 table: exactly the parallel threshold of 2**18 cells.
+    PARALLEL_SHAPE = (4096, 64)
+    ODD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.1, 1e300,
+                  -2.5e-10, 3.0]
+    QUOTED_NAMES = ["a,b", 'say "hi"', "line\nbreak", ""]
+
+    def parallel_table(self, labels=None) -> Dataset:
+        rows, width = self.PARALLEL_SHAPE
+        if labels is None:
+            labels = [i % len(self.QUOTED_NAMES) for i in range(rows)]
+        return Dataset(np.resize(self.ODD_FLOATS, (rows, width)), labels,
+                       self.QUOTED_NAMES)
+
+    def test_parallel_bytes_equal_the_csv_writer_loop(self, tmp_path, pools):
+        ds = self.parallel_table()
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_csv(str(got), ds)
+        assert len(pools) == 1
+        reference_save_csv(str(want), ds)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("extra_cells, n_pools", [(0, 1), (-1, 0)],
+                             ids=["at_the_threshold", "one_cell_below"])
+    def test_parallel_path_starts_at_the_threshold(self, tmp_path, pools,
+                                                   extra_cells, n_pools):
+        cells = hdclass.data._PARALLEL_CELLS + extra_cells
+        save_csv(str(tmp_path / "t.csv"), Dataset(np.ones((cells, 1)), np.zeros(cells)))
+        assert len(pools) == n_pools
+
+    def test_pool_worker_keeps_the_serial_path(self, tmp_path, pools):
+        # A multiprocessing.Pool worker is a daemon, which may not start children.
+        with multiprocessing.Pool(1) as pool:
+            pool.apply(save_csv, (str(tmp_path / "t.csv"), self.parallel_table()))
+        assert (tmp_path / "t.csv").read_bytes().count(b"\r\n") == 1 + self.PARALLEL_SHAPE[0]
+
+    def test_worker_failure_leaves_no_target_and_no_temp_file(self, tmp_path, pools):
+        # A label past the names, half way down: the workers raise after
+        # earlier blocks have been written.
+        labels = np.zeros(self.PARALLEL_SHAPE[0], dtype=np.intp)
+        labels[len(labels) // 2] = len(self.QUOTED_NAMES)
+        with pytest.raises(IndexError):
+            save_csv(str(tmp_path / "t.csv"), self.parallel_table(labels))
+        assert len(pools) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["written", "failed"])
+    def test_no_worker_is_left_running(self, tmp_path, pools, fails):
+        labels = np.full(self.PARALLEL_SHAPE[0], len(self.QUOTED_NAMES) if fails else 0)
+        try:
+            save_csv(str(tmp_path / "t.csv"), self.parallel_table(labels))
+        except IndexError:
+            pass
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
 
     def test_written_file_is_opened_once(self, tmp_path, monkeypatch):
         ds = synth_blobs(5, 3, 7, 2.0, seed=4)

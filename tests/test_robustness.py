@@ -13,10 +13,11 @@ from hdclass.robustness import (
     dequantize,
     flip_bits,
     flip_count,
-    hamming_distance,
     noise_sweep,
     quantize,
 )
+
+from reference_kernels import hamming_distance
 
 
 def random_model(seed=0, k=3, dim=64):

@@ -3,6 +3,7 @@
 import base64
 import json
 import os
+import sys
 import tomllib
 
 import numpy as np
@@ -188,9 +189,24 @@ class TestFormat2Validation:
         with pytest.raises(ValueError, match="beyond the float64 range"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("seed", ["x", -5, 2.5, 10**400, True],
+                             ids=["text", "negative", "fraction", "beyond_float64", "bool"])
+    def test_seed_must_be_null_or_an_integer_from_0(self, seed):
+        doc = model_to_dict(*make_pair())
+        doc["seed"] = seed
+        with pytest.raises(ValueError, match="seed must be null or an integer"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2**32 - 1, 10**300],
+                             ids=["null", "zero", "uint32_max", "1e300"])
+    def test_valid_seed_is_kept(self, seed):
+        doc = model_to_dict(*make_pair())
+        doc["seed"] = seed
+        assert model_from_dict(doc)[0].seed == seed
+
 
 FUZZ_DOC = model_to_dict(*make_pair(n=3, dim=8, k=3))
-ODD_VALUES = [None, True, 0, -1, 7, 2.5, float("nan"), 10**400, "", "x", [], [1.0], {},
+ODD_VALUES = [None, True, 0, -1, -5, 7, 2.5, float("nan"), 10**400, "", "x", [], [1.0], {},
               {"a": 1}]
 
 
@@ -220,9 +236,13 @@ def mutated_documents(draw):
 def test_fuzzed_container_raises_only_mapped_errors(doc):
     """A malformed container fails only with errors the CLI maps to exit 2."""
     try:
-        model_from_dict(doc)
+        encoder, _ = model_from_dict(doc)
     except (ValueError, KeyError, TypeError):
-        pass
+        return
+    # A container that loads holds a seed ``Encoder.create`` could take,
+    # and one within the float64 range, as every number in it is.
+    assert encoder.seed is None or (type(encoder.seed) is int
+                                    and 0 <= encoder.seed <= sys.float_info.max)
 
 
 def test_package_version_matches_pyproject():
