@@ -11,6 +11,7 @@ import logging
 import math
 import multiprocessing
 import os
+import stat
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,6 +31,12 @@ _PARALLEL_CELLS = 1 << 18
 # Cells per block of rows that ``save_csv`` formats at once: small, so
 # that the blocks in flight hold little memory.
 _BLOCK_CELLS = 1 << 13
+# ``load_csv`` parses a file of at least this many bytes on every usable
+# CPU, and a smaller one in this process.
+_PARALLEL_BYTES = 1 << 22
+# Bytes per block that ``load_csv`` cuts into ranges of whole lines, which
+# it parses one at a time: each range ends at the last line end of a block.
+_RANGE_BYTES = 1 << 20
 
 
 class ParseError(ValueError):
@@ -81,10 +88,13 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
     logs a WARNING: it is most likely the first row of a file without a
     header.
 
-    A file is opened once and read by ``np.loadtxt`` (``_load_plain``),
-    which checks each line as it goes; a file it cannot vouch for, such as
-    one with a ``"``, goes to the row parser.  Both give the same Dataset
-    bit for bit, and only the row parser raises.
+    A regular file is opened once and read by ``np.loadtxt`` in byte ranges
+    of whole lines (``_load_plain``), which checks each line as it goes;
+    a file of at least ``_PARALLEL_BYTES`` has its ranges parsed on every
+    usable CPU, by worker processes of the ``fork`` start method.  A file
+    that pass cannot vouch for, such as one with a ``"``, and a path that
+    is not a regular file, such as a pipe, go to the row parser.  Both
+    give the same Dataset bit for bit, and only the row parser raises.
     """
     ds = _load_plain(path, label_column, has_header, names)
     if ds is None:
@@ -93,21 +103,110 @@ def load_csv(path: str, label_column=-1, has_header: bool = True,
 
 
 def _load_plain(path: str, label_column, has_header: bool, names) -> Dataset | None:
-    """``load_csv`` in one ``np.loadtxt`` read of every column, or None.
+    """``load_csv`` by ``np.loadtxt`` reads of byte ranges, or None.
 
-    loadtxt takes the lines of the open file from a generator that checks
-    each one and raises, so that the row parser decides, on a quote (which
-    lets a cell hold commas and line ends), a \\x1c-\\x1f character (which
-    loadtxt strips around a number as whitespace while float() rejects it)
-    or a line longer than the csv module's field size limit.  None too on
-    rows that are not the first line's width, no data rows, and any other
-    exception or warning.  The generator's count of non-empty lines checks
-    that loadtxt read the rows the row parser would, so that, say, a blank
-    first line cannot pass for the header; text mode ends a line at ``\\r``,
-    ``\\n`` or ``\\r\\n``, as the csv module does.  The label column's
-    converter strips each label and gives it an id in order of first sight;
-    ``_dataset`` maps those to the final ids, and a label outside ``names``
-    gives None there.
+    A path that is not a regular file, such as a pipe or a FIFO, gives None
+    before it is opened, so that the row parser opens and reads it once.
+    Otherwise the file is opened once, and its first line gives the header
+    and the width.  ``_line_ranges`` cuts the file into ranges of whole
+    lines and counts its lines; the result is allocated once from that
+    count, and each range's rows (``_parse_range``) are copied into place
+    in range order, their label ids remapped to the file's order of first
+    sight.  A file of at least ``_PARALLEL_BYTES`` has its ranges parsed on
+    every usable CPU by forked workers, which read the inherited descriptor
+    with ``os.pread`` (see ``_mapped``).  None when a range raises, on no
+    data rows and on any other exception, such as the KeyError of a label
+    outside ``names`` in ``_dataset``.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            first = fh.readline().rstrip("\n")
+            header = first.split(",") if has_header else None
+            width = first.count(",") + 1
+            label_idx = _label_index(path, label_column, header, width)
+            fd = fh.fileno()
+            size = os.fstat(fd).st_size
+            ranges, n_lines = _line_ranges(fd, size)
+            n_rows = n_lines - has_header  # no fewer than the rows, which skip blank lines
+            if n_rows < 1:
+                return None
+            features, ids = np.empty((n_rows, width - 1)), np.empty(n_rows, dtype=np.intp)
+            seen, lo = {}, 0
+            blocks = ((fd, start, stop, int(has_header and start == 0), label_idx, width)
+                      for start, stop in ranges)
+            with contextlib.closing(
+                    _mapped(_parse_range, blocks, size >= _PARALLEL_BYTES)) as parts:
+                for table, labels in parts:
+                    hi = lo + table.shape[0]
+                    features[lo:hi, :label_idx] = table[:, :label_idx]
+                    features[lo:hi, label_idx:] = table[:, label_idx + 1:]
+                    remap = np.array([seen.setdefault(label, len(seen)) for label in labels],
+                                     dtype=np.intp)
+                    ids[lo:hi] = remap[table[:, label_idx].astype(np.intp)]
+                    lo = hi
+        if lo < 1:
+            return None
+        if lo < n_rows:  # blank lines
+            features, ids = features[:lo].copy(), ids[:lo]
+        return _dataset(path, header, label_idx, features, ids, seen, names)
+    except Exception:  # the row parser raises, or reads what this pass could not
+        return None
+
+
+def _line_ranges(fd: int, size: int) -> tuple[list, int]:
+    """The byte ranges of the first ``size`` bytes of the file open as
+    ``fd`` that ``_load_plain`` parses, and the file's count of lines.
+
+    The file is read in blocks of ``_RANGE_BYTES``; a range ends just after
+    the last ``\\n`` of a block, so no ``\\r\\n`` and no UTF-8 character
+    straddles two ranges, and a file whose lines end in a lone ``\\r`` is
+    one range.  The lines are counted as text mode ends them: at each
+    ``\\n``, each lone ``\\r`` and each ``\\r\\n``, plus a last line with
+    no end.
+    """
+    ranges, n_lines, start, pos = [], 0, 0, 0
+    after_cr = ends_line = False
+    while pos < size:
+        block = np.frombuffer(os.pread(fd, min(_RANGE_BYTES, size - pos), pos), np.uint8)
+        if not block.size:
+            break
+        lf, cr = np.flatnonzero(block == 10), block == 13
+        # A "\r\n" is one line end, counted at its "\r".  Index -1 is the
+        # byte before a block that starts with "\n": the last block's.
+        crlf = cr[lf - 1]
+        if lf.size and lf[0] == 0:
+            crlf[0] = after_cr
+        n_lines += lf.size + int(np.count_nonzero(cr)) - int(np.count_nonzero(crlf))
+        if lf.size:
+            ranges.append((start, pos + int(lf[-1]) + 1))
+            start = ranges[-1][1]
+        after_cr, ends_line = bool(cr[-1]), block[-1] in (10, 13)
+        pos += block.size
+    if start < pos:
+        ranges.append((start, pos))
+    return ranges, n_lines + (pos > 0 and not ends_line)
+
+
+def _parse_range(fd: int, start: int, stop: int, skip: int, label_idx: int, width: int):
+    """The rows of bytes ``[start, stop)`` of the file open as ``fd``, after
+    ``skip`` lines, in one ``np.loadtxt`` read of every column: a table
+    whose label column holds ids in order of first sight, and those labels
+    in that order.  Any exception sends the file to the row parser.
+
+    loadtxt takes the lines from a generator that checks each one and
+    raises, so that the row parser decides, on a quote (which lets a cell
+    hold commas and line ends), a \\x1c-\\x1f character (which loadtxt
+    strips around a number as whitespace while float() rejects it) or a
+    line longer than the csv module's field size limit.  Rows that are not
+    ``width`` wide raise a ValueError too, and every warning but loadtxt's
+    for a range of blank lines is raised as an error.  The generator's
+    count of non-empty lines checks that loadtxt read the rows the row
+    parser would, so that, say, a blank first line cannot pass for the
+    header; text mode ends a line at ``\\r``, ``\\n`` or ``\\r\\n``, as the
+    csv module does.  Only the range at the start of the file skips a byte
+    order mark: a U+FEFF after a line end is row data.
     """
     seen = {}
     n_lines = 0
@@ -121,27 +220,22 @@ def _load_plain(path: str, label_column, has_header: bool, names) -> Dataset | N
             n_lines += line != "\n"
             yield line
 
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
-            warnings.simplefilter("error")
-            first = fh.readline().rstrip("\n")
-            header = first.split(",") if has_header else None
-            fh.seek(0)
-            width = first.count(",") + 1
-            label_idx = _label_index(path, label_column, header, width)
-            # Given lines, not a path, loadtxt cannot read a ".gz" or ".xz"
-            # name as a compressed file or a path as a URL.
-            table = np.loadtxt(
-                checked(fh), delimiter=",", comments=None, quotechar=None,
-                skiprows=int(has_header), ndmin=2,
-                converters={label_idx: lambda cell: seen.setdefault(cell.strip(), len(seen))})
-        n_rows = n_lines - has_header
-        if n_rows < 1 or table.shape != (n_rows, width):
-            return None
-        return _dataset(path, header, label_idx, np.delete(table, label_idx, axis=1),
-                        table[:, label_idx].astype(np.intp), seen, names)
-    except Exception:  # the row parser raises, or reads what this pass could not
-        return None
+    with io.TextIOWrapper(io.BytesIO(os.pread(fd, stop - start, start)),
+                          encoding="utf-8-sig" if start == 0 else "utf-8") as text, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # Given lines, not a path, loadtxt cannot read a ".gz" or ".xz"
+        # name as a compressed file or a path as a URL.
+        table = np.loadtxt(
+            checked(text), delimiter=",", comments=None, quotechar=None,
+            skiprows=skip, ndmin=2,
+            converters={label_idx: lambda cell: seen.setdefault(cell.strip(), len(seen))})
+    if not table.size:  # a range of blank lines
+        table = table.reshape(0, width)
+    if table.shape != (n_lines - skip, width):
+        raise ValueError("rows for the row parser")
+    return table, list(seen)
 
 
 def _load_rows(path: str, label_column, has_header: bool, names) -> Dataset:
@@ -242,7 +336,7 @@ def save_csv(path: str, ds: Dataset) -> None:
     about ``_BLOCK_CELLS`` cells, which stream in order through
     ``open_atomic``.  A table of at least ``_PARALLEL_CELLS`` cells has its
     blocks formatted on every CPU the process may use, by worker processes
-    of the ``fork`` start method (see ``_formatted``); the bytes are the
+    of the ``fork`` start method (see ``_mapped``); the bytes are the
     same either way."""
     names = ds.names or [str(i) for i in range(ds.n_classes)]
     # A name as the last cell of a row, with the comma before it when the
@@ -257,7 +351,8 @@ def save_csv(path: str, ds: Dataset) -> None:
     blocks = ((ds.features[i:i + step], ds.labels[i:i + step], tails)
               for i in range(0, ds.n_samples, step))
     with open_atomic(path) as fh, \
-            contextlib.closing(_formatted(blocks, ds.features.size)) as texts:
+            contextlib.closing(_mapped(_format_rows, blocks,
+                                       ds.features.size >= _PARALLEL_CELLS)) as texts:
         fh.write(",".join([f"feat_{i}" for i in range(ds.n_features)] + ["label"])
                  + "\r\n")
         fh.writelines(texts)
@@ -270,31 +365,31 @@ def _format_rows(features: np.ndarray, labels: np.ndarray, tails: list) -> str:
                    for row, label in zip(features.tolist(), labels.tolist()))
 
 
-def _formatted(blocks, cells: int):
-    """``_format_rows`` of each block, in block order: on one worker per
-    usable CPU when ``cells`` >= ``_PARALLEL_CELLS``, there are two or more,
-    ``fork`` exists and this process is not a daemon (such as a
-    ``multiprocessing.Pool`` worker, which may not start children), else
-    in this process.
+def _mapped(fn, blocks, parallel: bool):
+    """``fn(*block)`` of each block, in block order: on one worker per usable
+    CPU when ``parallel`` holds, there are two or more, ``fork`` exists and
+    this process is not a daemon (such as a ``multiprocessing.Pool`` worker,
+    which may not start children), else in this process.
 
     A forked worker neither imports numpy again nor needs the calling
     script to guard its entry point with ``if __name__ == "__main__"``, as
-    a spawned one does; the pool forks before it starts its manager
-    thread, and a worker only formats text, so it needs none of the BLAS
-    threads a fork leaves behind.  At most ``2 * workers + 1`` blocks are
-    in flight.  A worker's exception is raised here; closing the
-    generator cancels what is queued and joins every worker.
+    a spawned one does, and it inherits the caller's open descriptors; the
+    pool forks before it starts its manager thread, and a worker only
+    formats or parses text, so it needs none of the BLAS threads a fork
+    leaves behind.  At most ``2 * workers + 1`` blocks are in flight.  A
+    worker's exception is raised here; closing the generator cancels what
+    is queued and joins every worker.
     """
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if (cells < _PARALLEL_CELLS or workers < 2 or multiprocessing.current_process().daemon
+    if (not parallel or workers < 2 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
-        yield from itertools.starmap(_format_rows, blocks)
+        yield from itertools.starmap(fn, blocks)
         return
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         pending = collections.deque()
         for block in blocks:
-            pending.append(pool.submit(_format_rows, *block))
+            pending.append(pool.submit(fn, *block))
             if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:

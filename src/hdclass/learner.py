@@ -126,8 +126,9 @@ def top_k(model: ClassModel, h, k: int) -> list[int]:
 _BLOCK = 8
 
 
-def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassModel:
-    """One sequential pass of the adaptive update over the given samples.
+def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> int:
+    """One sequential pass of the adaptive update over the given samples;
+    the number of updates it applied, one per misclassified sample.
 
     For a sample H predicted as class i with true class j != i:
 
@@ -164,7 +165,7 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
     rows, norms = list(C), row_norms(C)
     H_cols, hn = H[:, :, None], row_norms(H)[:, None]
     want_all = y.tolist()
-    i, m = 0, H.shape[0]
+    i, m, updates = 0, H.shape[0], 0
     while i < m:
         scores = cosine_divide(np.matmul(C, H_cols[i:i + _BLOCK])[..., 0],
                                hn[i:i + _BLOCK], norms)
@@ -182,7 +183,8 @@ def adaptive_fit_epoch(model: ClassModel, encoded, labels, eta: float) -> ClassM
         norms[pred] = math.sqrt(rows[pred].dot(rows[pred]))
         norms[true] = math.sqrt(rows[true].dot(rows[true]))
         i += r + 1
-    return model
+        updates += 1
+    return updates
 
 
 # The benchmark's tracer binds its ``learner.score`` span to this name, so

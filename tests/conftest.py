@@ -8,6 +8,9 @@ and the generator emits samples grouped by class.
 """
 
 import base64
+import contextlib
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +27,35 @@ def shuffle_dataset(ds: Dataset, seed: int) -> Dataset:
     rng = np.random.default_rng(seed + 1000)
     perm = rng.permutation(ds.n_samples)
     return Dataset(ds.features[perm], ds.labels[perm], ds.names, ds.meta)
+
+
+@contextlib.contextmanager
+def fed_fifo(path, data: bytes):
+    """A FIFO at ``path`` that a thread feeds ``data`` to, for the block.
+
+    Once ``data`` is written, a later open of the FIFO for reading gets a
+    writer that sends nothing, so a second open reads an empty file where
+    it would otherwise wait for ever for a second writer."""
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def feed():
+        with open(path, "wb") as fh:
+            fh.write(data)
+        while not done.wait(0.01):
+            with contextlib.suppress(OSError):  # ENXIO: no reader is waiting
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        done.set()
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # frees a writer never read
+        writer.join(5)
+        os.close(reader)
+        assert not writer.is_alive()
 
 
 def make_benchmark(seed: int, n_features=6, k_classes=4, per_class=1000,

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import decode_array, encode_array, format_1_document
+from conftest import decode_array, encode_array, fed_fifo, format_1_document
 from hdclass import cli, core, learner, metrics, robustness
 from hdclass.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, TRAIN_DEFAULTS,
                          build_parser, main, resolve_train_config,
@@ -509,6 +509,15 @@ class TestEval:
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert doc["top_k_accuracy"]["2"] >= doc["top_k_accuracy"]["1"]
         assert len(doc["confusion_matrix"]) == 3
+
+    def test_data_from_a_fifo(self, tmp_path, trained, blobs_csv):
+        args = ["eval", "--model", os.path.join(trained, "model.json"),
+                "--norm", os.path.join(trained, "norm.json")]
+        assert run(*args, "--data", blobs_csv, "--out", str(tmp_path / "file")) == EXIT_OK
+        with open(blobs_csv, "rb") as fh, fed_fifo(str(tmp_path / "fifo"), fh.read()) as fifo:
+            assert run(*args, "--data", fifo, "--out", str(tmp_path / "fifo_eval")) == EXIT_OK
+        assert ((tmp_path / "fifo_eval" / "eval.json").read_bytes()
+                == (tmp_path / "file" / "eval.json").read_bytes())
 
     def test_missing_model(self, tmp_path, blobs_csv):
         assert run("eval", "--model", str(tmp_path / "no.json"),

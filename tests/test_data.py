@@ -10,6 +10,7 @@ import os
 import tempfile
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hdclass.data
+from conftest import fed_fifo
 from hdclass.data import (
     Dataset,
     NormalizationSpec,
@@ -30,6 +32,89 @@ from hdclass.data import (
     synth_blobs,
 )
 from hdclass.data import _load_plain, _load_rows
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker pools ``save_csv`` and ``load_csv`` start, with two usable CPUs."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the parallel path needs the fork start method")
+    started = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(hdclass.data, "ProcessPoolExecutor", CountedPool)
+    return started
+
+
+@pytest.fixture
+def small_ranges(monkeypatch, pools):
+    """Every file parsed in parallel, in ranges that end at every ``\\n``:
+    the (start, stop) byte ranges of each ``_load_plain`` call."""
+    monkeypatch.setattr(hdclass.data, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(hdclass.data, "_PARALLEL_BYTES", 0)
+    loads, mapped = [], hdclass.data._mapped
+
+    def recording(fn, blocks, parallel):
+        if fn is hdclass.data._parse_range:
+            blocks = list(blocks)
+            loads.append([block[1:3] for block in blocks])
+        return mapped(fn, blocks, parallel)
+
+    monkeypatch.setattr(hdclass.data, "_mapped", recording)
+    return loads
+
+
+# Each hazard: (file text, load_csv arguments, whether the one-pass load
+# may read it).  A hazard it may not read must reach the row parser, which
+# reads it or words the error.
+LOAD_HAZARDS = {
+    "x1c_is_not_whitespace_to_float": ("a,label\n\x1c4,x\n", (), False),
+    "x1f_after_a_number": ("a,label\n4\x1f,x\n", (), False),
+    "underscore_digits": ("a,label\n1_000,x\n2,y\n", (), False),
+    "arabic_indic_digits": ("a,label\n\u0661\u0662,x\n2,y\n", (), False),
+    "fullwidth_digits": ("a,label\n\uff11\uff12,x\n2,y\n", (), False),
+    "hash_in_a_number": ("a,b,label\n1,2#3,x\n", (), False),
+    "hash_in_a_label": ("a,b,label\n1,2,x#y\n3,4,#\n", (), True),
+    "header_wider_than_rows": ("a,b,c,label\n1,2,x\n3,4,y\n", (), False),
+    "header_narrower_than_rows": ("a,label\n1,2,x\n", (), False),
+    "header_only": ("a,b,label\n", (), False),
+    "header_only_then_blank_lines": ("a,b,label\n\n\r\n", (), False),
+    "lone_cr_line_ends": ("a,b,label\r1,2,x\r3,4,y\r", (), True),
+    "crlf_line_ends": ("a,b,label\r\n1,2,x\r\n3,4,y\r\n", (), True),
+    "mixed_line_ends": ("a,b,label\r\n1,2,x\r3,4,y\n5,6,x", (), True),
+    "blank_lines": ("a,b,label\n\n1,2,x\n\r\n\n3,4,y\n\n", (), True),
+    "blank_first_line": ("\na,b,label\n1,2,x\n", (), False),
+    "numeric_header_after_a_blank_line": ("\n1,2,3\n4,5,6\n", (), False),
+    "one_column_header_after_a_blank_line": ("\n1\n2\n", (), False),
+    "headerless_after_a_blank_line": ("\n1,x\n2,y\n", (-1, False), False),
+    "unicode_line_separators_in_cells": ("a,label\n1\u2028,x\u2028y\n2,z\x85\x0c\n",
+                                         (), True),
+    "whitespace_only_line": ("a,b,label\n1,2,x\n  \n3,4,y\n", (), False),
+    "whitespace_only_line_of_a_label_file": ("label\nx\n \t\ny\n", (), True),
+    "quoted_newline": ('a,b,label\n1,2,"x\ny"\n3,4,y\n', (), False),
+    "quoted_number": ('a,b,label\n"1",2,x\n', (), False),
+    "unknown_label_under_names": ("a,label\n1,x\n2,w\n", (-1, True, ["x", "y"]), False),
+    "known_labels_under_names": ("a,label\n1, y \n2,x\n", (-1, True, ["x", "y", "z"]),
+                                 True),
+    "label_column_by_name": ("label,a,b\nx,1,2\ny,3,4\n", ("label",), True),
+    "label_column_at_index_0": ("label,a,b\nx,1,2\ny,3,4\n", (0,), True),
+    "label_column_name_without_header": ("x,1\ny,2\n", ("label", False), False),
+    "label_column_out_of_range": ("a,label\n1,x\n", (5,), False),
+    "padded_numbers": ("a,b,label\n 1.5 ,\t2\x0b,x\n\xa03\u2000,-0.0, y\n", (), True),
+    "number_spellings": ("a,b,c,label\nnan,-inf,1e400,x\n-nan,Infinity,5e-324,y\n",
+                         (), True),
+    "empty_cell": ("a,b,label\n1,,x\n", (), False),
+    "nul_in_a_label": ("a,label\n1,x\x00\n", (), True),
+    "field_over_the_csv_limit": ("a,label\n1," + "x" * (csv.field_size_limit() + 1) + "\n",
+                                 (), False),
+    "number_over_the_csv_limit": ("a,label\n" + " " * csv.field_size_limit() + "1,x\n",
+                                  (), False),
+}
 
 
 class TestLoadCsv:
@@ -173,6 +258,120 @@ class TestLoadCsv:
         back = load_csv(path)
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
+
+    def test_fifo_loads_the_rows_of_a_regular_file(self, tmp_path):
+        text = b"a,b,label\n1,2,x\n3,4,y\n"
+        regular = self.write(tmp_path, text.decode())
+        with fed_fifo(str(tmp_path / "fifo"), text) as fifo:
+            ds = load_csv(fifo)
+        assert_same_dataset(ds, load_csv(regular), same_meta=False)
+
+    def test_pipe_loads_the_rows_of_a_regular_file(self, tmp_path):
+        text = b"a,b,label\n1,2,x\n3,4,y\n"
+        regular = self.write(tmp_path, text.decode())
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text)
+            os.close(write_end)
+            ds = load_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert_same_dataset(ds, load_csv(regular), same_meta=False)
+
+    def test_parallel_load_cuts_before_every_line(self, tmp_path, small_ranges, pools):
+        path = tmp_path / "blobs.csv"
+        save_csv(str(path), synth_blobs(5, 3, 7, 2.0, seed=4))
+        assert assert_load_matches_row_parser(str(path)) is not None
+        assert len(pools) == 2  # _load_plain's and load_csv's
+        data = path.read_bytes()
+        line_starts = [0] + [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]
+        assert [start for start, _ in small_ranges[0]] == line_starts
+        assert small_ranges[0][-1][1] == len(data)
+
+    @pytest.mark.parametrize("names", [None, ["c", "b", "a"]], ids=["sorted", "vocabulary"])
+    def test_label_first_seen_in_a_late_range(self, tmp_path, small_ranges, names):
+        path = self.write(tmp_path, "f,label\n1,b\n2,b\n3,a\n4,c\n5,a\n")
+        ds = assert_load_matches_row_parser(path, -1, True, names)
+        assert ds is not None
+        assert [ds.names[i] for i in ds.labels] == ["b", "b", "a", "c", "a"]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "mixed"])
+    def test_line_ends(self, tmp_path, small_ranges, end):
+        lines = ["a,b,label", "1,2,x", "3,4,y", "5,6,x"]
+        text = ("a,b,label\r\n1,2,x\r3,4,y\n5,6,x\r" if end == "mixed"
+                else end.join(lines) + end)
+        path = tmp_path / "ends.csv"
+        path.write_bytes(text.encode())
+        assert assert_load_matches_row_parser(str(path)) is not None
+        assert len(small_ranges[0]) == text.count("\n") + text.endswith("\r")
+        if end == "\r":
+            assert small_ranges[0] == [(0, len(text))]
+
+    def test_range_of_blank_lines(self, tmp_path, small_ranges):
+        text = "a,b,label\n1,2,x\n\n\r\n\n3,4,y\n"
+        path = self.write(tmp_path, text)
+        assert assert_load_matches_row_parser(path) is not None
+        blank = text.index("\n\n") + 1
+        assert (blank, blank + 1) in small_ranges[0]
+
+    def test_byte_order_mark_at_a_range_start_is_row_data(self, tmp_path, small_ranges):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("a,label\n1,x\n\ufeff2,y\n".encode())
+        assert assert_load_matches_row_parser(str(path)) is None
+        with pytest.raises(ParseError, match=r"line 3: non-numeric feature value '\\ufeff2'"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("row", ['3,4,"y"', '3,"4', "3,\x1c4,y"],
+                             ids=["quoted", "unclosed_quote", "x1c"])
+    def test_hazard_in_the_last_range_reaches_the_row_parser(self, tmp_path, small_ranges,
+                                                            row):
+        path = self.write(tmp_path, f"a,b,label\n1,2,x\n5,6,z\n{row}\n")
+        rows = [(0, 10), (10, 16), (16, 22), (22, 23 + len(row))]
+        try:
+            want = _load_rows(path, -1, True, None)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                load_csv(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same_dataset(load_csv(path), want)
+        assert _load_plain(path, -1, True, None) is None
+        assert small_ranges[0] == rows
+
+    @pytest.mark.parametrize("name", sorted(LOAD_HAZARDS))
+    def test_load_hazard_through_the_parallel_path(self, tmp_path, monkeypatch,
+                                                   small_ranges, pools, name):
+        text, args, one_pass = LOAD_HAZARDS[name]
+        # A range still ends at every "\n" of a short file; a file of one
+        # long line is scanned in a few hundred blocks, not byte by byte.
+        monkeypatch.setattr(hdclass.data, "_RANGE_BYTES", max(1, len(text) // 256))
+        path = tmp_path / "hazard.csv"
+        path.write_bytes(text.encode("utf-8"))
+        plain = assert_load_matches_row_parser(str(path), *args)
+        assert (plain is not None) == one_pass
+        if one_pass:
+            assert len(pools) == 2
+
+    @pytest.mark.parametrize("text", ["a,label\n1,x\n2,y\n", 'a,label\n1,x\n2,"y"\n',
+                                      "a,label\n1,x\n2\n"],
+                             ids=["loaded", "declined", "raised"])
+    def test_no_worker_is_left_running(self, tmp_path, small_ranges, pools, text):
+        path = self.write(tmp_path, text)
+        try:
+            load_csv(path)
+        except ParseError:
+            pass
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_daemon_caller_stays_serial(self, tmp_path, small_ranges):
+        # A multiprocessing.Pool worker is a daemon, which may not start
+        # children: a pool there would send every file to the row parser.
+        path = self.write(tmp_path, "a,label\n1,x\n2,y\n")
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            plain = pool.apply(_load_plain, (path, -1, True, None))
+        assert plain is not None
+        assert_same_dataset(plain, _load_rows(path, -1, True, None))
 
 
 class TestNormalization:
@@ -474,12 +673,13 @@ def reference_save_csv(path, ds):
                             + [names[int(ds.labels[j])]])
 
 
-def assert_same_dataset(got, want):
+def assert_same_dataset(got, want, same_meta=True):
     assert got.features.tobytes() == want.features.tobytes()
     assert got.features.shape == want.features.shape
     assert got.features.flags.c_contiguous
     assert got.labels.tolist() == want.labels.tolist()
-    assert got.names == want.names and got.meta == want.meta
+    assert got.names == want.names
+    assert got.meta == want.meta or not same_meta
 
 
 def assert_load_matches_row_parser(path, label_column=-1, has_header=True, names=None):
@@ -552,22 +752,6 @@ class TestSaveCsv:
         assert_same_dataset(plain, _load_rows(path, -1, True, None))
         assert plain.features.tobytes() == ds.features.tobytes()
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker pools ``save_csv`` starts, with two usable CPUs."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("the parallel path needs the fork start method")
-        started = []
-
-        class CountedPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.append(self)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(hdclass.data, "ProcessPoolExecutor", CountedPool)
-        return started
-
     # A 4096 x 64 table: exactly the parallel threshold of 2**18 cells.
     PARALLEL_SHAPE = (4096, 64)
     ODD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.1, 1e300,
@@ -638,54 +822,6 @@ class TestSaveCsv:
         back = load_csv(path)
         assert modes == [("r",)]
         assert back.features.tobytes() == ds.features.tobytes()
-
-
-# Each hazard: (file text, load_csv arguments, whether the one-pass load
-# may read it).  A hazard it may not read must reach the row parser, which
-# reads it or words the error.
-LOAD_HAZARDS = {
-    "x1c_is_not_whitespace_to_float": ("a,label\n\x1c4,x\n", (), False),
-    "x1f_after_a_number": ("a,label\n4\x1f,x\n", (), False),
-    "underscore_digits": ("a,label\n1_000,x\n2,y\n", (), False),
-    "arabic_indic_digits": ("a,label\n\u0661\u0662,x\n2,y\n", (), False),
-    "fullwidth_digits": ("a,label\n\uff11\uff12,x\n2,y\n", (), False),
-    "hash_in_a_number": ("a,b,label\n1,2#3,x\n", (), False),
-    "hash_in_a_label": ("a,b,label\n1,2,x#y\n3,4,#\n", (), True),
-    "header_wider_than_rows": ("a,b,c,label\n1,2,x\n3,4,y\n", (), False),
-    "header_narrower_than_rows": ("a,label\n1,2,x\n", (), False),
-    "header_only": ("a,b,label\n", (), False),
-    "header_only_then_blank_lines": ("a,b,label\n\n\r\n", (), False),
-    "lone_cr_line_ends": ("a,b,label\r1,2,x\r3,4,y\r", (), True),
-    "crlf_line_ends": ("a,b,label\r\n1,2,x\r\n3,4,y\r\n", (), True),
-    "mixed_line_ends": ("a,b,label\r\n1,2,x\r3,4,y\n5,6,x", (), True),
-    "blank_lines": ("a,b,label\n\n1,2,x\n\r\n\n3,4,y\n\n", (), True),
-    "blank_first_line": ("\na,b,label\n1,2,x\n", (), False),
-    "numeric_header_after_a_blank_line": ("\n1,2,3\n4,5,6\n", (), False),
-    "one_column_header_after_a_blank_line": ("\n1\n2\n", (), False),
-    "headerless_after_a_blank_line": ("\n1,x\n2,y\n", (-1, False), False),
-    "unicode_line_separators_in_cells": ("a,label\n1\u2028,x\u2028y\n2,z\x85\x0c\n",
-                                         (), True),
-    "whitespace_only_line": ("a,b,label\n1,2,x\n  \n3,4,y\n", (), False),
-    "whitespace_only_line_of_a_label_file": ("label\nx\n \t\ny\n", (), True),
-    "quoted_newline": ('a,b,label\n1,2,"x\ny"\n3,4,y\n', (), False),
-    "quoted_number": ('a,b,label\n"1",2,x\n', (), False),
-    "unknown_label_under_names": ("a,label\n1,x\n2,w\n", (-1, True, ["x", "y"]), False),
-    "known_labels_under_names": ("a,label\n1, y \n2,x\n", (-1, True, ["x", "y", "z"]),
-                                 True),
-    "label_column_by_name": ("label,a,b\nx,1,2\ny,3,4\n", ("label",), True),
-    "label_column_at_index_0": ("label,a,b\nx,1,2\ny,3,4\n", (0,), True),
-    "label_column_name_without_header": ("x,1\ny,2\n", ("label", False), False),
-    "label_column_out_of_range": ("a,label\n1,x\n", (5,), False),
-    "padded_numbers": ("a,b,label\n 1.5 ,\t2\x0b,x\n\xa03\u2000,-0.0, y\n", (), True),
-    "number_spellings": ("a,b,c,label\nnan,-inf,1e400,x\n-nan,Infinity,5e-324,y\n",
-                         (), True),
-    "empty_cell": ("a,b,label\n1,,x\n", (), False),
-    "nul_in_a_label": ("a,label\n1,x\x00\n", (), True),
-    "field_over_the_csv_limit": ("a,label\n1," + "x" * (csv.field_size_limit() + 1) + "\n",
-                                 (), False),
-    "number_over_the_csv_limit": ("a,label\n" + " " * csv.field_size_limit() + "1,x\n",
-                                  (), False),
-}
 
 
 @pytest.mark.parametrize("name", sorted(LOAD_HAZARDS))
@@ -800,6 +936,15 @@ def with_hazard_examples(test):
     return test
 
 
+def assert_oracle_case(case):
+    with tempfile.TemporaryDirectory() as folder:
+        path = f"{folder}/oracle.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(case["text"])
+        assert_load_matches_row_parser(path, case["label_column"], case["has_header"],
+                                       case["names"])
+
+
 @settings(max_examples=300, deadline=None)
 @with_hazard_examples
 @given(oracle_files())
@@ -807,12 +952,17 @@ def test_one_pass_load_agrees_with_the_row_parser(case):
     """Whenever the one-pass load returns, its Dataset is the row parser's
     bit for bit; whenever the row parser raises, ``load_csv`` raises the
     same ParseError text."""
-    with tempfile.TemporaryDirectory() as folder:
-        path = f"{folder}/oracle.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(case["text"])
-        assert_load_matches_row_parser(path, case["label_column"], case["has_header"],
-                                       case["names"])
+    assert_oracle_case(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_files(), st.integers(1, 8))
+def test_one_pass_load_in_small_ranges_agrees_with_the_row_parser(case, range_bytes):
+    """The oracle above, with the file cut into ranges at most every
+    ``range_bytes`` bytes (parsed in this process); the ``LOAD_HAZARDS``
+    files take the parallel path in ``TestLoadCsv``."""
+    with mock.patch.object(hdclass.data, "_RANGE_BYTES", range_bytes):
+        assert_oracle_case(case)
 
 
 CSV_ALPHABET = list("0123456789.,,,-+eE \"\n\r\tabxnf_\x00") + ["nan", "inf", "١", "é"]

@@ -30,7 +30,9 @@ AROUND_BLOCKS = [n * BLOCK + d for n in (1, 2, 3) for d in (-1, 0, 1)]
 
 
 def sequential_epoch(model, encoded, labels, eta):
-    """Reference oracle: the adaptive epoch scoring every sample on its own."""
+    """Reference oracle: the adaptive epoch scoring every sample on its own;
+    the number of updates it applied."""
+    updates = 0
     for j in range(encoded.shape[0]):
         h = encoded[j]
         scores = similarity_matrix(model, encoded[j:j + 1])[0]
@@ -40,7 +42,8 @@ def sequential_epoch(model, encoded, labels, eta):
             continue
         model.classes[pred] -= eta * (1.0 - scores[pred]) * h
         model.classes[true] += eta * (1.0 - scores[true]) * h
-    return model
+        updates += 1
+    return updates
 
 
 class TestTrainConfig:
@@ -86,6 +89,21 @@ class TestAdaptiveFit:
         adaptive_fit_epoch(a, H, y, 0.1)
         adaptive_fit_epoch(b, H[::-1], y[::-1], 0.1)
         assert not np.array_equal(a.classes, b.classes)
+
+    def test_returns_the_number_of_updates(self):
+        rng = np.random.default_rng(3)
+        H = rng.normal(size=(40, 8))
+        y = rng.integers(0, 3, size=40)
+        fit = ClassModel(rng.normal(size=(3, 8)))
+        loop = fit.copy()
+        counts = []
+        for _ in range(3):
+            counts.append(adaptive_fit_epoch(fit, H, y, 0.1))
+            assert type(counts[-1]) is int
+            assert counts[-1] == sequential_epoch(loop, H, y, 0.1)
+        assert counts[0] > 0
+        right = ClassModel(H[:3].copy())
+        assert adaptive_fit_epoch(right, H[:3], [0, 1, 2], 0.1) == 0
 
     def test_norms_stay_fresh(self):
         # The epoch leaves no derived state behind: the model scores bitwise

@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 LEARNER, REGEN, CORE = "src/hdclass/learner.py", "src/hdclass/regen.py", "src/hdclass/core.py"
+DATA, ROBUSTNESS, CLI = "src/hdclass/data.py", "src/hdclass/robustness.py", "src/hdclass/cli.py"
 
 MUTANTS = [
     Mutant("no-column-zeroing", LEARNER,
@@ -70,6 +71,16 @@ MUTANTS = [
     Mutant("incorrect-row-sign", REGEN,
            "partial_row(h, c_true, c_top1, alpha, beta) - theta * np.abs(h - c_top2)",
            "partial_row(h, c_true, c_top1, alpha, beta) + theta * np.abs(h - c_top2)"),
+    Mutant("every-range-skips-a-byte-order-mark", DATA,
+           'encoding="utf-8-sig" if start == 0 else "utf-8"', 'encoding="utf-8-sig"'),
+    Mutant("range-labels-not-remapped", DATA,
+           "ids[lo:hi] = remap[table[:, label_idx].astype(np.intp)]",
+           "ids[lo:hi] = table[:, label_idx].astype(np.intp)"),
+    Mutant("trial-seed-entropy-order", ROBUSTNESS,
+           "entropy=(seed, cell_idx, t)", "entropy=(seed, t, cell_idx)"),
+    Mutant("precision-ordering-flipped", CLI,
+           "by_key[(dims[-1], bits[0], rate)] < by_key[(dims[-1], bits[-1], rate)]",
+           "by_key[(dims[-1], bits[0], rate)] > by_key[(dims[-1], bits[-1], rate)]"),
 ]
 
 
