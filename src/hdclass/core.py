@@ -16,6 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# Rows of an encode take their cos·sin in blocks of at most this many cells
+# (256 KB of float64, which stays in cache).
+COS_SIN_CELLS = 1 << 15
 
 
 class DimensionError(ValueError):
@@ -130,11 +133,21 @@ class Encoder:
 
 
 def _cos_sin(proj: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """``cos(proj + phase) * sin(proj)``, computed in place in ``proj``."""
-    sin = np.sin(proj)
-    proj += phase
-    np.cos(proj, out=proj)
-    proj *= sin
+    """``cos(proj + phase) * sin(proj)``, computed in place in ``proj``.
+
+    The sines go, a block of at most ``COS_SIN_CELLS`` cells of whole rows
+    at a time, into one scratch buffer, so an encode allocates no second
+    m x D array.  Each step is elementwise, so the result is bitwise that
+    of the unblocked formula.
+    """
+    rows = max(1, COS_SIN_CELLS // max(1, proj.shape[1]))
+    scratch = np.empty((min(rows, proj.shape[0]), proj.shape[1]))
+    for lo in range(0, proj.shape[0], rows):
+        block = proj[lo:lo + rows]
+        sin = np.sin(block, out=scratch[:len(block)])
+        block += phase
+        np.cos(block, out=block)
+        block *= sin
     return proj
 
 

@@ -1,17 +1,28 @@
-"""Reference oracles for two kernels only tests call.
+"""Reference oracles for kernels only tests call, and for the noise sweep.
 
 ``encode_one`` encodes one feature vector as a batch of one, which numpy
 sends to its matrix-vector kernel, so it is bitwise the per-row formula
 ``cos(base @ (s * f) + phase) * sin(base @ (s * f))``.  ``hamming_distance``
 counts the bits two quantized memories of one layout differ in.
+``reference_noise_sweep`` is the per-trial sweep that ``noise_sweep``'s
+stacked, certified chunks replaced: every trial dequantizes its flipped
+memory and is scored alone by ``similarity_matrix``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hdclass.core import Encoder
-from hdclass.robustness import QuantizedModel
+from hdclass import metrics
+from hdclass.core import Encoder, row_norms, similarity_matrix
+from hdclass.robustness import (
+    QuantizedModel,
+    SweepCell,
+    dequantize,
+    flip_bits,
+    flip_count,
+    quantize,
+)
 
 
 def encode_one(encoder: Encoder, features) -> np.ndarray:
@@ -24,3 +35,50 @@ def hamming_distance(a: QuantizedModel, b: QuantizedModel) -> int:
         raise ValueError(f"memories differ in layout: {a.bits}-bit {a.packed.shape} "
                          f"vs {b.bits}-bit {b.packed.shape}")
     return int(np.unpackbits(a.packed ^ b.packed).sum())
+
+
+def reference_run_trial(qm: QuantizedModel, encoded: np.ndarray, labels: np.ndarray,
+                        clean_accuracy: float, error_rate: float, seed: int,
+                        norms: np.ndarray) -> float:
+    """The accuracy drop, in percentage points, of one seeded corruption;
+    ``norms`` is ``row_norms(encoded)``."""
+    corrupted = dequantize(flip_bits(qm, error_rate, seed))
+    acc = metrics.accuracy(
+        similarity_matrix(corrupted, encoded, norms).argmax(axis=1), labels)
+    return (clean_accuracy - acc) * 100.0
+
+
+def reference_noise_sweep(models_by_dim: dict, grid, trials: int,
+                          seed: int) -> list[SweepCell]:
+    """Mean quality loss per (D, bits, rate) cell, one trial at a time."""
+    grid = list(grid)
+    if not grid:
+        raise ValueError("empty sweep grid")
+    if trials < 1:
+        raise ValueError(f"trial count must be >= 1, got {trials}")
+    cells = []
+    clean_cache: dict[tuple[int, int], tuple[QuantizedModel, float]] = {}
+    # Each model's test rows are scored many times; their norms once.
+    norms_by_dim = {dim: row_norms(encoded) for dim, (_, encoded, _) in models_by_dim.items()}
+    for cell_idx, (dim, bits, rate) in enumerate(grid):
+        if dim not in models_by_dim:
+            raise KeyError(f"no trained model available for dimensionality {dim}")
+        model, encoded, labels = models_by_dim[dim]
+        norms = norms_by_dim[dim]
+        key = (dim, bits)
+        if key not in clean_cache:
+            qm = quantize(model, bits)
+            clean = metrics.accuracy(
+                similarity_matrix(dequantize(qm), encoded, norms).argmax(axis=1), labels)
+            clean_cache[key] = (qm, clean)
+        qm, clean = clean_cache[key]
+        losses = np.zeros(trials)
+        if flip_count(rate, qm.total_bits):
+            for t in range(trials):
+                trial_seed = int(np.random.SeedSequence(
+                    entropy=(seed, cell_idx, t)).generate_state(1)[0])
+                losses[t] = reference_run_trial(qm, encoded, labels, clean, rate,
+                                                trial_seed, norms)
+        cells.append(SweepCell(dim, bits, rate, trials,
+                               float(losses.mean()), float(losses.std())))
+    return cells

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdclass import data, learner, metrics, regen, robustness, serialize
+from hdclass import core, data, learner, metrics, regen, robustness, serialize
 from hdclass.core import (
     ClassModel,
     DimensionError,
@@ -181,6 +181,23 @@ class TestEncode:
         assert columns.shape == (m, idx.size)
         np.testing.assert_allclose(columns, enc.encode_batch(X)[:, idx],
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cells, m, dim", [
+        (core.COS_SIN_CELLS, 3822, 500),  # the ISOLET shape: 65 rows a block
+        (core.COS_SIN_CELLS, 2 * (core.COS_SIN_CELLS // 51) + 1, 51),
+        (12, 7, 5),    # 2 rows a block, and one row left over
+        (12, 5, 13),   # a row wider than a block: one row a block
+        (12, 4, 0), (12, 0, 6),
+    ])
+    def test_cos_sin_blocks_are_bitwise_the_unblocked_formula(self, monkeypatch,
+                                                              cells, m, dim):
+        rng = np.random.default_rng(m + dim)
+        proj = rng.normal(scale=4.0, size=(m, dim))
+        phase = rng.uniform(0.0, 2 * np.pi, size=dim)
+        expected = np.cos(proj + phase) * np.sin(proj)
+        monkeypatch.setattr(core, "COS_SIN_CELLS", cells)
+        got = core._cos_sin(proj.copy(), phase)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_dimension_errors(self):
         enc = Encoder.create(4, 8, seed=0)

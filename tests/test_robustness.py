@@ -1,5 +1,8 @@
 """Unit tests for quantization and bit-flip robustness."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from hdclass.robustness import (
     quantize,
 )
 
-from reference_kernels import hamming_distance
+from reference_kernels import hamming_distance, reference_noise_sweep
 
 
 def random_model(seed=0, k=3, dim=64):
@@ -148,12 +151,12 @@ class TestNoiseSweep:
         assert flip_count(rate, total_bits) == 0
         calls = []
 
-        def counting_trial(*args):
+        def counting_flip(*args):
             calls.append(args)
-            return real_trial(*args)
+            return real_flip(*args)
 
-        real_trial = robustness.run_trial
-        monkeypatch.setattr(robustness, "run_trial", counting_trial)
+        real_flip = robustness.flip_bits
+        monkeypatch.setattr(robustness, "flip_bits", counting_flip)
         cells = noise_sweep(models, [(64, 1, rate)], trials=4, seed=0)
         assert (cells[0].mean_loss, cells[0].std_loss) == (0.0, 0.0)
         assert calls == []
@@ -249,3 +252,135 @@ def test_flip_and_dequantize_match_bit_stream_oracle(bits, k, dim, rate, zero_ro
     assert np.array_equal(flipped.packed, codes)
     got = dequantize(flipped).classes
     assert np.array_equal(got.view(np.int64), values.view(np.int64))
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Models of one or two dims over m shared test rows and k classes,
+    with the degenerate rows and prototypes the certificate must refuse,
+    a grid over every bit width and a chunk size of 1 to 4 trials."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m, k = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    labels = rng.integers(0, k + draw(st.integers(0, 1)), size=m)  # k names no class
+    dims = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2, unique=True))
+    models = {}
+    for dim in dims:
+        # Integer data ties often; scaled data leaves the certified range.
+        if draw(st.booleans()):
+            encoded = rng.integers(-1, 2, size=(m, dim)).astype(np.float64)
+            classes = rng.integers(-2, 3, size=(k, dim)).astype(np.float64)
+        else:
+            encoded = rng.normal(size=(m, dim))
+            classes = rng.normal(size=(k, dim)) * draw(st.sampled_from([1.0, 1e-200, 1e150]))
+        if draw(st.booleans()):
+            encoded[rng.integers(m)] = 0.0
+        if draw(st.booleans()):
+            classes[rng.integers(k)] = 0.0
+        if draw(st.booleans()):
+            classes[1] = classes[0]
+        models[dim] = (ClassModel(classes), encoded, labels)
+    rates = st.one_of(st.sampled_from([0.0, 100.0]), st.floats(0.0, 100.0))
+    grid = [(dim, bits, draw(rates)) for dim in dims
+            for bits in draw(st.permutations(SUPPORTED_BITS))[:draw(st.integers(1, 4))]]
+    return models, grid, m * k * draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=sweep_inputs(), trials=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_noise_sweep_matches_the_per_trial_oracle(inputs, trials, seed):
+    models, grid, cells = inputs
+    with mock.patch.object(robustness, "CELLS", cells):
+        got = noise_sweep(models, grid, trials, seed)
+    want = reference_noise_sweep(models, grid, trials, seed)
+    assert [(c.dim, c.bits, c.rate, c.trials) for c in got] == \
+           [(c.dim, c.bits, c.rate, c.trials) for c in want]
+    assert np.array_equal(np.array([(c.mean_loss, c.std_loss) for c in got]).view(np.int64),
+                          np.array([(c.mean_loss, c.std_loss) for c in want]).view(np.int64))
+
+
+def _tied_inputs(dim=6, k=3, m=40):
+    """Bipolar rows against 1-bit prototypes of one scale: every cosine is
+    a multiple of 1/(3 * dim), so many rows tie exactly between classes."""
+    rng = np.random.default_rng(3)
+    classes = rng.choice([-1.0, 1.0], size=(k, dim))
+    encoded = rng.choice([-1.0, 1.0], size=(m, dim))
+    return {dim: (ClassModel(classes), encoded, rng.integers(0, k, size=m))}
+
+
+class TestCertificate:
+    def test_an_error_within_the_margin_is_rescored(self, monkeypatch):
+        # The stacked product gains an error that favours higher classes by
+        # less than D * eps in cosine, a quarter of the smallest sound
+        # margin.  It breaks every exact tie the wrong way, so a trial
+        # that counted such a row would differ from the oracle.
+        models = _tied_inputs()
+        dim = next(iter(models))
+        grid = [(dim, 1, 20.0)]
+        real_dots = robustness._stacked_dots
+        tilted = []
+
+        def tilted_dots(prototypes, encoded):
+            dots = real_dots(prototypes, encoded)
+            k = models[dim][0].n_classes
+            cls = np.arange(len(prototypes)) // (len(prototypes) // k)
+            tilt = (cls / k * dim * np.finfo(np.float64).eps)[:, None]
+            tilted.append(1)
+            return dots + tilt * robustness.row_norms(prototypes)[:, None] \
+                * robustness.row_norms(encoded)
+
+        real_similarity = robustness.similarity_matrix
+        alone = []
+
+        def counting_similarity(*args):
+            alone.append(1)
+            return real_similarity(*args)
+
+        monkeypatch.setattr(robustness, "_stacked_dots", tilted_dots)
+        monkeypatch.setattr(robustness, "similarity_matrix", counting_similarity)
+        got = noise_sweep(models, grid, trials=12, seed=4)
+        assert got == reference_noise_sweep(models, grid, trials=12, seed=4)
+        assert tilted and len(alone) > 1  # past the clean baseline, trials fell back
+
+    def test_decided_trials_are_not_rescored(self, monkeypatch):
+        # Gaussian rows and prototypes leave no row within the margin, so
+        # only the clean baseline of each (dim, bits) is scored alone.
+        rng = np.random.default_rng(8)
+        dim = 64
+        models = {dim: (ClassModel(rng.normal(size=(4, dim))), rng.normal(size=(50, dim)),
+                        rng.integers(0, 4, size=50))}
+        grid = [(dim, bits, 10.0) for bits in SUPPORTED_BITS]
+        real_similarity = robustness.similarity_matrix
+        alone = []
+
+        def counting_similarity(*args):
+            alone.append(1)
+            return real_similarity(*args)
+
+        monkeypatch.setattr(robustness, "similarity_matrix", counting_similarity)
+        got = noise_sweep(models, grid, trials=9, seed=1)
+        assert len(alone) == len(SUPPORTED_BITS)
+        assert got == reference_noise_sweep(models, grid, trials=9, seed=1)
+
+    def test_a_cells_memory_does_not_grow_with_its_trials(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        m, k, dim = 300, 5, 64
+        models = {dim: (ClassModel(rng.normal(size=(k, dim))), rng.normal(size=(m, dim)),
+                        rng.integers(0, k, size=m))}
+        monkeypatch.setattr(robustness, "CELLS", m * k * 4)  # chunks of 4 trials
+        noise_sweep(models, [(dim, 8, 10.0)], 5, seed=0)  # warm numpy's caches
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                noise_sweep(models, [(dim, 8, 10.0)], trials, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak30, peak300 = peak(30), peak(300)
+        # Only the cell's loss vector, whose mean and std numpy takes
+        # pairwise, grows: 8 bytes a trial.
+        assert peak300 <= peak30 + 8 * (300 - 30)
+        # An unchunked 300-trial stack would hold a 300 * k x m score matrix.
+        assert peak300 < m * k * 300 * 8 / 10

@@ -2,18 +2,23 @@
 """Apply each of a fixed list of hand-written mutants of ``src/hdclass/``
 to a copy of this checkout and report whether the tier-1 tests kill it.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py [--all-killers] [NAME ...]
 
 A mutant is one string replacement in one source file; its old text must
 occur exactly once there, or the script stops before running anything.
 For each mutant (all of them, or the NAMEs given) the checkout is copied
 to a temporary directory without ``.git`` and caches, the patch is
 applied, and ``python -m pytest -q -x`` runs there with that copy's
-``src/`` first on ``PYTHONPATH``.  Each mutant prints one line: KILLED
-with the first failing test, or SURVIVED.  The exit status is 1 when a
-mutant survives, and 2 when a NAME is unknown or a patch does not apply
-exactly once.  Only the standard library is used; a mutant that
-survives runs the whole of tier-1 (about a minute on 2 CPUs).
+``src/`` first on ``PYTHONPATH``.  ``tests/test_mutants.py`` is left out
+there: it checks that each patch applies to the unmutated source, so it
+fails in every mutated copy.  Each mutant prints one line: KILLED
+with the first failing test, or SURVIVED.  With ``--all-killers`` pytest
+runs without ``-x``, and the line lists every test that fails, so a
+mutant that a statistical criterion kills first shows whether a direct
+test kills it too.  The exit status is 1 when a mutant survives, and 2
+when a NAME is unknown or a patch does not apply exactly once.  Only the
+standard library is used; a mutant that survives, and every mutant under
+``--all-killers``, runs the whole of tier-1 (about a minute on 2 CPUs).
 """
 
 from __future__ import annotations
@@ -78,6 +83,11 @@ MUTANTS = [
            "ids[lo:hi] = table[:, label_idx].astype(np.intp)"),
     Mutant("trial-seed-entropy-order", ROBUSTNESS,
            "entropy=(seed, cell_idx, t)", "entropy=(seed, t, cell_idx)"),
+    Mutant("noise-uncertain-trial-not-rescored", ROBUSTNESS,
+           "alone = np.flatnonzero(~(np.all(np.abs(gaps) > bounds, axis=1) & certifiable))",
+           "alone = np.flatnonzero(~certifiable)"),
+    Mutant("noise-margin-zero", ROBUSTNESS,
+           "margin = 8.0 * (dim + 1) * np.finfo(np.float64).eps", "margin = 0.0"),
     Mutant("precision-ordering-flipped", CLI,
            "by_key[(dims[-1], bits[0], rate)] < by_key[(dims[-1], bits[-1], rate)]",
            "by_key[(dims[-1], bits[0], rate)] > by_key[(dims[-1], bits[-1], rate)]"),
@@ -98,8 +108,9 @@ def apply(mutant: Mutant, root: str) -> None:
         fh.write(text.replace(mutant.old, mutant.new))
 
 
-def run(mutant: Mutant) -> str | None:
-    """The first test that fails under ``mutant``; None when tier-1 passes."""
+def run(mutant: Mutant, all_killers: bool = False) -> list[str]:
+    """The tests that fail under ``mutant``: the first one, or every one
+    with ``all_killers``; empty when tier-1 passes."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "tree")
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
@@ -108,18 +119,20 @@ def run(mutant: Mutant) -> str | None:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [os.path.join(tree, "src"), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors"],
+            [sys.executable, "-m", "pytest", "-q", *([] if all_killers else ["-x"]),
+             "-p", "no:cacheprovider", "--continue-on-collection-errors",
+             "--ignore", os.path.join("tests", "test_mutants.py")],
             cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode == 0:
-        return None
-    for line in proc.stdout.splitlines():
-        if line.startswith(("FAILED ", "ERROR ")):
-            return line.split(" ", 1)[1].split(" - ", 1)[0]
-    return f"pytest exit status {proc.returncode}"
+        return []
+    killers = [line.split(" ", 1)[1].split(" - ", 1)[0]
+               for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return killers or [f"pytest exit status {proc.returncode}"]
 
 
 def main(argv: list[str]) -> int:
+    all_killers = "--all-killers" in argv
+    argv = [arg for arg in argv if arg != "--all-killers"]
     by_name = {m.name: m for m in MUTANTS}
     unknown = [name for name in argv if name not in by_name]
     if unknown:
@@ -135,10 +148,10 @@ def main(argv: list[str]) -> int:
             return 2
     survivors = 0
     for mutant in chosen:
-        killer = run(mutant)
-        survivors += killer is None
-        print(f"{mutant.name}: " + ("SURVIVED" if killer is None else f"KILLED by {killer}"),
-              flush=True)
+        killers = run(mutant, all_killers)
+        survivors += not killers
+        print(f"{mutant.name}: " + (f"KILLED by {', '.join(killers)}" if killers
+                                    else "SURVIVED"), flush=True)
     return 1 if survivors else 0
 
 
