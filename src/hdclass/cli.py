@@ -181,10 +181,16 @@ def _finite_rows(where: str, ds: dio.Dataset) -> dio.Dataset:
     return ds
 
 
-def _normalized(spec: dio.NormalizationSpec, sets, names) -> list:
-    """``sets`` normalized by ``spec``, each checked under its name in ``names``."""
-    return [_finite_rows(f"{name}, {spec.mode}-normalized", dio.apply_normalizer(spec, ds))
-            for name, ds in zip(names, sets)]
+def _normalized(spec: dio.NormalizationSpec, sets: list, names) -> list:
+    """``sets`` normalized by ``spec``, each checked under its name in ``names``.
+
+    The list is rewritten in place, one set at a time: where it holds the
+    only reference to the raw sets, just the set being normalized exists
+    twice at once."""
+    for i in range(len(sets)):
+        sets[i] = _finite_rows(f"{names[i]}, {spec.mode}-normalized",
+                               dio.apply_normalizer(spec, sets[i]))
+    return sets
 
 
 def _check_describable(flag: str, value: int, *shape: int) -> None:
@@ -268,7 +274,10 @@ def _load_training(args, test_split: bool):
     """The resolved config, TrainConfig, norm spec (None for ``none``) and
     normalized (train, valid) sets of a ``train`` or ``sweep-weights`` run,
     plus the test set under ``test_split``, where valid fractions with a test
-    share of 0 split 0.6/0.2/0.2.  Reads and checks everything; writes nothing."""
+    share of 0 split 0.6/0.2/0.2.  Reads and checks everything; writes nothing.
+    The unsplit data is dropped once split, and each part replaced by its
+    normalized copy as that is made, so at most the parts and one normalized
+    part are held at once."""
     resolved = resolve_train_config(args)
     cfg = train_config_from_resolved(resolved)
     fractions = resolved.get("data.fractions")  # None under train --valid
@@ -285,11 +294,12 @@ def _load_training(args, test_split: bool):
                             f"vs {sets[1].n_features}")
         names = [args.data, args.valid]
     else:
-        parts = dio.split(ds, fractions, stratified=True, seed=cfg.seed)
-        sets = parts[:3 if test_split else 2]
+        sets = list(dio.split(ds, fractions, stratified=True, seed=cfg.seed)[
+            :3 if test_split else 2])
         names = [f"{args.data} ({part} split)" for part in ("train", "valid", "test")]
+    del ds
     n_classes = check_training_sets(sets[0], sets[1])[0]
-    _check_describable("--dim", cfg.dim, cfg.dim, ds.n_features)
+    _check_describable("--dim", cfg.dim, cfg.dim, sets[0].n_features)
     spec = None
     if resolved["data.normalize"] != "none":
         spec = dio.fit_normalizer(sets[0], resolved["data.normalize"])

@@ -16,6 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# An encode projects its rows in blocks of at most this many input cells
+# (2 MB of float64 scaled rows), so no m x n scaled copy of a batch exists.
+ENCODE_CELLS = 1 << 18
 # Rows of an encode take their cos·sin in blocks of at most this many cells
 # (256 KB of float64, which stays in cache).
 COS_SIN_CELLS = 1 << 15
@@ -90,15 +93,18 @@ class Encoder:
         """Encode m feature vectors into an m x D matrix, or into its columns
         ``dims`` (m x len(dims)).
 
-        The projection is one matrix product, ``(input_scale * X) @
-        base[dims].T``, and the nonlinearity is applied to it in place.  A
-        row equals the per-row matrix-vector encoding, and a ``dims`` column
-        the same column of a full encode, within rounding, not bitwise: BLAS
-        sums the n products in an order that depends on its kernel, the
-        product's shape and the thread count.  Encoding the same batch twice
-        in one process gives the same bytes.  A batch of one goes to numpy's
-        matrix-vector kernel.  Training passes ``dims`` to refresh only the
-        columns a regeneration redrew.
+        The projection ``(input_scale * X) @ base[dims].T`` is computed in
+        blocks of whole rows, at most ``ENCODE_CELLS`` input cells each, into
+        one m x D result, and the nonlinearity is applied to it in place.  A
+        batch within one block is bitwise the single matrix product.  A row
+        equals the per-row matrix-vector encoding, a ``dims`` column the same
+        column of a full encode, and a batch of several blocks the single
+        product, within rounding, not bitwise: BLAS sums the n products in an
+        order that depends on its kernel, the product's shape and the thread
+        count.  Encoding the same batch twice in one process gives the same
+        bytes.  A batch of one goes to numpy's matrix-vector kernel.
+        Training passes ``dims`` to refresh only the columns a regeneration
+        redrew.
         """
         X = np.asarray(batch, dtype=np.float64)
         if X.ndim != 2:
@@ -107,7 +113,12 @@ class Encoder:
             raise DimensionError(
                 f"expected {self.n_features} features, got {X.shape[1]}")
         idx = slice(None) if dims is None else np.asarray(dims, dtype=np.intp)
-        return _cos_sin((self.input_scale * X) @ self.base[idx].T, self.phase[idx])
+        base_t = self.base[idx].T
+        out = np.empty((X.shape[0], base_t.shape[1]))
+        rows = max(1, ENCODE_CELLS // max(1, X.shape[1]))
+        for lo in range(0, X.shape[0], rows):
+            np.matmul(self.input_scale * X[lo:lo + rows], base_t, out=out[lo:lo + rows])
+        return _cos_sin(out, self.phase[idx])
 
     def regenerate(self, dims) -> None:
         """Redraw the base rows and phases of the given dimensions.

@@ -536,7 +536,10 @@ def synth_blobs(n_features: int, k_classes: int, per_class: int,
             means = means * (separation / min_dist) if min_dist > 0 else means * 0.0
         else:
             means *= 0.0
-        features = means[labels] + rng.standard_normal((labels.size, n_features))
+        features = rng.standard_normal((labels.size, n_features))
+        # Each class's rows are one block; its mean is added there in place.
+        blocks = features.reshape(k_classes, per_class, n_features)
+        blocks += means[:, None, :]
     # Every class has a row, so this also covers every mean.
     if not np.isfinite(features).all():
         raise ValueError(f"separation {separation!r} overflows the class means or "

@@ -2,7 +2,11 @@
 
 ``encode_one`` encodes one feature vector as a batch of one, which numpy
 sends to its matrix-vector kernel, so it is bitwise the per-row formula
-``cos(base @ (s * f) + phase) * sin(base @ (s * f))``.  ``hamming_distance``
+``cos(base @ (s * f) + phase) * sin(base @ (s * f))``.
+``reference_encode_batch`` is the one-product batch encode that
+``encode_batch``'s row blocks replaced.  ``reference_synth_features`` is
+``synth_blobs``'s feature matrix by the mean gather that its in-place
+block addition replaced.  ``hamming_distance``
 counts the bits two quantized memories of one layout differ in.
 ``reference_noise_sweep`` is the per-trial sweep that ``noise_sweep``'s
 stacked, certified chunks replaced: every trial dequantizes its flipped
@@ -28,6 +32,31 @@ from hdclass.robustness import (
 def encode_one(encoder: Encoder, features) -> np.ndarray:
     """The length-D hypervector of one feature vector."""
     return encoder.encode_batch(np.asarray(features, dtype=np.float64)[None, :])[0]
+
+
+def reference_encode_batch(encoder: Encoder, batch, dims=None) -> np.ndarray:
+    """``cos(P + phase) * sin(P)`` of the single product
+    ``P = (input_scale * X) @ base[dims].T``."""
+    idx = slice(None) if dims is None else np.asarray(dims, dtype=np.intp)
+    proj = (encoder.input_scale * np.asarray(batch, dtype=np.float64)) @ encoder.base[idx].T
+    return np.cos(proj + encoder.phase[idx]) * np.sin(proj)
+
+
+def reference_synth_features(n_features: int, k_classes: int, per_class: int,
+                             separation: float, seed: int) -> np.ndarray:
+    """The features of ``synth_blobs(n_features, k_classes, per_class,
+    separation, seed)``: each row's class mean, gathered, plus its draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    means = rng.standard_normal((k_classes, n_features))
+    labels = np.repeat(np.arange(k_classes), per_class)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k_classes > 1:
+            dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
+            min_dist = dists[np.triu_indices(k_classes, 1)].min()
+            means = means * (separation / min_dist) if min_dist > 0 else means * 0.0
+        else:
+            means *= 0.0
+        return means[labels] + rng.standard_normal((labels.size, n_features))
 
 
 def hamming_distance(a: QuantizedModel, b: QuantizedModel) -> int:

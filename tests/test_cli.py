@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,37 @@ class TestTrain:
             selected[it] = selected.get(it, 0) + int(row["selected"])
         report = [json.loads(line) for line in open(out / "report.jsonl")]
         assert selected == {r["iteration"]: r["regenerated"] for r in report[:-1]}
+
+    def test_loader_holds_the_parts_and_one_normalized_part(self, tmp_path, monkeypatch):
+        # From the normalizer's fit on, the loader holds the split parts (the
+        # unsplit rows are gone) and, while a part is normalized, its copy and
+        # the finite check's mask of that copy (a byte a cell).  Keeping the
+        # unsplit rows or every raw part beside the normalized ones costs
+        # half the features or more.
+        ds = synth_blobs(64, 4, 500, 3.0, seed=0)
+        path = str(tmp_path / "blobs.csv")
+        save_csv(path, ds)
+        features = ds.features.nbytes
+        del ds
+        args = build_parser().parse_args(["train", "--data", path, "--fractions", "0.5,0.5,0",
+                                          "--out", str(tmp_path / "out")])
+        cli._load_training(args, test_split=False)  # warm imports and numpy's caches
+        fit = cli.dio.fit_normalizer
+
+        def fit_from_here(*fit_args):
+            tracemalloc.reset_peak()
+            return fit(*fit_args)
+
+        monkeypatch.setattr(cli.dio, "fit_normalizer", fit_from_here)
+        tracemalloc.start()
+        try:
+            *_, sets = cli._load_training(args, test_split=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(part.features.nbytes for part in sets) == features
+        largest = max(part.features.nbytes for part in sets)
+        assert peak <= features + largest + largest // 8 + (1 << 16)
 
 
 def _nudged(default):

@@ -1,6 +1,7 @@
 """Unit tests for the hypervector primitives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hdclass.core import (
 )
 
 from conftest import per_row_encoding
-from reference_kernels import encode_one
+from reference_kernels import encode_one, reference_encode_batch
 
 
 def rowwise_similarity(model, H):
@@ -181,6 +182,70 @@ class TestEncode:
         assert columns.shape == (m, idx.size)
         np.testing.assert_allclose(columns, enc.encode_batch(X)[:, idx],
                                    rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(0, 60), n=st.integers(1, 617), dim=st.integers(1, 96),
+           some_dims=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(m=core.ENCODE_CELLS // 617, n=617, dim=500, some_dims=False, seed=0)
+    @example(m=2000, n=6, dim=128, some_dims=False, seed=1)  # overlap-dyn128's encodes
+    @example(m=1500, n=6, dim=128, some_dims=True, seed=2)
+    def test_a_batch_within_one_block_is_bitwise_the_single_product(self, m, n, dim,
+                                                                   some_dims, seed):
+        assert m * n <= core.ENCODE_CELLS
+        rng = np.random.default_rng(seed)
+        enc = Encoder.create(n, dim, seed=seed)
+        enc.input_scale = 1.0 / np.sqrt(n)
+        X = rng.normal(size=(m, n))
+        dims = np.sort(rng.choice(dim, size=int(rng.integers(0, dim + 1)),
+                                  replace=False)) if some_dims else None
+        got = enc.encode_batch(X, dims)
+        want = reference_encode_batch(enc, X, dims)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("cells, m, n, dim", [
+        (core.ENCODE_CELLS, 3822, 617, 500),  # ISOLET's train part: 424 rows a block
+        (12, 7, 5, 4),   # 2 rows a block, and one row left over
+        (12, 5, 13, 3),  # a row wider than a block: one row a block
+    ])
+    def test_blocks_are_within_rounding_of_the_single_product(self, monkeypatch,
+                                                              cells, m, n, dim):
+        # Each block is the single product of its own rows, bitwise; the
+        # whole batch differs from one product of every row only in how
+        # BLAS sums each dot product for a product of that shape.
+        monkeypatch.setattr(core, "ENCODE_CELLS", cells)
+        rng = np.random.default_rng(m)
+        enc = Encoder.create(n, dim, seed=m)
+        enc.input_scale = 1.0 / np.sqrt(n)
+        X = rng.normal(size=(m, n))
+        for dims in (None, np.arange(0, dim, 2)):
+            got = enc.encode_batch(X, dims)
+            np.testing.assert_allclose(got, reference_encode_batch(enc, X, dims),
+                                       rtol=0, atol=1e-12)
+            rows = max(1, cells // n)
+            for lo in range(0, m, rows):
+                block = reference_encode_batch(enc, X[lo:lo + rows], dims)
+                assert np.array_equal(got[lo:lo + rows].view(np.int64), block.view(np.int64))
+
+    def test_peak_memory_is_the_result_and_one_block(self):
+        m, n, dim = 1500, 617, 200
+        assert m * n > 3 * core.ENCODE_CELLS
+        enc = Encoder.create(n, dim, seed=3)
+        enc.input_scale = 1.0 / np.sqrt(n)
+        X = np.random.default_rng(4).normal(size=(m, n))
+        enc.encode_batch(X[:2])  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            H = enc.encode_batch(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The m x D result, one block's scaled rows and the cos·sin scratch,
+        # with 64 KiB for Python objects; a scaled copy of the whole batch
+        # alone is 7.4 MB.
+        block = (core.ENCODE_CELLS // n) * n * 8
+        scratch = (core.COS_SIN_CELLS // dim) * dim * 8
+        assert peak <= H.nbytes + block + scratch + (1 << 16)
 
     @pytest.mark.parametrize("cells, m, dim", [
         (core.COS_SIN_CELLS, 3822, 500),  # the ISOLET shape: 65 rows a block

@@ -32,6 +32,7 @@ from hdclass.data import (
     synth_blobs,
 )
 from hdclass.data import _load_plain, _load_rows
+from reference_kernels import reference_synth_features
 
 
 @pytest.fixture
@@ -609,6 +610,34 @@ class TestSynthBlobs:
     def test_separation_that_overflows_is_rejected(self, n_features, separation):
         with pytest.raises(ValueError, match="non-finite"):
             synth_blobs(n_features, 3, 10, separation, seed=0)
+
+    @pytest.mark.parametrize("n_features, k_classes, per_class, separation, seed", [
+        (617, 26, 240, 25.0, 0),  # the ISOLET shape
+        (6, 4, 1000, 2.0731, 3),
+        (5, 1, 7, 2.0, 1),        # one class: its mean is the origin
+        (3, 4, 1, 0.0, 2),
+        (1, 2, 9, 3.0, 4),
+        (8, 3, 11, 1e300, 5),     # means near the float64 limit
+    ])
+    def test_features_are_bitwise_the_mean_gather(self, n_features, k_classes, per_class,
+                                                  separation, seed):
+        ds = synth_blobs(n_features, k_classes, per_class, separation, seed)
+        want = reference_synth_features(n_features, k_classes, per_class, separation, seed)
+        assert ds.features.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_one_feature_matrix(self):
+        synth_blobs(40, 5, 500, 3.0, seed=0)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            ds = synth_blobs(40, 5, 500, 3.0, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The labels (8 bytes a row), the finite check's mask (a byte a cell)
+        # and the k x n means come on top; a gathered copy of the means would
+        # add a whole feature matrix.
+        features = ds.features.nbytes
+        assert peak <= features + ds.labels.nbytes + features // 8 + (1 << 16)
 
     def test_deterministic(self):
         a = synth_blobs(4, 3, 10, 2.0, seed=9)

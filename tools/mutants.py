@@ -88,6 +88,20 @@ MUTANTS = [
            "alone = np.flatnonzero(~certifiable)"),
     Mutant("noise-margin-zero", ROBUSTNESS,
            "margin = 8.0 * (dim + 1) * np.finfo(np.float64).eps", "margin = 0.0"),
+    Mutant("quantize-rounds", ROBUSTNESS,
+           "q = np.floor(classes[nz] / scales[nz, None])",
+           "q = np.round(classes[nz] / scales[nz, None])"),
+    Mutant("encode-in-one-block", CORE,
+           "rows = max(1, ENCODE_CELLS // max(1, X.shape[1]))",
+           "rows = max(1, X.shape[0])"),
+    Mutant("normalize-every-part-before-dropping", CLI,
+           "    for i in range(len(sets)):\n"
+           "        sets[i] = _finite_rows(f\"{names[i]}, {spec.mode}-normalized\",\n"
+           "                               dio.apply_normalizer(spec, sets[i]))\n"
+           "    return sets\n",
+           "    return [_finite_rows(f\"{name}, {spec.mode}-normalized\",\n"
+           "                         dio.apply_normalizer(spec, part))\n"
+           "            for name, part in zip(names, sets)]\n"),
     Mutant("precision-ordering-flipped", CLI,
            "by_key[(dims[-1], bits[0], rate)] < by_key[(dims[-1], bits[-1], rate)]",
            "by_key[(dims[-1], bits[0], rate)] > by_key[(dims[-1], bits[-1], rate)]"),
