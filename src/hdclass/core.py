@@ -28,13 +28,6 @@ class DimensionError(ValueError):
     """Raised when vector or matrix shapes do not match expectations."""
 
 
-def _as_float_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {v.shape}")
-    return v
-
-
 class Encoder:
     """Random nonlinear projection from feature space to hypervector space.
 
@@ -197,11 +190,6 @@ class ClassModel:
         return ClassModel(self.classes.copy(), list(self.labels))
 
 
-def similarity_scores(model: ClassModel, h) -> np.ndarray:
-    """Cosine similarity of a hypervector against every class prototype."""
-    return similarity_matrix(model, _as_float_vector(h, "h")[None, :])[0]
-
-
 def row_norms(encoded: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, ``sqrt(r . r)``: the package's one norm
     formula, bitwise ``math.sqrt(r.dot(r))`` of a row on its own."""
@@ -209,25 +197,17 @@ def row_norms(encoded: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(H, H))
 
 
-def similarity_matrix(model: ClassModel, encoded: np.ndarray,
-                      norms: np.ndarray | None = None) -> np.ndarray:
+def similarity_matrix(model: ClassModel, encoded: np.ndarray) -> np.ndarray:
     """m x k cosine similarities: the one scoring kernel of the package.
 
     One matrix product put through :func:`cosine_divide` with the row norms
     and the prototype norms, both from :func:`row_norms`, so zero rows and
     zero prototypes score 0.  A single row goes through the matrix-vector
-    kernel, so 1-row calls are bit-identical to
-    ``model.classes @ h / (row_norms(model.classes) * norm(h))``.
-    ``norms`` is ``row_norms(encoded)`` for a caller that scores the same
-    rows against many models.
+    kernel, so the 1-row call ``similarity_matrix(model, h[None, :])[0]`` is
+    bit-identical to ``model.classes @ h / (row_norms(model.classes) * norm(h))``.
     """
     H = check_encoded(model, encoded)
-    if norms is None:
-        norms = row_norms(H)
-    elif np.shape(norms) != H.shape[:1]:
-        raise DimensionError(
-            f"row norms must have length {H.shape[0]}, got shape {np.shape(norms)}")
-    return cosine_divide(H @ model.classes.T, norms[:, None], row_norms(model.classes))
+    return cosine_divide(H @ model.classes.T, row_norms(H)[:, None], row_norms(model.classes))
 
 
 def check_encoded(model: ClassModel, encoded) -> np.ndarray:

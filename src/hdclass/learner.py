@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics, regen
 from .core import (ClassModel, Encoder, check_encoded, cosine_divide, ranking,
-                   row_norms, similarity_matrix, similarity_scores)
+                   row_norms, similarity_matrix)
 
 DYNAMIC = "dynamic"
 STATIC = "static"
@@ -109,13 +109,6 @@ def _check_labels(model: ClassModel, labels) -> np.ndarray:
         bad = int(y[(y < 0) | (y >= model.n_classes)][0])
         raise ValueError(f"unknown class label {bad} (model has {model.n_classes} classes)")
     return y.astype(np.intp)
-
-
-def top_k(model: ClassModel, h, k: int) -> list[int]:
-    """Class indices by descending similarity, ties by ascending index."""
-    if not 1 <= k <= model.n_classes:
-        raise ValueError(f"k must be in [1, {model.n_classes}], got {k}")
-    return ranking(similarity_scores(model, h), k).tolist()
 
 
 # Rows the adaptive epoch scores per call.  Timed in-process on recorded

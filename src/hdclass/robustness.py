@@ -89,40 +89,39 @@ def flip_bits(qm: QuantizedModel, error_rate: float, seed: int) -> QuantizedMode
 
 
 def run_trial(qm: QuantizedModel, encoded: np.ndarray, labels: np.ndarray,
-              clean_accuracy: float, error_rate: float, seeds, norms: np.ndarray) -> np.ndarray:
+              clean_accuracy: float, error_rate: float, seeds) -> np.ndarray:
     """The accuracy drops, in percentage points, of one seeded corruption
-    per seed in ``seeds``, a seed or a sequence of them; ``norms`` is
-    ``row_norms(encoded)``.
+    per seed in the sequence ``seeds``.
 
     The trials' prototypes are stacked and scored against the rows in one
     product.  A trial takes its accuracy from that product when the
     certificate of :func:`_certified_gaps` decides every one of its rows.
-    Any other trial, and a call with one seed, is scored alone by
-    :func:`similarity_matrix`.  Either way a loss is bitwise the one that
+    Every other trial is scored alone by :func:`similarity_matrix`: one the
+    certificate leaves undecided, each trial of a chunk it refuses, and the
+    trial of a one-seed call.  Either way a loss is bitwise the one that
     scoring the trial alone gives.
     """
-    corrupted = [dequantize(flip_bits(qm, error_rate, seed))
-                 for seed in np.atleast_1d(seeds).tolist()]
+    corrupted = [dequantize(flip_bits(qm, error_rate, seed)) for seed in seeds]
     losses = np.empty(len(corrupted))
+    certified = _certified_gaps(corrupted, encoded, labels) if len(corrupted) > 1 else None
     alone = range(len(corrupted))
-    if len(corrupted) > 1 and np.all(_in_range(norms)):
-        gaps, bounds, certifiable = _certified_gaps(corrupted, encoded, labels, norms)
+    if certified is not None:
+        gaps, bounds = certified
         losses[:] = (clean_accuracy - np.count_nonzero(gaps > bounds, axis=1)
                      / len(labels)) * 100.0
-        alone = np.flatnonzero(~(np.all(np.abs(gaps) > bounds, axis=1) & certifiable))
+        alone = np.flatnonzero(~np.all(np.abs(gaps) > bounds, axis=1))
     for t in alone:
-        acc = metrics.accuracy(
-            similarity_matrix(corrupted[t], encoded, norms).argmax(axis=1), labels)
+        acc = metrics.accuracy(similarity_matrix(corrupted[t], encoded).argmax(axis=1), labels)
         losses[t] = (clean_accuracy - acc) * 100.0
     return losses
 
 
-def _in_range(norms: np.ndarray) -> np.ndarray:
-    """Norms in [2^-480, 2^480]: there the squares, norm products and dots
-    of rows and prototypes neither overflow nor lose precision to
-    underflow, which the certificate's rounding bound assumes.  Zero and
-    non-finite norms are out of range."""
-    return (norms >= 2.0 ** -480) & (norms <= 2.0 ** 480)
+def _in_range(norms: np.ndarray) -> bool:
+    """Whether every norm is in [2^-480, 2^480]: there the squares, norm
+    products and dots of rows and prototypes neither overflow nor lose
+    precision to underflow, which the certificate's rounding bound assumes.
+    Zero and non-finite norms are out of range."""
+    return bool(np.all((norms >= 2.0 ** -480) & (norms <= 2.0 ** 480)))
 
 
 def _stacked_dots(prototypes: np.ndarray, encoded: np.ndarray) -> np.ndarray:
@@ -130,35 +129,30 @@ def _stacked_dots(prototypes: np.ndarray, encoded: np.ndarray) -> np.ndarray:
     return prototypes @ encoded.T
 
 
-def _certified_gaps(corrupted: list, encoded: np.ndarray, labels: np.ndarray,
-                    norms: np.ndarray) -> tuple:
+def _certified_gaps(corrupted: list, encoded: np.ndarray, labels: np.ndarray):
     """Each row's true-class gap under each of c trials, from one stacked
-    product.
+    product, or None when a row norm or a prototype norm is out of range.
 
-    Returns the c x m gaps, their length-m bounds and a length-c flag per
-    trial.  A row's gap is its true class's score, the dot product over the
-    prototype norm, minus the best other class's; a row whose label names
-    no class has gap -inf.  Divided by the row norm, a gap is a cosine gap.
-    Each dot lies within D·eps·|h||c| of the exact one on either path, so
-    the stacked and the per-trial cosines differ by at most 2·D·eps and a
-    gap by 4·D·eps, plus a few roundings.  So where ``|gap| > bound``, with
+    Returns the c x m gaps and their length-m bounds.  A row's gap is its
+    true class's score, the dot product over the prototype norm, minus the
+    best other class's; a row whose label names no class has gap -inf.
+    Divided by the row norm, a gap is a cosine gap.  Each dot lies within
+    D·eps·|h||c| of the exact one on either path, so the stacked and the
+    per-trial cosines differ by at most 2·D·eps and a gap by 4·D·eps, plus
+    a few roundings.  So where ``|gap| > bound``, with
     ``bound = 8·(D + 1)·eps·|h|``, scoring the trial alone decides the row
-    the same way: correct exactly when the gap is positive.  Exact ties,
-    zero rows and NaN gaps fail that test.  A trial whose flag is false
-    holds a prototype whose norm is zero or out of range, and its gaps are
-    not used.
+    the same way: correct exactly when the gap is positive.  Exact ties and
+    NaN gaps fail that test.
     """
     k, dim = corrupted[0].classes.shape
     # Class j of trial t is row j*c + t, so the scores reshape to k x c x m
     # and the best other class is a maximum over k contiguous slabs.
     prototypes = np.stack([model.classes for model in corrupted], axis=1).reshape(-1, dim)
-    class_norms = row_norms(prototypes)
-    usable = _in_range(class_norms)
-    # Out-of-range prototypes would overflow or divide by zero; their
-    # trials are scored alone.
-    prototypes[~usable] = 0.0
+    norms, class_norms = row_norms(encoded), row_norms(prototypes)
+    if not (_in_range(norms) and _in_range(class_norms)):
+        return None
     scores = _stacked_dots(prototypes, encoded)
-    scores /= np.where(usable, class_norms, 1.0)[:, None]
+    scores /= class_norms[:, None]
     scores = scores.reshape(k, len(corrupted), len(labels))
     hit = np.arange(k) == np.asarray(labels)[:, None]
     true_class, rows = hit.argmax(axis=1), np.arange(len(labels))
@@ -167,7 +161,7 @@ def _certified_gaps(corrupted: list, encoded: np.ndarray, labels: np.ndarray,
     gaps = true_score - scores.max(axis=0)
     gaps[:, ~hit.any(axis=1)] = -np.inf
     margin = 8.0 * (dim + 1) * np.finfo(np.float64).eps
-    return gaps, margin * norms, usable.reshape(k, len(corrupted)).all(axis=0)
+    return gaps, margin * norms
 
 
 def noise_sweep(models_by_dim: dict, grid, trials: int, seed: int) -> list[SweepCell]:
@@ -190,18 +184,15 @@ def noise_sweep(models_by_dim: dict, grid, trials: int, seed: int) -> list[Sweep
         raise ValueError(f"trial count must be >= 1, got {trials}")
     cells = []
     clean_cache: dict[tuple[int, int], tuple[QuantizedModel, float]] = {}
-    # Each model's test rows are scored many times; their norms once.
-    norms_by_dim = {dim: row_norms(encoded) for dim, (_, encoded, _) in models_by_dim.items()}
     for cell_idx, (dim, bits, rate) in enumerate(grid):
         if dim not in models_by_dim:
             raise KeyError(f"no trained model available for dimensionality {dim}")
         model, encoded, labels = models_by_dim[dim]
-        norms = norms_by_dim[dim]
         key = (dim, bits)
         if key not in clean_cache:
             qm = quantize(model, bits)
             clean = metrics.accuracy(
-                similarity_matrix(dequantize(qm), encoded, norms).argmax(axis=1), labels)
+                similarity_matrix(dequantize(qm), encoded).argmax(axis=1), labels)
             clean_cache[key] = (qm, clean)
         qm, clean = clean_cache[key]
         losses = np.zeros(trials)
@@ -211,8 +202,7 @@ def noise_sweep(models_by_dim: dict, grid, trials: int, seed: int) -> list[Sweep
                 seeds = [int(np.random.SeedSequence(
                     entropy=(seed, cell_idx, t)).generate_state(1)[0])
                     for t in range(lo, min(lo + chunk, trials))]
-                losses[lo:lo + chunk] = run_trial(qm, encoded, labels, clean, rate,
-                                                  seeds, norms)
+                losses[lo:lo + chunk] = run_trial(qm, encoded, labels, clean, rate, seeds)
         cells.append(SweepCell(dim, bits, rate, trials,
                                float(losses.mean()), float(losses.std())))
     return cells

@@ -4,7 +4,9 @@
 sends to its matrix-vector kernel, so it is bitwise the per-row formula
 ``cos(base @ (s * f) + phase) * sin(base @ (s * f))``.
 ``reference_encode_batch`` is the one-product batch encode that
-``encode_batch``'s row blocks replaced.  ``reference_synth_features`` is
+``encode_batch``'s row blocks replaced.  ``reference_top_k`` ranks one
+sample's classes from a 1-row ``similarity_matrix`` call, the per-sample
+scoring of the adaptive rule.  ``reference_synth_features`` is
 ``synth_blobs``'s feature matrix by the mean gather that its in-place
 block addition replaced.  ``hamming_distance``
 counts the bits two quantized memories of one layout differ in.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from hdclass import metrics
-from hdclass.core import Encoder, row_norms, similarity_matrix
+from hdclass.core import ClassModel, Encoder, ranking, similarity_matrix
 from hdclass.robustness import (
     QuantizedModel,
     SweepCell,
@@ -40,6 +42,15 @@ def reference_encode_batch(encoder: Encoder, batch, dims=None) -> np.ndarray:
     idx = slice(None) if dims is None else np.asarray(dims, dtype=np.intp)
     proj = (encoder.input_scale * np.asarray(batch, dtype=np.float64)) @ encoder.base[idx].T
     return np.cos(proj + encoder.phase[idx]) * np.sin(proj)
+
+
+def reference_top_k(model: ClassModel, h, k: int) -> list[int]:
+    """One sample's k best class indices by descending similarity, ties by
+    ascending index."""
+    if not 1 <= k <= model.n_classes:
+        raise ValueError(f"k must be in [1, {model.n_classes}], got {k}")
+    return ranking(similarity_matrix(model, np.asarray(h, dtype=np.float64)[None, :])[0],
+                   k).tolist()
 
 
 def reference_synth_features(n_features: int, k_classes: int, per_class: int,
@@ -67,13 +78,10 @@ def hamming_distance(a: QuantizedModel, b: QuantizedModel) -> int:
 
 
 def reference_run_trial(qm: QuantizedModel, encoded: np.ndarray, labels: np.ndarray,
-                        clean_accuracy: float, error_rate: float, seed: int,
-                        norms: np.ndarray) -> float:
-    """The accuracy drop, in percentage points, of one seeded corruption;
-    ``norms`` is ``row_norms(encoded)``."""
+                        clean_accuracy: float, error_rate: float, seed: int) -> float:
+    """The accuracy drop, in percentage points, of one seeded corruption."""
     corrupted = dequantize(flip_bits(qm, error_rate, seed))
-    acc = metrics.accuracy(
-        similarity_matrix(corrupted, encoded, norms).argmax(axis=1), labels)
+    acc = metrics.accuracy(similarity_matrix(corrupted, encoded).argmax(axis=1), labels)
     return (clean_accuracy - acc) * 100.0
 
 
@@ -87,18 +95,15 @@ def reference_noise_sweep(models_by_dim: dict, grid, trials: int,
         raise ValueError(f"trial count must be >= 1, got {trials}")
     cells = []
     clean_cache: dict[tuple[int, int], tuple[QuantizedModel, float]] = {}
-    # Each model's test rows are scored many times; their norms once.
-    norms_by_dim = {dim: row_norms(encoded) for dim, (_, encoded, _) in models_by_dim.items()}
     for cell_idx, (dim, bits, rate) in enumerate(grid):
         if dim not in models_by_dim:
             raise KeyError(f"no trained model available for dimensionality {dim}")
         model, encoded, labels = models_by_dim[dim]
-        norms = norms_by_dim[dim]
         key = (dim, bits)
         if key not in clean_cache:
             qm = quantize(model, bits)
             clean = metrics.accuracy(
-                similarity_matrix(dequantize(qm), encoded, norms).argmax(axis=1), labels)
+                similarity_matrix(dequantize(qm), encoded).argmax(axis=1), labels)
             clean_cache[key] = (qm, clean)
         qm, clean = clean_cache[key]
         losses = np.zeros(trials)
@@ -106,8 +111,7 @@ def reference_noise_sweep(models_by_dim: dict, grid, trials: int,
             for t in range(trials):
                 trial_seed = int(np.random.SeedSequence(
                     entropy=(seed, cell_idx, t)).generate_state(1)[0])
-                losses[t] = reference_run_trial(qm, encoded, labels, clean, rate,
-                                                trial_seed, norms)
+                losses[t] = reference_run_trial(qm, encoded, labels, clean, rate, trial_seed)
         cells.append(SweepCell(dim, bits, rate, trials,
                                float(losses.mean()), float(losses.std())))
     return cells

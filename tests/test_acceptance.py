@@ -29,6 +29,7 @@ from hdclass.metrics import (
 from hdclass.regen import incorrect_row, partial_row
 from hdclass.robustness import noise_sweep
 from conftest import make_benchmark, shuffle_dataset, eval_accuracy
+from reference_kernels import reference_top_k
 from test_metrics import auc_by_pair_counting
 
 
@@ -215,14 +216,13 @@ def test_criterion_11_metrics_oracles():
         curve = roc_curve(scores, truth)
         assert abs(curve.auc - auc_by_pair_counting(scores, truth)) < 1e-12
     rng = np.random.default_rng(11)
-    from hdclass.learner import top_k
     for _ in range(100):
         k_classes = int(rng.integers(2, 6))
         model = ClassModel(rng.normal(size=(k_classes, 8)))
         H = rng.normal(size=(6, 8))
         y = rng.integers(0, k_classes, size=6)
         k = int(rng.integers(1, k_classes + 1))
-        expected = np.mean([int(y[j]) in top_k(model, H[j], k)
+        expected = np.mean([int(y[j]) in reference_top_k(model, H[j], k)
                             for j in range(6)])
         assert abs(top_k_accuracy(model, H, y, k) - expected) < 1e-12
 

@@ -16,7 +16,6 @@ from hdclass.core import (
     ranking,
     row_norms,
     similarity_matrix,
-    similarity_scores,
 )
 
 from conftest import per_row_encoding
@@ -376,34 +375,34 @@ class TestSimilarity:
 
     def test_cosine_basic(self):
         m = ClassModel(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
-        scores = similarity_scores(m, [1, 0])
+        scores = similarity_matrix(m, np.array([[1.0, 0.0]]))[0]
         assert scores.tolist() == pytest.approx([1.0, 0.0, -1.0])
         for c in range(3):
             assert scores[c] == pytest.approx(self.cosine([1, 0], m.classes[c]))
 
     def test_cosine_zero_vector(self):
         m = ClassModel(np.array([[1.0, 2.0], [0.0, 0.0]]))
-        assert similarity_scores(m, [0, 0]).tolist() == [0.0, 0.0]
-        assert similarity_scores(m, [1, 2])[1] == 0.0
+        assert similarity_matrix(m, np.array([[0.0, 0.0]]))[0].tolist() == [0.0, 0.0]
+        assert similarity_matrix(m, np.array([[1.0, 2.0]]))[0, 1] == 0.0
         assert self.cosine([0, 0], [1, 2]) == 0.0
 
     def test_scores_match_pairwise_cosine(self):
         rng = np.random.default_rng(4)
         m = ClassModel(rng.normal(size=(3, 8)))
         h = rng.normal(size=8)
-        scores = similarity_scores(m, h)
+        scores = similarity_matrix(m, h[None, :])[0]
         for c in range(3):
             assert scores[c] == pytest.approx(self.cosine(h, m.classes[c]), abs=1e-12)
 
     def test_scores_zero_hypervector(self):
         m = ClassModel(np.ones((3, 8)))
-        assert np.array_equal(similarity_scores(m, np.zeros(8)), np.zeros(3))
+        assert np.array_equal(similarity_matrix(m, np.zeros((1, 8)))[0], np.zeros(3))
 
     def test_scores_zero_class(self):
         classes = np.ones((3, 8))
         classes[1] = 0.0
         m = ClassModel(classes)
-        scores = similarity_scores(m, np.ones(8))
+        scores = similarity_matrix(m, np.ones((1, 8)))[0]
         assert scores[1] == 0.0
         assert scores[0] == pytest.approx(1.0)
 
@@ -441,26 +440,16 @@ class TestSimilarity:
             with np.errstate(invalid="ignore"):
                 expected = m.classes @ h / (row_norms(m.classes) * np.linalg.norm(h))
             expected[-1] = 0.0
-            assert np.array_equal(similarity_scores(m, h), expected)
-            assert np.array_equal(similarity_scores(m, h),
+            assert np.array_equal(similarity_matrix(m, h[None, :])[0], expected)
+            assert np.array_equal(similarity_matrix(m, h[None, :])[0],
                                   rowwise_similarity(m, h[None, :])[0])
-
-    def test_given_row_norms_score_bitwise_as_computed_ones(self):
-        rng = np.random.default_rng(6)
-        model = ClassModel(rng.normal(size=(26, 500)))
-        H = rng.normal(size=(40, 500))
-        H[3] = 0.0
-        assert np.array_equal(similarity_matrix(model, H, row_norms(H)),
-                              similarity_matrix(model, H))
-        with pytest.raises(DimensionError):
-            similarity_matrix(model, H, row_norms(H[1:]))
 
     def test_matrix_rejects_wrong_width(self):
         m = ClassModel(np.ones((3, 8)))
         with pytest.raises(DimensionError):
             similarity_matrix(m, np.ones((2, 7)))
         with pytest.raises(DimensionError):
-            similarity_scores(m, np.ones(7))
+            similarity_matrix(m, np.ones((1, 7)))
 
 
 class TestRanking:

@@ -994,6 +994,18 @@ def test_one_pass_load_in_small_ranges_agrees_with_the_row_parser(case, range_by
         assert_oracle_case(case)
 
 
+def test_line_ranges_end_with_a_file_shorter_than_its_size(tmp_path):
+    # A file that shrank after its size was read: the ranges stop at its
+    # last byte and the unterminated last line still counts.
+    path = tmp_path / "short.csv"
+    path.write_bytes(b"1,2\n3,4\n5,6")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        assert hdclass.data._line_ranges(fd, 100) == ([(0, 8), (8, 11)], 3)
+    finally:
+        os.close(fd)
+
+
 CSV_ALPHABET = list("0123456789.,,,-+eE \"\n\r\tabxnf_\x00") + ["nan", "inf", "١", "é"]
 
 

