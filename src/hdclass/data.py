@@ -9,11 +9,9 @@ import io
 import itertools
 import logging
 import math
-import multiprocessing
 import os
 import stat
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -381,8 +379,13 @@ def _mapped(fn, blocks, parallel: bool):
     is queued and joins every worker.
     """
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if (not parallel or workers < 2 or multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()):
+    if parallel and workers >= 2:
+        # Imported here: a process that meets no table this big never needs them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        parallel = (not multiprocessing.current_process().daemon
+                    and "fork" in multiprocessing.get_all_start_methods())
+    if not parallel or workers < 2:
         yield from itertools.starmap(fn, blocks)
         return
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))

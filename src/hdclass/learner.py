@@ -211,16 +211,17 @@ def _build_distance_rows(model: ClassModel, encoded: np.ndarray, scores: np.ndar
     intersection of the two sides goes empty.
     """
     top1, top2 = ranking(scores, 2).T
-    wrong = top1 != labels
-    Hn = regen.normalize_rows(encoded[wrong])
+    wrong = np.flatnonzero(top1 != labels)
     Cn = regen.normalize_rows(model.classes)
     y, top1, top2 = labels[wrong], top1[wrong], top2[wrong]
     partial, incorrect = top2 == y, top2 != y
+    # Each side gathers and normalizes its own rows: no copy of all of them.
     partial_rows = regen.partial_row(
-        Hn[partial], Cn[y[partial]], Cn[top1[partial]], cfg.alpha, cfg.beta)
+        regen.normalize_rows(encoded[wrong[partial]]), Cn[y[partial]],
+        Cn[top1[partial]], cfg.alpha, cfg.beta)
     incorrect_rows = regen.incorrect_row(
-        Hn[incorrect], Cn[y[incorrect]], Cn[top1[incorrect]],
-        Cn[top2[incorrect]], cfg.alpha, cfg.beta, cfg.theta)
+        regen.normalize_rows(encoded[wrong[incorrect]]), Cn[y[incorrect]],
+        Cn[top1[incorrect]], Cn[top2[incorrect]], cfg.alpha, cfg.beta, cfg.theta)
     return partial_rows, incorrect_rows
 
 

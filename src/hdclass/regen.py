@@ -40,6 +40,12 @@ def _check_rows(*vectors) -> None:
         raise DimensionError(f"length mismatch: {lengths}")
 
 
+def _distance(h: np.ndarray, c, w: float) -> np.ndarray:
+    """``w * |h - c|``, built in one new array."""
+    out = np.subtract(h, c)
+    return np.multiply(np.abs(out, out=out), w, out=out)
+
+
 def partial_row(h, c_true, c_top1, alpha: float, beta: float) -> np.ndarray:
     """Distance row for a sample whose true class ranked second.
 
@@ -49,8 +55,9 @@ def partial_row(h, c_true, c_top1, alpha: float, beta: float) -> np.ndarray:
     _check_rows(h, c_true, c_top1)
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    h = np.asarray(h, dtype=np.float64)
-    return alpha * np.abs(h - c_true) - beta * np.abs(h - c_top1)
+    h, c_true, c_top1 = np.broadcast_arrays(np.asarray(h, dtype=np.float64), c_true, c_top1)
+    row = _distance(h, c_true, alpha)
+    return np.subtract(row, _distance(h, c_top1, beta), out=row)
 
 
 def incorrect_row(h, c_true, c_top1, c_top2, alpha: float, beta: float,
@@ -66,8 +73,10 @@ def incorrect_row(h, c_true, c_top1, c_top2, alpha: float, beta: float,
         raise ValueError("alpha, beta and theta must be positive")
     if theta >= beta:
         raise ValueError(f"theta must be < beta, got theta={theta}, beta={beta}")
-    h = np.asarray(h, dtype=np.float64)
-    return partial_row(h, c_true, c_top1, alpha, beta) - theta * np.abs(h - c_top2)
+    h, c_true, c_top1, c_top2 = np.broadcast_arrays(
+        np.asarray(h, dtype=np.float64), c_true, c_top1, c_top2)
+    row = partial_row(h, c_true, c_top1, alpha, beta)
+    return np.subtract(row, _distance(h, c_top2, theta), out=row)
 
 
 def normalize_rows(rows: np.ndarray) -> np.ndarray:

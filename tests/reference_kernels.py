@@ -13,6 +13,8 @@ counts the bits two quantized memories of one layout differ in.
 ``reference_noise_sweep`` is the per-trial sweep that ``noise_sweep``'s
 stacked, certified chunks replaced: every trial dequantizes its flipped
 memory and is scored alone by ``similarity_matrix``.
+``reference_partial_row`` and ``reference_incorrect_row`` are the one-line
+distance-row formulas that ``regen``'s in-place terms replaced.
 """
 
 from __future__ import annotations
@@ -51,6 +53,19 @@ def reference_top_k(model: ClassModel, h, k: int) -> list[int]:
         raise ValueError(f"k must be in [1, {model.n_classes}], got {k}")
     return ranking(similarity_matrix(model, np.asarray(h, dtype=np.float64)[None, :])[0],
                    k).tolist()
+
+
+def reference_partial_row(h, c_true, c_top1, alpha: float, beta: float) -> np.ndarray:
+    """``alpha * |h - c_true| - beta * |h - c_top1|``, left to right."""
+    h = np.asarray(h, dtype=np.float64)
+    return alpha * np.abs(h - c_true) - beta * np.abs(h - c_top1)
+
+
+def reference_incorrect_row(h, c_true, c_top1, c_top2, alpha: float, beta: float,
+                            theta: float) -> np.ndarray:
+    """The partial row less ``theta * |h - c_top2|``."""
+    h = np.asarray(h, dtype=np.float64)
+    return reference_partial_row(h, c_true, c_top1, alpha, beta) - theta * np.abs(h - c_top2)
 
 
 def reference_synth_features(n_features: int, k_classes: int, per_class: int,

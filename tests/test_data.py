@@ -7,6 +7,8 @@ import logging
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -48,7 +50,7 @@ def pools(monkeypatch):
             started.append(self)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(hdclass.data, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
     return started
 
 
@@ -1004,6 +1006,53 @@ def test_line_ranges_end_with_a_file_shorter_than_its_size(tmp_path):
         assert hdclass.data._line_ranges(fd, 100) == ([(0, 8), (8, 11)], 3)
     finally:
         os.close(fd)
+
+
+_POOL_PROBE = """
+import json, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+import numpy as np
+import hdclass, hdclass.cli
+from hdclass import TrainConfig, synth_blobs, train
+from hdclass.data import load_csv, split
+tr, va, _ = split(synth_blobs(6, 4, 30, 2.0, seed=0), (0.5, 0.25, 0.25))
+train(TrainConfig(dim=32, mode="dynamic", max_iters=3), tr, va)
+pool = ["multiprocessing", "concurrent.futures.process"]
+before = [name in sys.modules for name in pool]
+ds = load_csv(sys.argv[1])
+np.savez(sys.argv[2], features=ds.features, labels=ds.labels)
+print(json.dumps([before, [name in sys.modules for name in pool], ds.names]))
+"""
+
+
+def test_pool_modules_load_with_the_first_file_big_enough_for_workers(tmp_path, monkeypatch):
+    """A fresh interpreter that imports the package and its CLI and trains
+    holds neither pool module; its load of a file of ``_PARALLEL_BYTES``
+    imports them and reads what a load in this process, in one range, reads."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the parallel path needs the fork start method")
+    rng = np.random.default_rng(0)
+    path = str(tmp_path / "big.csv")
+    save_csv(path, Dataset(rng.normal(size=(4000, 60)), rng.integers(0, 3, size=4000)))
+    assert os.path.getsize(path) >= hdclass.data._PARALLEL_BYTES
+    src = os.path.dirname(os.path.dirname(hdclass.data.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = str(tmp_path / "loaded.npz")
+    proc = subprocess.run([sys.executable, "-c", _POOL_PROBE, path, out], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after, names = json.loads(proc.stdout)
+    assert before == [False, False]
+    assert after == [True, True]
+    monkeypatch.setattr(hdclass.data, "_PARALLEL_BYTES", os.path.getsize(path) + 1)
+    monkeypatch.setattr(hdclass.data, "_RANGE_BYTES", os.path.getsize(path) + 1)
+    serial = load_csv(path)
+    with np.load(out) as loaded:
+        assert np.array_equal(loaded["features"], serial.features)
+        assert np.array_equal(loaded["labels"], serial.labels)
+    assert names == serial.names
 
 
 CSV_ALPHABET = list("0123456789.,,,-+eE \"\n\r\tabxnf_\x00") + ["nan", "inf", "١", "é"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -332,6 +333,30 @@ class TestDistanceRows:
         assert len(partial) and len(incorrect)
         assert np.array_equal(partial, expected_partial)
         assert np.array_equal(incorrect, expected_incorrect)
+
+    def test_transient_holds_one_side_at_a_time(self):
+        """At m=2000, k=4, D=128 with random labels (474 partial and 1048
+        incorrect rows), the call holds at most the partial result beside the
+        incorrect side's normalized rows, its three prototype gathers and two
+        distance terms (p + 6i rows), plus 256 KiB for index arrays.  A
+        normalized copy of all p + i misclassified rows does not fit."""
+        rng = np.random.default_rng(0)
+        k, dim, m = 4, 128, 2000
+        model = ClassModel(rng.normal(size=(k, dim)))
+        H = rng.normal(size=(m, dim))
+        y = rng.integers(0, k, size=m)
+        scores = similarity_matrix(model, H)
+        cfg = TrainConfig(dim=dim)
+        _build_distance_rows(model, H, scores, y, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            partial, incorrect = _build_distance_rows(model, H, scores, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (len(partial), len(incorrect)) == (474, 1048)
+        assert peak < (len(partial) + 6 * len(incorrect)) * dim * 8 + (1 << 18)
 
     def test_no_misclassified_samples_give_empty_sides(self):
         model = ClassModel(np.eye(3))

@@ -15,6 +15,7 @@ from hdclass.regen import (
     partial_row,
     select_undesired,
 )
+from reference_kernels import reference_incorrect_row, reference_partial_row
 
 
 class TestPartialRow:
@@ -59,6 +60,29 @@ class TestIncorrectRow:
     def test_theta_must_be_below_beta(self):
         with pytest.raises(ValueError):
             incorrect_row([1], [0], [0], [0], 1.0, 1.0, 1.0)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 7, 33]),
+       batched=st.lists(st.booleans(), min_size=4, max_size=4),
+       alpha=st.floats(0.01, 10), beta=st.floats(0.02, 10), frac=st.floats(0.01, 0.99),
+       scale=st.sampled_from([1e-300, 1.0, 1e300]))
+def test_row_formulas_are_bitwise_their_oracles_and_keep_their_inputs(
+        seed, dim, batched, alpha, beta, frac, scale):
+    """Both row formulas equal the one-line expressions they replaced, bit for
+    bit, on single rows, row batches and single rows broadcast against
+    batches (tiny and huge values included), and neither writes into an
+    array it was given."""
+    theta = beta * frac
+    rng = np.random.default_rng(seed)
+    inputs = [rng.normal(size=(5, dim) if b else (dim,)) * scale for b in batched]
+    before = [a.copy() for a in inputs]
+    h, c_true, c_top1, c_top2 = inputs
+    assert np.array_equal(partial_row(h, c_true, c_top1, alpha, beta),
+                          reference_partial_row(h, c_true, c_top1, alpha, beta))
+    assert np.array_equal(
+        incorrect_row(h, c_true, c_top1, c_top2, alpha, beta, theta),
+        reference_incorrect_row(h, c_true, c_top1, c_top2, alpha, beta, theta))
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
 
 class TestAggregate:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdclass import robustness
@@ -266,13 +266,17 @@ def sweep_inputs(draw):
     dims = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2, unique=True))
     models = {}
     for dim in dims:
-        # Integer data ties often; scaled data leaves the certified range.
+        # Integer data ties often; scaled data leaves the certified range,
+        # one class at a time, so that out-of-range and in-range prototypes
+        # can share a model.
         if draw(st.booleans()):
             encoded = rng.integers(-1, 2, size=(m, dim)).astype(np.float64)
             classes = rng.integers(-2, 3, size=(k, dim)).astype(np.float64)
         else:
             encoded = rng.normal(size=(m, dim))
-            classes = rng.normal(size=(k, dim)) * draw(st.sampled_from([1.0, 1e-200, 1e150]))
+            scales = draw(st.lists(st.sampled_from([1.0, 1e-200, 1e150]),
+                                   min_size=k, max_size=k))
+            classes = rng.normal(size=(k, dim)) * np.array(scales)[:, None]
         if draw(st.booleans()):
             encoded[rng.integers(m)] = 0.0
         if draw(st.booleans()):
@@ -286,8 +290,15 @@ def sweep_inputs(draw):
     return models, grid, m * k * draw(st.integers(1, 4))
 
 
+# One prototype of 1e-200 beside three in range: its norm squares to 0, so
+# a chunk that certified it would divide by a zero norm.
+TINY_PROTOTYPE = ({1: (ClassModel(np.array([[0.5], [0.25], [-0.5], [1e-200]])),
+                       np.array([[-0.125]]), np.array([3]))}, [(1, 1, 100.0)], 8)
+
+
 @settings(max_examples=150, deadline=None)
 @given(inputs=sweep_inputs(), trials=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+@example(inputs=TINY_PROTOTYPE, trials=2, seed=0)
 def test_noise_sweep_matches_the_per_trial_oracle(inputs, trials, seed):
     models, grid, cells = inputs
     with mock.patch.object(robustness, "CELLS", cells):

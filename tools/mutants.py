@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 LEARNER, REGEN, CORE = "src/hdclass/learner.py", "src/hdclass/regen.py", "src/hdclass/core.py"
 DATA, ROBUSTNESS, CLI = "src/hdclass/data.py", "src/hdclass/robustness.py", "src/hdclass/cli.py"
+METRICS = "src/hdclass/metrics.py"
 
 MUTANTS = [
     Mutant("no-column-zeroing", LEARNER,
@@ -71,16 +72,27 @@ MUTANTS = [
            "partial, incorrect = top2 == y, top2 != y",
            "partial, incorrect = top2 != y, top2 == y"),
     Mutant("partial-row-sign", REGEN,
-           "return alpha * np.abs(h - c_true) - beta * np.abs(h - c_top1)",
-           "return alpha * np.abs(h - c_true) + beta * np.abs(h - c_top1)"),
+           "return np.subtract(row, _distance(h, c_top1, beta), out=row)",
+           "return np.add(row, _distance(h, c_top1, beta), out=row)"),
     Mutant("incorrect-row-sign", REGEN,
-           "partial_row(h, c_true, c_top1, alpha, beta) - theta * np.abs(h - c_top2)",
-           "partial_row(h, c_true, c_top1, alpha, beta) + theta * np.abs(h - c_top2)"),
+           "return np.subtract(row, _distance(h, c_top2, theta), out=row)",
+           "return np.add(row, _distance(h, c_top2, theta), out=row)"),
+    Mutant("triage-side-unnormalized", LEARNER,
+           "regen.normalize_rows(encoded[wrong[incorrect]])", "encoded[wrong[incorrect]]"),
     Mutant("every-range-skips-a-byte-order-mark", DATA,
            'encoding="utf-8-sig" if start == 0 else "utf-8"', 'encoding="utf-8-sig"'),
     Mutant("range-labels-not-remapped", DATA,
            "ids[lo:hi] = remap[table[:, label_idx].astype(np.intp)]",
            "ids[lo:hi] = table[:, label_idx].astype(np.intp)"),
+    Mutant("pool-imported-at-load", DATA,
+           "import warnings\nfrom dataclasses",
+           "import warnings\nfrom concurrent.futures import ProcessPoolExecutor\n"
+           "from dataclasses"),
+    Mutant("minmax-constant-zero", DATA,
+           "out[:, const] = 0.0 if spec.mode == ZSCORE else 0.5",
+           "out[:, const] = 0.0 if spec.mode == ZSCORE else 0.0"),
+    Mutant("specificity-over-fn", METRICS,
+           "tn / (tn + fp) if", "tn / (tn + fn) if"),
     Mutant("trial-seed-entropy-order", ROBUSTNESS,
            "entropy=(seed, cell_idx, t)", "entropy=(seed, t, cell_idx)"),
     Mutant("noise-uncertain-trial-not-rescored", ROBUSTNESS,
